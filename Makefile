@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test short race vet staticcheck chaos proc-chaos fuzz check metrics-smoke cache-smoke plan-smoke overload-smoke trace-smoke session-smoke bench-cache bench-plan bench-columnar bench-overload bench-shard bench-obs bench-session bench-remote-shard
+.PHONY: build test short race vet staticcheck chaos proc-chaos fuzz check bench-check tables-check metrics-smoke cache-smoke plan-smoke overload-smoke trace-smoke session-smoke bench-cache bench-plan bench-columnar bench-overload bench-shard bench-obs bench-session bench-remote-shard
 
 build:
 	$(GO) build ./...
@@ -54,8 +54,9 @@ proc-chaos: build
 	./scripts/proc_chaos_smoke.sh
 
 # Short coverage-guided fuzz sessions over the SQL parser, the NL
-# tokenizer, and the cache-key normalizer (seed corpora always run as
-# part of plain `make test`).
+# tokenizer, the cache-key normalizer, the planner, follow-up resolution,
+# and the index lookup against its linear oracle (seed corpora always run
+# as part of plain `make test`).
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sqlparse
@@ -63,6 +64,21 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/qcache
 	$(GO) test -run='^$$' -fuzz=FuzzPlanExec -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzFollowUp -fuzztime=$(FUZZTIME) ./internal/dialogue
+	$(GO) test -run='^$$' -fuzz=FuzzLookupOracle -fuzztime=$(FUZZTIME) ./internal/invindex
+
+# The benchmark is a module of its own (bench/go.mod), so `go vet ./...`
+# and `go test ./...` at the root never compile it: a changed signature
+# among the internal symbols bench/e2e imports shows up only here. Same
+# environment as bench/run.sh; the tests include the ~25 s smoke run.
+bench-check:
+	cd bench && GOFLAGS=-buildvcs=false GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) vet ./...
+	cd bench && GOFLAGS=-buildvcs=false GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) test ./...
+
+# The paper-reproduction tables (T1–T11, A1–A2, seed 1) must stay
+# byte-identical to internal/experiments/testdata/tables_seed1.golden.
+# Expect a few minutes.
+tables-check:
+	./scripts/tables_check.sh
 
 # End-to-end scrape check: start cmd/nlidb with -metrics-addr, serve one
 # question, and assert /metrics exposes every required family.
@@ -150,4 +166,4 @@ bench-remote-shard: build
 bench-session: build
 	$(GO) run -race ./cmd/nlidb-bench -session BENCH_session.json
 
-check: build vet test race proc-chaos
+check: build vet test race bench-check tables-check proc-chaos

@@ -115,6 +115,7 @@ import (
 	"nlidb/internal/autocomplete"
 	"nlidb/internal/benchdata"
 	"nlidb/internal/dialogue"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/obs"
@@ -193,12 +194,15 @@ func main() {
 		fatalf("unknown domain %q", *domain)
 	}
 
+	// One inverted index per process: the interpreter chain, the session
+	// and chat agents' resolver, and the REPL completer all share it.
 	lex := lexicon.New()
+	ix := invindex.Build(d.DB, lex)
 	names := []string{*engine}
 	if *fallback != "" {
 		names = append(names, strings.Split(*fallback, ",")...)
 	}
-	chain, err := resilient.ChainByNames(d.DB, lex, names)
+	chain, err := resilient.ChainOverIndex(d.DB, ix, lex, names)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -320,7 +324,7 @@ func main() {
 			onEvict = func(id, _ string) { sessionRL.Forget(id) }
 		}
 		sessions, err := session.New(session.Config{
-			Responder:    dialogue.NewAgent(d.DB, primary, lex, sessExec),
+			Responder:    dialogue.NewAgentWithIndex(d.DB, primary, ix, sessExec),
 			DB:           d.DB,
 			TTL:          *sessionTTL,
 			MaxSessions:  *sessionMax,
@@ -402,13 +406,13 @@ func main() {
 	}
 	fmt.Println(`type a question ("exit" to quit; "? <prefix>" for completions; "slowlog" for slow queries; "explain [analyze] <question>" for plans):`)
 
-	completer := autocomplete.New(d.DB, ontology.FromDatabase(d.DB), lex)
+	completer := autocomplete.NewWithIndex(d.DB, ontology.FromDatabase(d.DB), ix)
 	eng := sqlexec.New(d.DB)
 	var agent *dialogue.Agent
 	if *chat {
 		// The chat agent executes through the same gateway as one-shot and
 		// serve modes: plan cache, budgets, breakers, traces.
-		agent = dialogue.NewAgent(d.DB, primary, lex, gw)
+		agent = dialogue.NewAgentWithIndex(d.DB, primary, ix, gw)
 	}
 
 	sc := bufio.NewScanner(os.Stdin)

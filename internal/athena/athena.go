@@ -47,15 +47,25 @@ type Interpreter struct {
 // New builds the interpreter with an ontology auto-generated from the
 // database (the Jammi et al. tooling path).
 func New(db *sqldata.Database, lex *lexicon.Lexicon) *Interpreter {
-	return NewWithOntology(db, ontology.FromDatabase(db), lex)
+	return NewWithIndex(db, invindex.Build(db, lex), lex)
+}
+
+// NewWithIndex is New over an index already built for db with lex, so the
+// engines of one fallback chain can share it.
+func NewWithIndex(db *sqldata.Database, ix *invindex.Index, lex *lexicon.Lexicon) *Interpreter {
+	return newInterpreter(db, ontology.FromDatabase(db), ix, lex)
 }
 
 // NewWithOntology uses a hand-curated ontology instead.
 func NewWithOntology(db *sqldata.Database, ont *ontology.Ontology, lex *lexicon.Lexicon) *Interpreter {
+	return newInterpreter(db, ont, invindex.Build(db, lex), lex)
+}
+
+func newInterpreter(db *sqldata.Database, ont *ontology.Ontology, ix *invindex.Index, lex *lexicon.Lexicon) *Interpreter {
 	return &Interpreter{
 		db:       db,
 		ont:      ont,
-		ix:       invindex.Build(db, lex),
+		ix:       ix,
 		lex:      lex,
 		compiler: &ir.Compiler{Ont: ont, Graph: schemagraph.Build(db)},
 		opts:     invindex.DefaultOptions(),
@@ -68,6 +78,9 @@ func (at *Interpreter) Ontology() *ontology.Ontology { return at.ont }
 
 // Graph exposes the schema graph for query-log priors.
 func (at *Interpreter) Graph() *schemagraph.Graph { return at.compiler.Graph }
+
+// Index exposes the inverted index the interpreter resolves words through.
+func (at *Interpreter) Index() *invindex.Index { return at.ix }
 
 // Name implements nlq.Interpreter.
 func (at *Interpreter) Name() string { return "athena" }

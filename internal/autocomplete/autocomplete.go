@@ -42,10 +42,15 @@ type Completer struct {
 
 // New builds a completer; the ontology may be auto-generated.
 func New(db *sqldata.Database, ont *ontology.Ontology, lex *lexicon.Lexicon) *Completer {
+	return NewWithIndex(db, ont, invindex.Build(db, lex))
+}
+
+// NewWithIndex is New over an index already built for db.
+func NewWithIndex(db *sqldata.Database, ont *ontology.Ontology, ix *invindex.Index) *Completer {
 	c := &Completer{
 		db:         db,
 		ont:        ont,
-		ix:         invindex.Build(db, lex),
+		ix:         ix,
 		centrality: map[string]float64{},
 	}
 	// Degree centrality: relationships touching the concept, plus a small

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"nlidb/internal/invindex"
-	"nlidb/internal/lexicon"
 	"nlidb/internal/nlp"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
@@ -109,13 +108,8 @@ func (c *Context) Reset() { *c = Context{} }
 // resolver edits the previous query per the follow-up intent — the
 // EditSQL idea realized at the AST level instead of token level.
 type resolver struct {
-	db  *sqldata.Database
-	ix  *invindex.Index
-	lex *lexicon.Lexicon
-}
-
-func newResolver(db *sqldata.Database, lex *lexicon.Lexicon) *resolver {
-	return &resolver{db: db, ix: invindex.Build(db, lex), lex: lex}
+	db *sqldata.Database
+	ix *invindex.Index
 }
 
 // cloneStmt deep-copies via print/parse.

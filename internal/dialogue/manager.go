@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/resilient"
@@ -166,7 +167,7 @@ type Frame struct {
 // after construction, so one Frame may serve concurrent conversations via
 // RespondWith.
 func NewFrame(db *sqldata.Database, interp nlq.Interpreter, lex *lexicon.Lexicon, exec Executor) *Frame {
-	return &Frame{interp: interp, exec: exec, res: newResolver(db, lex)}
+	return &Frame{interp: interp, exec: exec, res: &resolver{db: db, ix: invindex.Build(db, lex)}}
 }
 
 // Name implements Manager.
@@ -264,7 +265,13 @@ type Agent struct {
 // after construction, so one Agent may serve concurrent conversations via
 // RespondWith.
 func NewAgent(db *sqldata.Database, interp nlq.Interpreter, lex *lexicon.Lexicon, exec Executor) *Agent {
-	return &Agent{interp: interp, exec: exec, res: newResolver(db, lex)}
+	return NewAgentWithIndex(db, interp, invindex.Build(db, lex), exec)
+}
+
+// NewAgentWithIndex is NewAgent over an index already built for db — the
+// one the interpreter chain resolves words through, in a serving process.
+func NewAgentWithIndex(db *sqldata.Database, interp nlq.Interpreter, ix *invindex.Index, exec Executor) *Agent {
+	return &Agent{interp: interp, exec: exec, res: &resolver{db: db, ix: ix}}
 }
 
 // Name implements Manager.

@@ -30,8 +30,17 @@ type Interpreter struct {
 // New builds the interpreter, indexing db's metadata and content. lex may
 // be nil to disable the synonym tier.
 func New(db *sqldata.Database, lex *lexicon.Lexicon) *Interpreter {
-	return &Interpreter{db: db, ix: invindex.Build(db, lex), opts: invindex.DefaultOptions()}
+	return NewWithIndex(db, invindex.Build(db, lex))
 }
+
+// NewWithIndex is New over an index already built for db, so the engines
+// of one fallback chain can share it.
+func NewWithIndex(db *sqldata.Database, ix *invindex.Index) *Interpreter {
+	return &Interpreter{db: db, ix: ix, opts: invindex.DefaultOptions()}
+}
+
+// Index exposes the inverted index the interpreter resolves words through.
+func (k *Interpreter) Index() *invindex.Index { return k.ix }
 
 // Name implements nlq.Interpreter.
 func (k *Interpreter) Name() string { return "keyword" }

@@ -1,43 +1,75 @@
 package nlp
 
-import "strings"
+import (
+	"slices"
+	"strings"
+)
+
+// stackRunes is the string length up to which the similarity functions
+// work in stack buffers; longer inputs fall back to the heap.
+const stackRunes = 64
 
 // Levenshtein returns the edit distance between two strings (unit costs).
 func Levenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) == 0 {
-		return len(rb)
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
+	d, _ := editDistance(a, b)
+	return d
 }
 
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
+// editDistance returns the edit distance of a and b and the rune length
+// of the longer one.
+func editDistance(a, b string) (d, longest int) {
+	var bufA, bufB [stackRunes]rune
+	var bufRow [stackRunes + 1]int
+	ra, rb := AppendRunes(bufA[:0], a), AppendRunes(bufB[:0], b)
+	row := bufRow[:]
+	if len(rb) >= len(row) {
+		row = make([]int, len(rb)+1)
 	}
-	if c < a {
-		a = c
+	longest = max(len(ra), len(rb))
+	return LevenshteinWithin(ra, rb, longest, row), longest
+}
+
+// AppendRunes appends the runes of s to dst, decoding as []rune(s) does.
+func AppendRunes(dst []rune, s string) []rune {
+	for _, r := range s {
+		dst = append(dst, r)
 	}
-	return a
+	return dst
+}
+
+// LevenshteinWithin returns the edit distance between a and b when it is
+// at most k, and k+1 otherwise. It fills only the diagonal band of width
+// 2k+1 — a cell further from the diagonal already costs more than k — and
+// stops at the first row whose every cell exceeds k. row is scratch of at
+// least len(b)+1 ints; nothing is allocated.
+func LevenshteinWithin(a, b []rune, k int, row []int) int {
+	over := k + 1
+	if len(a)-len(b) > k || len(b)-len(a) > k {
+		return over
+	}
+	for j := 0; j <= len(b); j++ {
+		row[j] = min(j, over)
+	}
+	for i := 1; i <= len(a); i++ {
+		lo, hi := max(1, i-k), min(len(b), i+k)
+		diag := row[lo-1]
+		row[lo-1] = min(i, over) // column 0, or the cell left of the band
+		best := row[lo-1]
+		for j := lo; j <= hi; j++ {
+			v := diag
+			if a[i-1] != b[j-1] {
+				v++
+			}
+			diag = row[j] // above; still `over` where the band just widened
+			v = min(v, diag+1, row[j-1]+1, over)
+			row[j] = v
+			best = min(best, v)
+		}
+		if best > k {
+			return over
+		}
+	}
+	return row[len(b)]
 }
 
 // Similarity returns a [0,1] string similarity: 1 for equal strings,
@@ -48,46 +80,65 @@ func Similarity(a, b string) float64 {
 	if a == b {
 		return 1
 	}
-	la, lb := len([]rune(a)), len([]rune(b))
-	longest := la
-	if lb > longest {
-		longest = lb
-	}
-	if longest == 0 {
-		return 1
-	}
-	d := Levenshtein(a, b)
+	d, longest := editDistance(a, b)
 	return 1 - float64(d)/float64(longest)
 }
 
 // TrigramJaccard returns the Jaccard similarity of the character-trigram
 // sets of two strings — robust to word reordering within short phrases.
 func TrigramJaccard(a, b string) float64 {
-	ta, tb := trigrams(strings.ToLower(a)), trigrams(strings.ToLower(b))
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	if len(ta) == 0 || len(tb) == 0 {
-		return 0
-	}
-	inter := 0
-	for g := range ta {
-		if tb[g] {
-			inter++
-		}
-	}
-	union := len(ta) + len(tb) - inter
-	return float64(inter) / float64(union)
+	var bufA, bufB [stackRunes + 2]uint64
+	ta := TrigramSet(bufA[:0], strings.ToLower(a))
+	tb := TrigramSet(bufB[:0], strings.ToLower(b))
+	inter := CommonSorted(ta, tb)
+	return float64(inter) / float64(len(ta)+len(tb)-inter)
 }
 
-func trigrams(s string) map[string]bool {
-	s = "  " + s + "  "
-	rs := []rune(s)
-	out := make(map[string]bool)
-	for i := 0; i+3 <= len(rs); i++ {
-		out[string(rs[i:i+3])] = true
+// Trigrams appends to dst the character trigrams of s padded with two
+// spaces on each side, in order of position: one more than s has runes,
+// plus one. A trigram is its three runes packed 21 bits each into a
+// uint64, so distinct trigrams never collide and comparing needs no
+// hashing.
+func Trigrams(dst []uint64, s string) []uint64 {
+	const mask = 1<<63 - 1 // three 21-bit runes
+	g := uint64(' ')<<21 | ' '
+	for _, r := range s {
+		g = (g<<21 | uint64(r)) & mask
+		dst = append(dst, g)
 	}
-	return out
+	for i := 0; i < 2; i++ {
+		g = (g<<21 | ' ') & mask
+		dst = append(dst, g)
+	}
+	return dst
+}
+
+// TrigramSet appends to dst the set of trigrams of s (see Trigrams; never
+// empty), sorted ascending.
+func TrigramSet(dst []uint64, s string) []uint64 {
+	start := len(dst)
+	dst = Trigrams(dst, s)
+	set := dst[start:]
+	slices.Sort(set)
+	return dst[:start+len(slices.Compact(set))]
+}
+
+// CommonSorted counts the values two ascending duplicate-free slices share.
+func CommonSorted(a, b []uint64) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }
 
 // TokenSetSimilarity compares two multi-word phrases by the best pairwise

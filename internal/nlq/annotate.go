@@ -51,10 +51,11 @@ func MatchSpans(toks []nlp.Token, ix *invindex.Index, opts invindex.LookupOption
 			}
 			phrase := strings.Join(parts, " ")
 			// Multi-word spans must match exactly or near-exactly; single
-			// words get the caller's fuzziness.
+			// words get the caller's fuzziness. A caller that disabled
+			// fuzzy matching, or is stricter still, keeps its setting.
 			o := opts
-			if l > 1 {
-				o.FuzzyThreshold = 0.9
+			if l > 1 && o.FuzzyThreshold > 0 {
+				o.FuzzyThreshold = max(o.FuzzyThreshold, 0.9)
 			}
 			ms := ix.Lookup(phrase, o)
 			if len(ms) == 0 {

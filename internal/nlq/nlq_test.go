@@ -84,6 +84,32 @@ func TestMatchSpansLongestFirst(t *testing.T) {
 	}
 }
 
+// A multi-word span raises the caller's fuzzy threshold to 0.9; it must
+// not switch fuzzy matching back on for a caller that disabled it. A
+// phrase span needs a score of 0.85, which the fuzzy tier reaches only at
+// similarity 1 — a different string with the same trigram set.
+func TestMatchSpansKeepsFuzzyDisabledOnPhrases(t *testing.T) {
+	db := sqldata.NewDatabase("menu")
+	d, err := db.CreateTable(&sqldata.Schema{
+		Name:    "dessert",
+		Columns: []sqldata.Column{{Name: "title", Type: sqldata.TypeText}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.MustInsert(sqldata.NewText("Banana Split Sundae"))
+	ix := invindex.Build(db, lexicon.New())
+	toks := nlp.Tag(nlp.Tokenize("bananana split sundae")) // "ana", "nan" repeat: no new trigram
+
+	spans := MatchSpans(toks, ix, invindex.DefaultOptions())
+	if len(spans) != 1 || spans[0].Best().Via != "fuzzy" || spans[0].End-spans[0].Start != 3 {
+		t.Fatalf("premise: the near-miss should match fuzzily as one phrase at the default threshold, got %+v", spans)
+	}
+	if spans := MatchSpans(toks, ix, invindex.LookupOptions{}); len(spans) != 0 {
+		t.Errorf("FuzzyThreshold 0 disables fuzzy matching, but a phrase matched: %+v", spans)
+	}
+}
+
 func TestMatchSpansSkipsNumbers(t *testing.T) {
 	ix := annotateDB(t)
 	toks := nlp.Tag(nlp.Tokenize("customers with id over 5"))

@@ -30,13 +30,22 @@ type Interpreter struct {
 
 // New builds the interpreter.
 func New(db *sqldata.Database, lex *lexicon.Lexicon) *Interpreter {
+	return NewWithIndex(db, invindex.Build(db, lex))
+}
+
+// NewWithIndex is New over an index already built for db, so the engines
+// of one fallback chain can share it.
+func NewWithIndex(db *sqldata.Database, ix *invindex.Index) *Interpreter {
 	return &Interpreter{
 		db:    db,
-		ix:    invindex.Build(db, lex),
+		ix:    ix,
 		graph: schemagraph.Build(db),
 		opts:  invindex.DefaultOptions(),
 	}
 }
+
+// Index exposes the inverted index the interpreter resolves words through.
+func (p *Interpreter) Index() *invindex.Index { return p.ix }
 
 // Graph exposes the schema graph so callers can install query-log priors
 // (TEMPLAR-style) before interpreting.

@@ -28,8 +28,17 @@ type Interpreter struct {
 
 // New builds the interpreter.
 func New(db *sqldata.Database, lex *lexicon.Lexicon) *Interpreter {
-	return &Interpreter{db: db, ix: invindex.Build(db, lex), opts: invindex.DefaultOptions()}
+	return NewWithIndex(db, invindex.Build(db, lex))
 }
+
+// NewWithIndex is New over an index already built for db, so the engines
+// of one fallback chain can share it.
+func NewWithIndex(db *sqldata.Database, ix *invindex.Index) *Interpreter {
+	return &Interpreter{db: db, ix: ix, opts: invindex.DefaultOptions()}
+}
+
+// Index exposes the inverted index the interpreter resolves words through.
+func (p *Interpreter) Index() *invindex.Index { return p.ix }
 
 // Name implements nlq.Interpreter.
 func (p *Interpreter) Name() string { return "pattern" }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"nlidb/internal/athena"
+	"nlidb/internal/invindex"
 	"nlidb/internal/keywordnl"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
@@ -19,25 +20,39 @@ import (
 var DefaultChainNames = []string{"athena", "parse", "pattern", "keyword"}
 
 // EngineByName constructs one entity-based interpreter over db by its
-// family name (athena, parse, pattern, keyword).
+// family name (athena, parse, pattern, keyword), with an index of its own.
 func EngineByName(name string, db *sqldata.Database, lex *lexicon.Lexicon) (nlq.Interpreter, error) {
+	return engineOverIndex(name, db, invindex.Build(db, lex), lex)
+}
+
+// engineOverIndex constructs the named interpreter over an index already
+// built for db with lex.
+func engineOverIndex(name string, db *sqldata.Database, ix *invindex.Index, lex *lexicon.Lexicon) (nlq.Interpreter, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "keyword":
-		return keywordnl.New(db, lex), nil
+		return keywordnl.NewWithIndex(db, ix), nil
 	case "pattern":
-		return patternnl.New(db, lex), nil
+		return patternnl.NewWithIndex(db, ix), nil
 	case "parse":
-		return parsenl.New(db, lex), nil
+		return parsenl.NewWithIndex(db, ix), nil
 	case "athena":
-		return athena.New(db, lex), nil
+		return athena.NewWithIndex(db, ix, lex), nil
 	default:
 		return nil, fmt.Errorf("resilient: unknown engine %q", name)
 	}
 }
 
 // ChainByNames constructs a fallback chain from engine names, dropping
-// duplicates while keeping first-occurrence order.
+// duplicates while keeping first-occurrence order. The engines share one
+// inverted index, built here.
 func ChainByNames(db *sqldata.Database, lex *lexicon.Lexicon, names []string) ([]nlq.Interpreter, error) {
+	return ChainOverIndex(db, invindex.Build(db, lex), lex, names)
+}
+
+// ChainOverIndex is ChainByNames over an index the caller built for db
+// with lex and also hands to whatever else resolves words against db
+// (a dialogue resolver, a completer), so a process builds it once.
+func ChainOverIndex(db *sqldata.Database, ix *invindex.Index, lex *lexicon.Lexicon, names []string) ([]nlq.Interpreter, error) {
 	var chain []nlq.Interpreter
 	seen := map[string]bool{}
 	for _, n := range names {
@@ -46,7 +61,7 @@ func ChainByNames(db *sqldata.Database, lex *lexicon.Lexicon, names []string) ([
 			continue
 		}
 		seen[n] = true
-		eng, err := EngineByName(n, db, lex)
+		eng, err := engineOverIndex(n, db, ix, lex)
 		if err != nil {
 			return nil, err
 		}

@@ -99,13 +99,13 @@ func (t *Table) ColumnValues(name string) ([]Value, error) {
 // DistinctText returns the sorted distinct non-NULL TEXT values of a column;
 // indexing and interpreters use it to build value vocabularies.
 func (t *Table) DistinctText(name string) ([]string, error) {
-	vals, err := t.ColumnValues(name)
-	if err != nil {
-		return nil, err
+	i := t.Schema.ColumnIndex(name)
+	if i < 0 {
+		return nil, fmt.Errorf("sqldata: table %s has no column %q", t.Schema.Name, name)
 	}
 	set := make(map[string]bool)
-	for _, v := range vals {
-		if !v.Null && v.T == TypeText {
+	for _, r := range t.Rows {
+		if v := r[i]; !v.Null && v.T == TypeText {
 			set[v.Text()] = true
 		}
 	}

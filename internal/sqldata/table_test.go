@@ -1,6 +1,7 @@
 package sqldata
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -101,6 +102,30 @@ func TestColumnValuesAndDistinct(t *testing.T) {
 	}
 	if _, err := tbl.ColumnValues("nope"); err == nil {
 		t.Error("missing column accepted")
+	}
+}
+
+// DistinctText walks the rows in place: on a 100k-row column it must not
+// allocate anything proportional to the row count (it used to copy the
+// whole column, 56 bytes a row, before looking at it).
+func TestDistinctTextDoesNotCopyTheColumn(t *testing.T) {
+	tbl, _ := NewTable(&Schema{Name: "t", Columns: []Column{{Name: "id", Type: TypeInt}, {Name: "c", Type: TypeText}}})
+	names := []string{"ok", "warn", "error", "fatal", "debug"}
+	for i := 0; i < 100000; i++ {
+		tbl.MustInsert(NewInt(int64(i)), NewText(names[i%len(names)]))
+	}
+	var d []string
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 4; i++ {
+		d, _ = tbl.DistinctText("c")
+	}
+	runtime.ReadMemStats(&after)
+	if len(d) != len(names) || d[0] != "debug" || d[4] != "warn" {
+		t.Fatalf("DistinctText = %v", d)
+	}
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / 4; perCall > 16<<10 {
+		t.Errorf("DistinctText allocated %d bytes per call over 100,000 rows; want a few hundred (the distinct set)", perCall)
 	}
 }
 
