@@ -99,7 +99,7 @@ type OverloadReport struct {
 func overloadServer(d *benchdata.Domain, ctrl *admission.Controller) *server.Server {
 	gw := resilient.New(d.DB, resilient.DefaultChain(d.DB, lexicon.New()),
 		resilient.Config{NoTrace: true, NoRetry: true})
-	return server.New(server.Config{Gateway: gw, Admission: ctrl})
+	return server.New(server.Config{Backend: gw, Admission: ctrl})
 }
 
 // runOverloadBench measures the overload behavior and writes the JSON

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"nlidb/internal/benchdata"
+	"nlidb/internal/lexicon"
 	"nlidb/internal/procnode"
 	"nlidb/internal/resilient"
 	"nlidb/internal/shard"
@@ -106,6 +107,7 @@ func buildNlidbBinary(dir string) (string, error) {
 // two scaling modes differ only in the hop.
 func benchRemoteFleet(d *benchdata.Domain, sup *procnode.Supervisor, seed int64) (*shard.Cluster, error) {
 	return shard.NewRemote(d.DB, shard.Config{
+		Chain:            resilient.DefaultChain(d.DB, lexicon.New()),
 		Gateway:          resilient.Config{NoTrace: true, NoRetry: true},
 		CacheSize:        -1,
 		ReplicaThreshold: 3,
@@ -127,11 +129,8 @@ func startBenchFleet(d *benchdata.Domain, bin string, shards, replicas int, seed
 	})
 }
 
-// filterRemoteQuestions keeps the questions this specific fleet can
-// serve end to end. Interpretation runs on a child over its own
-// partition's vocabulary, so a question answerable by the in-process
-// probe can still miss a value literal that hashed to another shard —
-// each fleet earns its own workload.
+// filterRemoteQuestions keeps the questions the fleet serves end to end
+// (the ones its coordinator can interpret and distribute).
 func filterRemoteQuestions(cl *shard.Cluster, candidates []string) []string {
 	var qs []string
 	for _, q := range candidates {

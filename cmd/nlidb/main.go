@@ -68,9 +68,10 @@
 // backend as /query, so conversations inherit its caching, tracing, and
 // fault tolerance.
 //
-// Fleet observability (serve mode): every uncached question is traced
-// end-to-end — coordinator classify/route, per-replica attempts with
-// hedge/retry/breaker annotations, merge — and tail-sampled into the
+// Fleet observability (serve mode): every question is traced end-to-end
+// — interpretation at the coordinator, classify/route, per-replica
+// attempts with hedge/retry/breaker annotations, each replica's
+// parse/plan/execute, merge — and tail-sampled into the
 // /trace exemplar store (slow, failed, and partial queries always
 // retained; healthy ones at -trace-sample under the -trace-retain span
 // budget). /fleet reports per-shard/per-replica health rollups, and /slo
@@ -78,9 +79,12 @@
 // and availability objectives; both also ride the /metrics scrape.
 //
 // Fault tolerance: -shards N partitions the data across N in-process
-// engine shards (foreign-key co-located) with -replicas R gateways each,
-// behind health-checked, load-aware routing with hedged requests;
-// cross-shard questions run scatter-gather and degrade to explicit
+// shards (foreign-key co-located) with -replicas R SQL executors each,
+// behind health-checked, load-aware routing with hedged requests. A
+// question is interpreted once, at the coordinator, by the same chain,
+// breakers, cache and batch pool the unsharded gateway runs, over the
+// full database's vocabulary; shards only ever execute the SQL that
+// produced. Cross-shard questions run scatter-gather and degrade to explicit
 // partial answers when a shard has no healthy replica (see DESIGN.md's
 // failure-modes matrix). Circuit-breaker half-open probes are jittered by
 // default to avoid synchronized retry storms; -breaker-jitter 0 opts out,
@@ -88,14 +92,18 @@
 //
 // Out-of-process shards (serve mode): -remote-shards spawn:N forks N×R
 // real child processes of this binary — each importing its CSV partition
-// and serving the internal HTTP protocol — supervised with /healthz
-// readiness gates and jittered-backoff restart; mutually exclusive with
-// -shards. Alternatively -remote-shards takes explicit endpoints
-// ("http://h1:9001,http://h2:9001;http://h3:9002" — ';' between shards,
-// ',' between replicas) for externally managed processes. Children are
-// started with -join shard@epoch, which fences every internal request
-// against a stale shard map (typed 409 on mismatch); GET /shardmap
-// serves the coordinator's current versioned map. -health-sql overrides
+// (types and keys as declared, from the schema sidecar next to each
+// file) and serving the internal HTTP protocol — supervised with
+// /healthz readiness gates and jittered-backoff restart; mutually
+// exclusive with -shards. Alternatively -remote-shards takes explicit
+// endpoints ("http://h1:9001,http://h2:9001;http://h3:9002" — ';'
+// between shards, ',' between replicas) for externally managed
+// processes. Children are started with -join shard@epoch, which makes the
+// process a shard node: it executes the SQL POST /internal/query brings
+// and builds no index, lexicon, interpreter chain or session store
+// (-engine and -fallback are the coordinator's business), and it fences
+// every internal request against a stale shard map (typed 409 on
+// mismatch); GET /shardmap serves the coordinator's current versioned map. -health-sql overrides
 // the deep-probe query /healthz?deep=1 executes (default: SELECT
 // COUNT(*) on the first table; "none" disables the deep probe).
 package main
@@ -107,7 +115,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -180,7 +187,13 @@ func main() {
 	case *csvFiles != "":
 		db := sqldata.NewDatabase("csv")
 		for _, path := range strings.Split(*csvFiles, ",") {
-			if err := loadCSVTable(db, strings.TrimSpace(path)); err != nil {
+			// A file with a schema sidecar (a shard node's partition) loads
+			// as declared; a bare CSV is named after the file and inferred.
+			tbl, err := sqldata.LoadCSVFile(strings.TrimSpace(path))
+			if err == nil {
+				err = db.AddTable(tbl)
+			}
+			if err != nil {
 				fatalf("%v", err)
 			}
 		}
@@ -194,19 +207,38 @@ func main() {
 		fatalf("unknown domain %q", *domain)
 	}
 
-	// One inverted index per process: the interpreter chain, the session
-	// and chat agents' resolver, and the REPL completer all share it.
-	lex := lexicon.New()
-	ix := invindex.Build(d.DB, lex)
-	names := []string{*engine}
-	if *fallback != "" {
-		names = append(names, strings.Split(*fallback, ",")...)
-	}
-	chain, err := resilient.ChainOverIndex(d.DB, ix, lex, names)
+	shardIdx, shardEpoch, err := parseJoin(*join)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	primary := chain[0]
+	// A shard node (-join) executes the SQL its coordinator sends and
+	// nothing else: it builds no index, no lexicon, no interpreter chain
+	// and no session store over a partition whose vocabulary is a
+	// fragment of the database's.
+	node := *join != ""
+	if node && (*serveAddr == "" || *shards > 1 || *remoteShards != "") {
+		fatalf("-join runs a shard node: it needs -serve and excludes -shards and -remote-shards")
+	}
+
+	// One inverted index per process: the interpreter chain, the session
+	// and chat agents' resolver, and the REPL completer all share it.
+	var (
+		ix      *invindex.Index
+		chain   []nlq.Interpreter
+		primary nlq.Interpreter
+	)
+	if !node {
+		lex := lexicon.New()
+		ix = invindex.Build(d.DB, lex)
+		names := []string{*engine}
+		if *fallback != "" {
+			names = append(names, strings.Split(*fallback, ",")...)
+		}
+		if chain, err = resilient.ChainOverIndex(d.DB, ix, lex, names); err != nil {
+			fatalf("%v", err)
+		}
+		primary = chain[0]
+	}
 
 	reg := obs.Default()
 	var slow *obs.SlowLog
@@ -293,7 +325,7 @@ func main() {
 				fatalf("-shards and -remote-shards are mutually exclusive")
 			}
 			cl, mapSrc, sup, err := remoteCluster(d.DB, *remoteShards, *replicas, remoteClusterConfig{
-				engine: *engine, fallback: *fallback, timeout: *timeout,
+				chain: chain, timeout: *timeout,
 				cacheSize: *cacheSize, cacheTTL: *cacheTTL, planCacheSize: *planCacheSize,
 				jitter: jitter, seed: *seed, workers: *parallel,
 				metrics: reg, slow: slow, traces: traces,
@@ -314,30 +346,33 @@ func main() {
 				cl.ShardCount(), cl.ReplicaCount(), cl.Partitioning().RowsPerShard)
 		}
 		var sessionRL *admission.RateLimiter
-		if *sessionRate > 0 {
-			sessionRL = admission.NewRateLimiter(admission.RateConfig{RPS: *sessionRate})
-		}
-		var onEvict func(id, reason string)
-		if sessionRL != nil {
-			// Evicted sessions release their rate-limiter bucket so dead
-			// conversations stop occupying tracked-client slots.
-			onEvict = func(id, _ string) { sessionRL.Forget(id) }
-		}
-		sessions, err := session.New(session.Config{
-			Responder:    dialogue.NewAgentWithIndex(d.DB, primary, ix, sessExec),
-			DB:           d.DB,
-			TTL:          *sessionTTL,
-			MaxSessions:  *sessionMax,
-			MemoryBudget: *sessionMem,
-			CacheSize:    disabledIfZero(*sessionCache),
-			CacheTTL:     *cacheTTL,
-			Metrics:      reg,
-			SlowLog:      slow,
-			Traces:       traces,
-			OnEvict:      onEvict,
-		})
-		if err != nil {
-			fatalf("%v", err)
+		var sessions *session.Store
+		if !node {
+			if *sessionRate > 0 {
+				sessionRL = admission.NewRateLimiter(admission.RateConfig{RPS: *sessionRate})
+			}
+			var onEvict func(id, reason string)
+			if sessionRL != nil {
+				// Evicted sessions release their rate-limiter bucket so dead
+				// conversations stop occupying tracked-client slots.
+				onEvict = func(id, _ string) { sessionRL.Forget(id) }
+			}
+			sessions, err = session.New(session.Config{
+				Responder:    dialogue.NewAgentWithIndex(d.DB, primary, ix, sessExec),
+				DB:           d.DB,
+				TTL:          *sessionTTL,
+				MaxSessions:  *sessionMax,
+				MemoryBudget: *sessionMem,
+				CacheSize:    disabledIfZero(*sessionCache),
+				CacheTTL:     *cacheTTL,
+				Metrics:      reg,
+				SlowLog:      slow,
+				Traces:       traces,
+				OnEvict:      onEvict,
+			})
+			if err != nil {
+				fatalf("%v", err)
+			}
 		}
 		// Deep /healthz probes default to a COUNT over the first table: a
 		// statement every partition can answer, so a wedged pipeline fails
@@ -350,10 +385,6 @@ func main() {
 			if ts := d.DB.Tables(); len(ts) > 0 {
 				probe = "SELECT COUNT(*) FROM " + ts[0].Schema.Name
 			}
-		}
-		shardIdx, shardEpoch, err := parseJoin(*join)
-		if err != nil {
-			fatalf("%v", err)
 		}
 		if err := serve(backend, reg, slow, slo, serveOptions{
 			addr:         *serveAddr,
@@ -572,26 +603,6 @@ func printAnswer(ans *resilient.Answer) {
 	}
 	fmt.Printf(", %s)\n", ans.Elapsed.Round(time.Microsecond))
 	fmt.Println(indent(ans.Result.String()))
-}
-
-// loadCSVTable loads one CSV file into db as a table named after the file,
-// closing the file on every path. LoadCSV errors already carry the row and
-// column of the offending cell; this wrapper prefixes the file path.
-func loadCSVTable(db *sqldata.Database, path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-	tbl, err := sqldata.LoadCSV(name, f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if err := db.AddTable(tbl); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
 }
 
 func fatalf(format string, args ...any) {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"nlidb/internal/nlq"
 	"nlidb/internal/obs"
 	"nlidb/internal/procnode"
 	"nlidb/internal/resilient"
@@ -39,24 +40,26 @@ func parseJoin(v string) (int, int64, error) {
 // remoteClusterConfig carries the flag values the remote coordinator
 // path needs from main.
 type remoteClusterConfig struct {
-	engine, fallback string
-	timeout          time.Duration
-	cacheSize        int
-	cacheTTL         time.Duration
-	planCacheSize    int
-	jitter           time.Duration
-	seed             int64
-	workers          int
-	metrics          *obs.Registry
-	slow             *obs.SlowLog
-	traces           *obs.TraceStore
+	chain         []nlq.Interpreter
+	timeout       time.Duration
+	cacheSize     int
+	cacheTTL      time.Duration
+	planCacheSize int
+	jitter        time.Duration
+	seed          int64
+	workers       int
+	metrics       *obs.Registry
+	slow          *obs.SlowLog
+	traces        *obs.TraceStore
 }
 
 // remoteCluster builds the out-of-process coordinator for -remote-shards:
 // either self-supervising ("spawn:N" launches N×replicas children of this
 // very binary, each loading its partition over the CSV path) or routing
 // to an explicit endpoint list ("a,b;c,d": ';' between shards, ','
-// between replicas). The returned supervisor is nil for explicit fleets.
+// between replicas). Either way the coordinator interprets — cc.chain is
+// built over the full database — and the nodes execute the SQL they are
+// sent. The returned supervisor is nil for explicit fleets.
 func remoteCluster(db *sqldata.Database, spec string, replicas int, cc remoteClusterConfig) (*shard.Cluster, *shard.MapSource, *procnode.Supervisor, error) {
 	var (
 		fleet  shard.RemoteFleet
@@ -76,13 +79,9 @@ func remoteCluster(db *sqldata.Database, spec string, replicas int, cc remoteClu
 			Binary:   bin,
 			Shards:   n,
 			Replicas: replicas,
-			// Children interpret over their own partitions; the engine and
-			// fallback chain travel so interpretation behaves like the
-			// parent's.
-			ExtraArgs: []string{"-engine", cc.engine, "-fallback", cc.fallback},
-			Stderr:    os.Stderr,
-			Seed:      cc.seed,
-			OnEvent:   func(s string) { fmt.Println("supervisor:", s) },
+			Stderr:   os.Stderr,
+			Seed:     cc.seed,
+			OnEvent:  func(s string) { fmt.Println("supervisor:", s) },
 		})
 		if err != nil {
 			return nil, nil, nil, err
@@ -108,6 +107,7 @@ func remoteCluster(db *sqldata.Database, spec string, replicas int, cc remoteClu
 		mapSrc = shard.NewMapSource(func() shard.Map { return shard.Map{Shards: addrs} })
 	}
 	cl, err := shard.NewRemote(db, shard.Config{
+		Chain:         cc.chain,
 		Timeout:       cc.timeout,
 		CacheSize:     disabledIfZero(cc.cacheSize),
 		CacheTTL:      cc.cacheTTL,

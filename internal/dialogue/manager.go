@@ -20,9 +20,7 @@ import (
 // resource budgets, deadlines, fault isolation, and trace spans as every
 // stateless question — the dialogue layer owns *resolution*, never
 // execution. Implementations must be safe for concurrent use.
-type Executor interface {
-	AskSQL(ctx context.Context, sql string) (*resilient.Answer, error)
-}
+type Executor = resilient.Executor
 
 // Response is what a dialogue manager returns for one utterance.
 type Response struct {

@@ -11,11 +11,12 @@ import (
 )
 
 // exportPartitions splits db into n FK-co-located partitions and writes
-// each partition's tables as CSV files under dir/shard<i>/<table>.csv —
-// the same CSV vocabulary cmd/nlidb's -csv flag loads, so a shard node
-// child needs no bespoke bootstrap path. Returns the per-shard file
-// lists (join with "," for the child's -csv flag) and the row-placement
-// map the coordinator routes with.
+// each partition's tables under dir/shard<i>/ as <table>.csv plus the
+// <table>.schema.json sidecar carrying the declared schema — the files
+// cmd/nlidb's -csv flag loads, so a shard node child needs no bespoke
+// bootstrap path and comes up with the parent's column types and keys.
+// Returns the per-shard file lists (join with "," for the child's -csv
+// flag) and the row-placement map the coordinator routes with.
 func exportPartitions(db *sqldata.Database, dir string, n int) ([][]string, *shard.Partitioning, error) {
 	dbs, part, err := shard.Split(db, n)
 	if err != nil {
@@ -29,42 +30,11 @@ func exportPartitions(db *sqldata.Database, dir string, n int) ([][]string, *sha
 		}
 		for _, t := range pdb.Tables() {
 			path := filepath.Join(sdir, strings.ToLower(t.Schema.Name)+".csv")
-			if err := writeTableCSV(path, t); err != nil {
-				return nil, nil, err
+			if err := sqldata.WriteCSVFile(path, t); err != nil {
+				return nil, nil, fmt.Errorf("procnode: %w", err)
 			}
 			files[s] = append(files[s], path)
 		}
 	}
 	return files, part, nil
-}
-
-// writeTableCSV renders one table in the LoadCSV vocabulary (WriteCSV
-// over the table's rows, schema names as the header).
-//
-// Known type-fidelity caveat: LoadCSV re-infers column types from the
-// text, and the canonical rendering of an integral float ("12000") is
-// indistinguishable from an int — so a FLOAT column whose exported
-// partition happens to hold only integral values comes back as INT on
-// the child. This cannot silently corrupt a merge: the coordinator's
-// aggregate accumulators widen int/float, and the typed wire form
-// preserves whatever type the child computed. Mixed columns (any cell
-// with a fractional part) re-infer FLOAT correctly.
-func writeTableCSV(path string, t *sqldata.Table) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("procnode: %w", err)
-	}
-	header := make([]string, len(t.Schema.Columns))
-	for i, c := range t.Schema.Columns {
-		header[i] = c.Name
-	}
-	werr := sqldata.WriteCSV(f, &sqldata.Result{Columns: header, Rows: t.Rows})
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("procnode: %s: %w", path, werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("procnode: %s: %w", path, cerr)
-	}
-	return nil
 }

@@ -42,9 +42,6 @@ type Config struct {
 	// every child refuses requests stamped with a different epoch
 	// (default 1).
 	Epoch int64
-	// ExtraArgs are appended to every child's command line (e.g.
-	// "-engine", "parse" to keep child startup light).
-	ExtraArgs []string
 	// ReadyTimeout bounds the wait for a launched child to print its
 	// address and pass /healthz (default 15s).
 	ReadyTimeout time.Duration
@@ -300,7 +297,6 @@ func (p *Proc) launch() error {
 		"-join", fmt.Sprintf("%d@%d", p.shard, cfg.Epoch),
 		"-cache", "0", // the coordinator caches fleet-wide
 	}
-	args = append(args, cfg.ExtraArgs...)
 	cmd := cfg.Command(cfg.Binary, args...)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {

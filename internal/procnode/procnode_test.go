@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -32,8 +32,6 @@ func procDB(t *testing.T) *sqldata.Database {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		// Fractional credits: a float column with any non-integral cell
-		// re-infers FLOAT on a CSV round trip (see writeTableCSV's caveat).
 		credit := sqldata.NewFloat(float64((i+1)*1000) + 0.5)
 		if i == 3 {
 			credit = sqldata.NullValue()
@@ -194,10 +192,9 @@ func TestSupervisorRestartsCrashedChild(t *testing.T) {
 	}
 }
 
-// TestExportPartitionsRoundTrip: the partition CSVs re-load with the
-// parent's column types — the float fix-up keeps integral FLOAT columns
-// FLOAT, dates survive the ISO form, NULLs stay NULL — and every row
-// lands on exactly one shard.
+// TestExportPartitionsRoundTrip: the partition files re-load, the way a
+// child loads them, with the parent's column types — dates survive the
+// ISO form, NULLs stay NULL — and every row lands on exactly one shard.
 func TestExportPartitionsRoundTrip(t *testing.T) {
 	db := procDB(t)
 	dir := t.TempDir()
@@ -212,13 +209,7 @@ func TestExportPartitionsRoundTrip(t *testing.T) {
 	totalRows := 0
 	for s, list := range files {
 		for _, path := range list {
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := strings.TrimSuffix(filepath.Base(path), ".csv")
-			tbl, err := sqldata.LoadCSV(name, f)
-			f.Close()
+			tbl, err := sqldata.LoadCSVFile(path)
 			if err != nil {
 				t.Fatalf("shard %d %s: %v", s, path, err)
 			}
@@ -227,16 +218,8 @@ func TestExportPartitionsRoundTrip(t *testing.T) {
 			}
 			totalRows += tbl.Len()
 			for i, col := range tbl.Schema.Columns {
-				nonNull := false
-				for _, row := range tbl.Rows {
-					if !row[i].Null {
-						nonNull = true
-						break
-					}
-				}
-				want := parent.Schema.Columns[i].Type
-				if nonNull && col.Type != want {
-					t.Errorf("shard %d column %s re-inferred as %v, want %v", s, col.Name, col.Type, want)
+				if want := parent.Schema.Columns[i].Type; col.Type != want {
+					t.Errorf("shard %d column %s loaded as %v, want %v", s, col.Name, col.Type, want)
 				}
 			}
 			for _, row := range tbl.Rows {
@@ -258,37 +241,56 @@ func TestExportPartitionsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportIntegralFloatCaveat pins the documented type-fidelity caveat:
-// a FLOAT column whose exported cells are all integral re-infers as INT
-// on the child — values numerically intact, merge widening covers it.
-func TestExportIntegralFloatCaveat(t *testing.T) {
-	db := sqldata.NewDatabase("caveat")
-	tbl, err := db.CreateTable(&sqldata.Schema{Name: "t", Columns: []sqldata.Column{
+// TestExportKeepsDeclaredTypes: a partition travels with its declared
+// schema, so the columns text alone would mistype — a FLOAT column whose
+// cells are all integral, a TEXT column of digit strings — come back on
+// the child exactly as declared, keys included.
+func TestExportKeepsDeclaredTypes(t *testing.T) {
+	db := sqldata.NewDatabase("declared")
+	if _, err := db.CreateTable(&sqldata.Schema{Name: "region", Columns: []sqldata.Column{
 		{Name: "id", Type: sqldata.TypeInt, PrimaryKey: true},
-		{Name: "v", Type: sqldata.TypeFloat},
-	}})
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.CreateTable(&sqldata.Schema{
+		Name:     "t",
+		Synonyms: []string{"thing"},
+		Columns: []sqldata.Column{
+			{Name: "id", Type: sqldata.TypeInt, PrimaryKey: true},
+			{Name: "v", Type: sqldata.TypeFloat, Synonyms: []string{"value"}},
+			{Name: "zip", Type: sqldata.TypeText},
+			{Name: "region_id", Type: sqldata.TypeInt, NotNull: true},
+		},
+		ForeignKeys: []sqldata.ForeignKey{{Column: "region_id", RefTable: "region", RefColumn: "id"}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.MustInsert(sqldata.NewInt(1), sqldata.NewFloat(12000))
-	tbl.MustInsert(sqldata.NewInt(2), sqldata.NewFloat(7))
+	tbl.MustInsert(sqldata.NewInt(1), sqldata.NewFloat(12000), sqldata.NewText("10115"), sqldata.NewInt(1))
+	tbl.MustInsert(sqldata.NewInt(2), sqldata.NewFloat(7), sqldata.NewText("80331"), sqldata.NewInt(1))
 	files, _, err := exportPartitions(db, t.TempDir(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(files[0][0])
-	if err != nil {
-		t.Fatal(err)
+	var back *sqldata.Table
+	for _, path := range files[0] {
+		if strings.HasSuffix(path, "t.csv") {
+			if back, err = sqldata.LoadCSVFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	defer f.Close()
-	back, err := sqldata.LoadCSV("t", f)
-	if err != nil {
-		t.Fatal(err)
+	if back == nil {
+		t.Fatalf("no t.csv among %v", files[0])
 	}
-	if got := back.Schema.Columns[1].Type; got != sqldata.TypeInt {
-		t.Fatalf("integral float column re-inferred as %v; the documented caveat says INT", got)
+	if !reflect.DeepEqual(back.Schema, tbl.Schema) {
+		t.Fatalf("schema changed on the round trip:\n got %+v\nwant %+v", back.Schema, tbl.Schema)
 	}
-	if back.Rows[0][1].Int() != 12000 || back.Rows[1][1].Int() != 7 {
-		t.Fatal("values changed on the round trip")
+	for i, row := range tbl.Rows {
+		for j, want := range row {
+			if got := back.Rows[i][j]; got.T != want.T || !got.Equal(want) {
+				t.Errorf("row %d column %s = %v (%v), want %v (%v)", i, tbl.Schema.Columns[j].Name, got, got.T, want, want.T)
+			}
+		}
 	}
 }

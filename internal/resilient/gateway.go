@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"nlidb/internal/nlp"
@@ -48,6 +49,85 @@ var ErrBreakerOpen = errors.New("resilient: circuit breaker open")
 // ErrExhausted marks an Ask for which every engine in the chain failed or
 // was skipped. The concrete error is a *ChainError listing the attempts.
 var ErrExhausted = errors.New("resilient: all engines failed")
+
+// Executor runs one trusted SQL statement and answers with typed rows. It
+// is the gateway's one seam — what the chain walk hands an
+// interpretation's SQL to — and the only thing a shard node, a dialogue
+// turn or a deep health probe needs of a backend. A Gateway is one (its
+// local parse → plan → execute tail); so is the shard coordinator
+// (classify → route → execute on shards → merge), which is how a cluster
+// runs this package's interpreter front over its fleet: see NewOver.
+// Implementations must be safe for concurrent use.
+type Executor interface {
+	AskSQL(ctx context.Context, sql string) (*Answer, error)
+}
+
+// Refusal wraps an Executor failure that is a verdict on where the
+// statement would have to run — it cannot be distributed, the shard that
+// owns its rows is down or shedding, the deadline died in the fleet —
+// and not on the interpretation that produced it. The chain walk returns
+// a Refusal as it is: no other engine's reading could fare better, and
+// the failure counts against no engine's breaker. Error and Unwrap pass
+// through to Err, so errors.Is/As see the executor's own typed error.
+type Refusal struct {
+	// Outcome is the metric, trace and slow-log label ("shard_down",
+	// "not_distributable", "timeout", …).
+	Outcome string
+	// Err is the executor's error.
+	Err error
+}
+
+func (r *Refusal) Error() string { return r.Err.Error() }
+
+// Unwrap exposes the executor's error to errors.Is and errors.As.
+func (r *Refusal) Unwrap() error { return r.Err }
+
+// Routing is what an Executor that fans a statement out reports back
+// about one request, for the trace root and the slow-query log. A gateway
+// built with NewOver plants one in the context of every Ask and AskSQL;
+// the executor finds it with RoutingFrom. Route is written before any
+// fan-out starts; the counters may be bumped from concurrent legs.
+type Routing struct {
+	// Route names how the statement ran ("home", "pruned", "scatter").
+	Route string
+	// Shards, Hedged and Retries count shard legs started, hedge requests
+	// launched and leg retries.
+	Shards, Hedged, Retries atomic.Int64
+}
+
+type routingKey struct{}
+
+// RoutingFrom returns the request's Routing record: non-nil in every
+// context a gateway built with NewOver hands its executor, nil elsewhere.
+func RoutingFrom(ctx context.Context) *Routing {
+	rt, _ := ctx.Value(routingKey{}).(*Routing)
+	return rt
+}
+
+// ErrStatement marks a failure of a gateway's own parse → plan → execute
+// tail that the statement itself caused: it does not parse, the schema
+// refuses it, evaluating it over the rows failed, or it outran its budget. Any executor holding the same rows
+// fails it the same way, so a fleet neither retries it on another replica
+// nor counts it against one's health, and never papers over it with a
+// partial answer; to the chain walk it is the engine's failed attempt.
+// Deadlines, cancellation, panics and injected faults are not statement
+// errors. Match with errors.Is; the cause stays reachable too.
+var ErrStatement = errors.New("resilient: statement failed")
+
+// statementError tags err as an ErrStatement without changing its text.
+type statementError struct{ err error }
+
+func (e *statementError) Error() string   { return e.err.Error() }
+func (e *statementError) Unwrap() []error { return []error{ErrStatement, e.err} }
+
+// statementErr tags a stage's own error (nil stays nil) unless the
+// context ending caused it.
+func statementErr(err error) error {
+	if err == nil || errors.Is(err, sqlexec.ErrCanceled) {
+		return err
+	}
+	return &statementError{err}
+}
 
 // ChainError reports an exhausted fallback chain with the per-attempt
 // failure trail.
@@ -207,9 +287,12 @@ type Config struct {
 // Config.Now, or Config.BreakerHook supplied must itself be safe for
 // concurrent calls.
 type Gateway struct {
-	db       *sqldata.Database
-	engines  []nlq.Interpreter
-	exec     *sqlexec.Engine
+	db      *sqldata.Database
+	engines []nlq.Interpreter
+	exec    *sqlexec.Engine
+	// over, when non-nil, takes the place of the local parse → plan →
+	// execute tail (see NewOver).
+	over     Executor
 	cfg      Config
 	breakers map[string]*Breaker
 	// flight collapses concurrent identical cache misses: N requests for
@@ -220,8 +303,22 @@ type Gateway struct {
 	flight qcache.Flight
 }
 
+// NewOver builds the interpreter front of a fleet: a Gateway whose chain
+// walk — breakers, simplified retry, answer cache, singleflight, batch
+// pool, trace root, slow log — is New's, but which hands every
+// interpretation's SQL (and every AskSQL statement) to exec instead of
+// executing it over db. db is the database the chain was built over; the
+// gateway itself reads only its fingerprint, for the cache key.
+func NewOver(db *sqldata.Database, chain []nlq.Interpreter, cfg Config, exec Executor) *Gateway {
+	g := New(db, chain, cfg)
+	g.over = exec
+	return g
+}
+
 // New builds a Gateway over db serving the given fallback chain, best
-// engine first. Config zero values are filled with defaults.
+// engine first. Config zero values are filled with defaults. With a nil
+// chain the gateway is an executor only: AskSQL works, Ask has no engine
+// to try.
 func New(db *sqldata.Database, chain []nlq.Interpreter, cfg Config) *Gateway {
 	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 3
@@ -308,7 +405,9 @@ func (g *Gateway) Breaker(engine string) *Breaker { return g.breakers[engine] }
 // as asked and then (unless NoRetry) with its stopword-stripped form, and
 // returns the first interpretation that parses and executes within the
 // deadline and budget. It never panics: stage panics surface inside the
-// failure trail as *PanicError values.
+// failure trail as *PanicError values. Over a fleet (NewOver) the first
+// interpretation the executor answers wins, and a *Refusal from the
+// executor ends the walk at once.
 //
 // Unless Config.NoTrace is set, the full pipeline is traced — tokenize,
 // then per engine attempt interpret → parse → plan → execute with rows
@@ -322,16 +421,9 @@ func (g *Gateway) Breaker(engine string) *Breaker { return g.breakers[engine] }
 // pipeline, the rest share its answer (Cached=true, singleflight=shared
 // on the trace root) — a cold hot key cannot stampede the chain.
 func (g *Gateway) Ask(ctx context.Context, question string) (*Answer, error) {
-	start := time.Now()
-	if g.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.cfg.Timeout)
-		defer cancel()
-	}
-	var trace *obs.QueryTrace
-	if !g.cfg.NoTrace {
-		ctx, trace = obs.NewQueryTrace(ctx, question)
-	}
+	ctx, cancel, req := g.begin(ctx, question)
+	defer cancel()
+	trace := req.trace
 
 	key := ""
 	if g.cfg.Cache != nil {
@@ -342,10 +434,7 @@ func (g *Gateway) Ask(ctx context.Context, question string) (*Answer, error) {
 			if trace != nil {
 				trace.Root.SetAttr("cached", "true")
 			}
-			elapsed := time.Since(start)
-			g.finish(question, &hit, nil, trace, elapsed)
-			hit.Elapsed = elapsed
-			hit.Trace = trace
+			g.finish(req, question, &hit, nil)
 			return &hit, nil
 		}
 	}
@@ -370,14 +459,20 @@ func (g *Gateway) Ask(ctx context.Context, question string) (*Answer, error) {
 			// or trace — those belong to the Ask that produced them, not
 			// to replays.
 			sh := &Answer{
-				Engine:     a.Engine,
-				SQL:        a.SQL,
-				Result:     a.Result,
-				Score:      a.Score,
-				Simplified: a.Simplified,
-				Usage:      a.Usage,
+				Engine:        a.Engine,
+				SQL:           a.SQL,
+				Result:        a.Result,
+				Score:         a.Score,
+				Simplified:    a.Simplified,
+				Usage:         a.Usage,
+				Partial:       a.Partial,
+				MissingShards: a.MissingShards,
 			}
-			g.cfg.Cache.Put(key, sh)
+			// A partial answer is shared with the misses waiting on it but
+			// never stored: the next Ask may find the missing shard back.
+			if !a.Partial {
+				g.cfg.Cache.Put(key, sh)
+			}
 			return sh, nil
 		})
 		err = ferr
@@ -398,13 +493,34 @@ func (g *Gateway) Ask(ctx context.Context, question string) (*Answer, error) {
 			}
 		}
 	}
-	elapsed := time.Since(start)
-	g.finish(question, ans, err, trace, elapsed)
-	if ans != nil {
-		ans.Elapsed = elapsed
-		ans.Trace = trace
-	}
+	g.finish(req, question, ans, err)
 	return ans, err
+}
+
+// request is what begin opens and finish closes for one Ask or AskSQL.
+type request struct {
+	start   time.Time
+	trace   *obs.QueryTrace // nil under NoTrace
+	routing *Routing        // nil unless the gateway executes over a fleet
+}
+
+// begin opens one request: the Config.Timeout deadline, the trace root
+// labelled with the question or statement, and — over a fleet — the
+// Routing record the executor reports into.
+func (g *Gateway) begin(ctx context.Context, label string) (context.Context, context.CancelFunc, request) {
+	req := request{start: time.Now()}
+	cancel := context.CancelFunc(func() {})
+	if g.cfg.Timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, g.cfg.Timeout)
+	}
+	if !g.cfg.NoTrace {
+		ctx, req.trace = obs.NewQueryTrace(ctx, label)
+	}
+	if g.over != nil {
+		req.routing = &Routing{}
+		ctx = context.WithValue(ctx, routingKey{}, req.routing)
+	}
+	return ctx, cancel, req
 }
 
 // ask is the fallback-chain walk, with the surrounding context already
@@ -462,6 +578,12 @@ func (g *Gateway) ask(ctx context.Context, question string, trace *obs.QueryTrac
 				return ans, nil
 			}
 			aSpan.SetAttr("error", err.Error())
+			var refused *Refusal
+			if errors.As(err, &refused) {
+				// The executor's verdict on routing or infrastructure, not on
+				// this engine's reading: terminal, and nobody's breaker moves.
+				return nil, err
+			}
 			lastErr = err
 			trail = append(trail, Attempt{Engine: name, Question: q, Err: err})
 			if ctx.Err() != nil {
@@ -489,9 +611,9 @@ func countable(err error) bool {
 	return err != nil && !errors.Is(err, nlq.ErrNoInterpretation)
 }
 
-// attempt runs one engine over one question form through the guarded
-// stages: interpret, parse (print + re-parse validation), plan, execute.
-// Each stage gets a span and a stage-latency observation.
+// attempt runs one engine over one question form: the guarded, spanned
+// and timed interpret stage, then the best interpretation's SQL through
+// the seam.
 func (g *Gateway) attempt(ctx context.Context, eng nlq.Interpreter, q string) (*Answer, error) {
 	name := eng.Name()
 
@@ -518,18 +640,29 @@ func (g *Gateway) attempt(ctx context.Context, eng nlq.Interpreter, q string) (*
 	}
 	iSpan.SetAttr("score", fmt.Sprintf("%.2f", best.Score))
 
-	stmt, res, usage, err := g.runSQL(ctx, name, best.SQL.String())
+	ans, err := g.execute(ctx, name, best.SQL.String())
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Engine: name, SQL: stmt, Result: res, Score: best.Score, Usage: usage}, nil
+	ans.Engine, ans.Score = name, best.Score
+	return ans, nil
 }
 
-// runSQL is the SQL tail of the pipeline — parse (print + re-parse
+// execute is the seam: one statement to the fleet's executor when the
+// gateway was built over one, through the local tail otherwise. The
+// answer is the caller's to finish (engine label, score, timing, trace).
+func (g *Gateway) execute(ctx context.Context, name, sql string) (*Answer, error) {
+	if g.over != nil {
+		return g.over.AskSQL(ctx, sql)
+	}
+	return g.runSQL(ctx, name, sql)
+}
+
+// runSQL is the local SQL tail of the pipeline — parse (print + re-parse
 // validation), plan, execute — shared by the NL fallback chain and by
 // direct AskSQL calls. Each stage is guarded, spanned, and timed under
 // the given engine label.
-func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*sqlparse.SelectStmt, *sqldata.Result, sqlexec.Usage, error) {
+func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*Answer, error) {
 	// Validate the candidate by round-tripping it through the printer and
 	// parser; a malformed AST fails here instead of deep inside execution.
 	var stmt *sqlparse.SelectStmt
@@ -538,12 +671,12 @@ func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*sqlparse.Selec
 	err := g.guard(pCtx, SiteParse, name, func() error {
 		var err error
 		stmt, err = sqlparse.Parse(sql)
-		return err
+		return statementErr(err)
 	})
 	pSpan.End()
 	g.observeStage("parse", name, time.Since(t0))
 	if err != nil {
-		return nil, nil, sqlexec.Usage{}, fmt.Errorf("parse: %w", err)
+		return nil, fmt.Errorf("parse: %w", err)
 	}
 	pSpan.SetAttr("sql", stmt.String())
 
@@ -559,7 +692,7 @@ func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*sqlparse.Selec
 	err = g.guard(plCtx, SitePlan, name, func() error {
 		var err error
 		prep, planHit, err = g.exec.PrepareCached(stmt)
-		return err
+		return statementErr(err)
 	})
 	if err == nil {
 		planSpan.SetAttr("plan", prep.Explain())
@@ -571,7 +704,7 @@ func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*sqlparse.Selec
 	planSpan.End()
 	g.observeStage("plan", name, time.Since(t0))
 	if err != nil {
-		return nil, nil, sqlexec.Usage{}, fmt.Errorf("plan: %w", err)
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 
 	var res *sqldata.Result
@@ -581,7 +714,7 @@ func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*sqlparse.Selec
 	err = g.guard(eCtx, SiteExecute, name, func() error {
 		var err error
 		res, usage, err = prep.Run(eCtx, g.cfg.Budget)
-		return err
+		return statementErr(err)
 	})
 	eSpan.End()
 	g.observeStage("execute", name, time.Since(t0))
@@ -591,43 +724,27 @@ func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*sqlparse.Selec
 		m.Counter(MetricSubqueries, "engine", name).Add(int64(usage.Subqueries))
 	}
 	if err != nil {
-		return nil, nil, sqlexec.Usage{}, fmt.Errorf("execute: %w", err)
+		return nil, fmt.Errorf("execute: %w", err)
 	}
-	return stmt, res, usage, nil
+	return &Answer{Engine: name, SQL: stmt, Result: res, Score: 1, Usage: usage}, nil
 }
 
 // SQLEngine is the pseudo-engine label AskSQL answers carry in metrics,
 // traces, and the slow-query log.
 const SQLEngine = "sql"
 
-// AskSQL executes one SQL statement directly through the guarded parse →
-// plan → execute tail, bypassing the NL fallback chain, the answer cache,
-// and the breakers. It is the shard coordinator's entry point for pushing
-// rewritten partial-aggregate statements down to replica gateways, and is
-// generally useful wherever trusted SQL (not a user question) needs the
-// gateway's deadline, budget, fault-injection, and telemetry treatment.
+// AskSQL executes one trusted SQL statement through the seam — the
+// guarded parse → plan → execute tail, or the fleet the gateway was built
+// over — bypassing the NL fallback chain, the answer cache, and the
+// breakers, with the same deadline, budget, fault-injection and telemetry
+// treatment as Ask. It is how shard replicas run the coordinator's
+// pushed-down statements and how dialogue turns and deep health probes
+// execute.
 func (g *Gateway) AskSQL(ctx context.Context, sql string) (*Answer, error) {
-	start := time.Now()
-	if g.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, g.cfg.Timeout)
-		defer cancel()
-	}
-	var trace *obs.QueryTrace
-	if !g.cfg.NoTrace {
-		ctx, trace = obs.NewQueryTrace(ctx, sql)
-	}
-	var ans *Answer
-	stmt, res, usage, err := g.runSQL(ctx, SQLEngine, sql)
-	if err == nil {
-		ans = &Answer{Engine: SQLEngine, SQL: stmt, Result: res, Score: 1, Usage: usage}
-	}
-	elapsed := time.Since(start)
-	g.finish(sql, ans, err, trace, elapsed)
-	if ans != nil {
-		ans.Elapsed = elapsed
-		ans.Trace = trace
-	}
+	ctx, cancel, req := g.begin(ctx, sql)
+	defer cancel()
+	ans, err := g.execute(ctx, SQLEngine, sql)
+	g.finish(req, sql, ans, err)
 	return ans, err
 }
 
@@ -641,9 +758,12 @@ func (g *Gateway) observeStage(stage, engine string, d time.Duration) {
 
 // outcomeOf maps an Ask error to its metric label.
 func outcomeOf(err error) string {
+	var refused *Refusal
 	switch {
 	case err == nil:
 		return "ok"
+	case errors.As(err, &refused):
+		return refused.Outcome
 	case errors.Is(err, context.DeadlineExceeded):
 		return "timeout"
 	case errors.Is(err, context.Canceled):
@@ -657,42 +777,61 @@ func outcomeOf(err error) string {
 	}
 }
 
-// finish closes out one Ask: ends the trace root with summary attributes,
-// records query counters and latency, and feeds the slow-query log.
-func (g *Gateway) finish(question string, ans *Answer, err error, trace *obs.QueryTrace, elapsed time.Duration) {
+// finish closes out one Ask or AskSQL: ends the trace root with summary
+// attributes, offers the trace for retention, records query counters and
+// latency, feeds the slow-query log — once, here, with the executor's
+// routing attribution when there is one — and stamps the answer with its
+// timing and trace.
+func (g *Gateway) finish(req request, question string, ans *Answer, err error) {
+	elapsed := time.Since(req.start)
 	outcome := outcomeOf(err)
 	engine := "none"
 	if ans != nil {
 		engine = ans.Engine
+		ans.Elapsed = elapsed
+		ans.Trace = req.trace
 	}
-	if trace != nil {
+	entry := obs.SlowEntry{
+		Question: question, Engine: engine, Outcome: outcome,
+		Duration: elapsed, When: time.Now(),
+		Partial: ans != nil && ans.Partial,
+	}
+	if rt := req.routing; rt != nil {
+		entry.Route = rt.Route
+		entry.Shards = int(rt.Shards.Load())
+		entry.Hedged = int(rt.Hedged.Load())
+		entry.Retries = int(rt.Retries.Load())
+	}
+	if trace := req.trace; trace != nil {
 		root := trace.Root
 		root.SetAttr("engine", engine)
 		root.SetAttr("outcome", outcome)
 		if ans != nil && ans.Simplified {
 			root.SetAttr("form", "simplified")
 		}
-		var states []string
-		for _, e := range g.engines {
-			states = append(states, e.Name()+"="+g.breakers[e.Name()].State())
+		if entry.Route != "" {
+			root.SetAttr("route", entry.Route)
 		}
-		root.SetAttr("breakers", strings.Join(states, ","))
+		if entry.Partial {
+			root.SetAttr("partial", "true")
+		}
+		if len(g.engines) > 0 {
+			states := make([]string, len(g.engines))
+			for i, e := range g.engines {
+				states[i] = e.Name() + "=" + g.breakers[e.Name()].State()
+			}
+			root.SetAttr("breakers", strings.Join(states, ","))
+		}
 		root.End()
-		g.cfg.Traces.Offer(trace, outcome, elapsed, false)
+		g.cfg.Traces.Offer(trace, outcome, elapsed, entry.Partial)
+		entry.Trace, entry.TraceID = trace, trace.ID
+		entry.DroppedSpans = trace.DroppedTotal()
 	}
 	if m := g.cfg.Metrics; m != nil {
 		m.Counter(MetricQueries, "engine", engine, "outcome", outcome).Inc()
 		m.Histogram(MetricQuerySeconds, "engine", engine).Observe(elapsed.Seconds())
 	}
-	var tid obs.TraceID
-	if trace != nil {
-		tid = trace.ID
-	}
-	if g.cfg.SlowLog.Observe(obs.SlowEntry{
-		Question: question, Engine: engine, Outcome: outcome,
-		Duration: elapsed, When: time.Now(), Trace: trace,
-		TraceID: tid, DroppedSpans: trace.DroppedTotal(),
-	}) {
+	if g.cfg.SlowLog.Observe(entry) {
 		if m := g.cfg.Metrics; m != nil {
 			m.Counter(MetricSlowQueries).Inc()
 		}

@@ -27,7 +27,7 @@ func TestObservabilityDuringDrain(t *testing.T) {
 	reg := obs.NewRegistry()
 	slow := obs.NewSlowLog(time.Millisecond, 16)
 	gw := resilient.New(db, []nlq.Interpreter{slowInterp}, resilient.Config{Metrics: reg, SlowLog: slow})
-	api := New(Config{Gateway: gw, Metrics: reg})
+	api := New(Config{Backend: gw, Metrics: reg})
 	mux := Mux(api, reg, slow)
 
 	// Park one request inside the pipeline so the drain has to wait.

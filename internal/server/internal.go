@@ -20,18 +20,12 @@ import (
 // /healthz serves supervisors and load balancers. Both routes are part
 // of what turns this process into a shard node another process can own.
 
-// SQLBackend is the direct-SQL path a backend may offer: how pushed-down
-// partial-aggregate statements execute without an NL pipeline in the
-// way. resilient.Gateway and shard.Cluster both satisfy it.
-type SQLBackend interface {
-	AskSQL(ctx context.Context, sql string) (*resilient.Answer, error)
-}
-
-// internalQueryRequest is the POST /internal/query body: exactly one of
-// Question (full NL pipeline) or SQL (trusted pushdown statement).
+// internalQueryRequest is the POST /internal/query body: one trusted
+// statement. Shard nodes execute; questions are interpreted once, at the
+// coordinator, so a body carrying anything else (a "question", say) is a
+// peer speaking the protocol wrong and is refused.
 type internalQueryRequest struct {
-	Question string `json:"question,omitempty"`
-	SQL      string `json:"sql,omitempty"`
+	SQL      string `json:"sql"`
 	Priority string `json:"priority,omitempty"`
 }
 
@@ -61,13 +55,20 @@ func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	exec, ok := s.cfg.Backend.(resilient.Executor)
+	if !ok {
+		writeError(w, http.StatusNotImplemented, "backend has no direct SQL path")
+		return
+	}
 	var req internalQueryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	if (req.Question == "") == (req.SQL == "") {
-		writeError(w, http.StatusBadRequest, "exactly one of question or sql is required")
+	if req.SQL == "" {
+		writeError(w, http.StatusBadRequest, "sql is required")
 		return
 	}
 	class := admission.Interactive
@@ -102,17 +103,7 @@ func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	var ans *resilient.Answer
-	if req.SQL != "" {
-		sb, okSQL := s.cfg.Backend.(SQLBackend)
-		if !okSQL {
-			writeError(w, http.StatusNotImplemented, "backend has no direct SQL path")
-			return
-		}
-		ans, err = sb.AskSQL(ctx, req.SQL)
-	} else {
-		ans, err = s.cfg.Backend.Ask(ctx, req.Question)
-	}
+	ans, err := exec.AskSQL(ctx, req.SQL)
 	s.observeSLO(time.Since(start), ans, err)
 	if err != nil {
 		s.writeAskError(w, ctx, err)
@@ -156,7 +147,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	sb, hasSQL := s.cfg.Backend.(SQLBackend)
+	sb, hasSQL := s.cfg.Backend.(resilient.Executor)
 	resp := healthzResponse{
 		Status:        "ok",
 		Mode:          "shallow",

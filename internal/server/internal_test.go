@@ -35,21 +35,17 @@ func TestInternalQueryTypedAnswer(t *testing.T) {
 	if len(wire.Trace) == 0 {
 		t.Fatal("no server-side trace traveled with the answer")
 	}
-	// The NL path works too.
-	rec = post(s, "/internal/query", `{"question": "customers"}`, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("NL path status %d, body %s", rec.Code, rec.Body)
-	}
 }
 
-// TestInternalQueryValidation: exactly one of question/sql, POST only,
+// TestInternalQueryValidation: sql and nothing else — a node executes,
+// it does not interpret, so a question is a protocol error — POST only,
 // and a malformed trace header is rejected rather than mislinked.
 func TestInternalQueryValidation(t *testing.T) {
 	db := testDB(t)
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")}, resilient.Config{})
 	s := New(Config{Backend: gw})
 
-	for _, body := range []string{`{}`, `{"question":"x","sql":"SELECT 1"}`, `not json`} {
+	for _, body := range []string{`{}`, `{"question":"customers"}`, `{"question":"x","sql":"SELECT 1"}`, `not json`} {
 		if rec := post(s, "/internal/query", body, nil); rec.Code != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, rec.Code)
 		}

@@ -74,14 +74,13 @@ type Backend interface {
 	ServeBatch(ctx context.Context, questions []string) []resilient.BatchResult
 }
 
-// Config tunes a Server. One of Backend or Gateway is required;
-// everything else has a serviceable default.
+// Config tunes a Server. Backend is required; everything else has a
+// serviceable default.
 type Config struct {
-	// Backend serves the questions. Takes precedence over Gateway.
+	// Backend serves the questions. One that is also a
+	// resilient.Executor (a gateway and a shard cluster both are)
+	// additionally serves /internal/query and the deep /healthz probe.
 	Backend Backend
-	// Gateway serves the questions when Backend is nil. Kept as a
-	// dedicated field so single-engine callers need no wrapping.
-	Gateway *resilient.Gateway
 	// Admission gates every request (nil = a default Controller wired to
 	// Metrics).
 	Admission *admission.Controller
@@ -167,10 +166,7 @@ type Server struct {
 // Admission controller gets a default one sharing Config.Metrics.
 func New(cfg Config) *Server {
 	if cfg.Backend == nil {
-		if cfg.Gateway == nil {
-			panic("server: Config.Backend (or Config.Gateway) is required")
-		}
-		cfg.Backend = cfg.Gateway
+		panic("server: Config.Backend is required")
 	}
 	if cfg.Admission == nil {
 		cfg.Admission = admission.New(admission.Config{Metrics: cfg.Metrics})
@@ -535,9 +531,7 @@ func (s *Server) observeSLO(elapsed time.Duration, ans *resilient.Answer, err er
 		return
 	}
 	available := err == nil && (ans == nil || !ans.Partial)
-	if err != nil &&
-		(errors.Is(err, resilient.ErrExhausted) || errors.Is(err, shard.ErrNotDistributable)) &&
-		!errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+	if semantic(err) && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
 		available = true
 	}
 	s.cfg.SLO.Observe(elapsed, available)
@@ -637,11 +631,19 @@ func (s *Server) writeAskError(w http.ResponseWriter, ctx context.Context, err e
 	case errors.Is(err, shard.ErrShardDown):
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.Admission.RetryAfterHint()))
 		writeError(w, http.StatusServiceUnavailable, err.Error())
-	case errors.Is(err, resilient.ErrExhausted) || errors.Is(err, shard.ErrNotDistributable):
+	case semantic(err):
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}
+}
+
+// semantic reports a failure that is an honest answer about the question
+// or statement — no engine could read it, its shape cannot be
+// distributed, or it fails on its own terms — and not a service failure.
+func semantic(err error) bool {
+	return errors.Is(err, resilient.ErrExhausted) || errors.Is(err, shard.ErrNotDistributable) ||
+		errors.Is(err, resilient.ErrStatement)
 }
 
 func retryAfterSeconds(d time.Duration) string {

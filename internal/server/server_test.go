@@ -82,7 +82,7 @@ func decode[T any](t *testing.T, rec *httptest.ResponseRecorder) T {
 func TestQueryEndToEnd(t *testing.T) {
 	db := testDB(t)
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer WHERE city = 'Berlin'")}, resilient.Config{})
-	s := New(Config{Gateway: gw})
+	s := New(Config{Backend: gw})
 
 	rec := post(s, "/query", `{"question": "customers in Berlin"}`, nil)
 	if rec.Code != http.StatusOK {
@@ -100,7 +100,7 @@ func TestQueryEndToEnd(t *testing.T) {
 func TestQueryRejectsBadRequests(t *testing.T) {
 	db := testDB(t)
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")}, resilient.Config{})
-	s := New(Config{Gateway: gw})
+	s := New(Config{Backend: gw})
 
 	for name, tc := range map[string]struct {
 		path, body string
@@ -142,7 +142,7 @@ func TestDeadlineHeaderPropagates(t *testing.T) {
 			return resilient.Fault{}
 		},
 	})
-	s := New(Config{Gateway: gw})
+	s := New(Config{Backend: gw})
 
 	start := time.Now()
 	rec := post(s, "/query", `{"question": "customers"}`, map[string]string{"X-Deadline-Ms": "50"})
@@ -162,7 +162,7 @@ func TestDeadlineHeaderPropagates(t *testing.T) {
 func TestDeadlineHeaderEdgeCases(t *testing.T) {
 	db := testDB(t)
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")}, resilient.Config{})
-	s := New(Config{Gateway: gw})
+	s := New(Config{Backend: gw})
 
 	for _, h := range []string{"0", "-100", "soon", "1e9"} {
 		rec := post(s, "/query", `{"question": "customers"}`, map[string]string{"X-Deadline-Ms": h})
@@ -187,7 +187,7 @@ func TestRateLimitPerClient(t *testing.T) {
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")}, resilient.Config{})
 	reg := obs.NewRegistry()
 	s := New(Config{
-		Gateway:   gw,
+		Backend:   gw,
 		Metrics:   reg,
 		RateLimit: admission.NewRateLimiter(admission.RateConfig{RPS: 0.001, Burst: 1}),
 	})
@@ -227,7 +227,7 @@ func parkedServer(t *testing.T, extra Config) (*Server, chan struct{}, chan stru
 	}}
 	gw := resilient.New(db, []nlq.Interpreter{eng}, resilient.Config{NoRetry: true})
 	cfg := extra
-	cfg.Gateway = gw
+	cfg.Backend = gw
 	if cfg.Admission == nil {
 		cfg.Admission = admission.New(admission.Config{
 			MaxInFlight: 1, MaxQueue: 1, BatchQueue: 1, NoAdapt: true, Metrics: cfg.Metrics,
@@ -352,7 +352,7 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 			return resilient.Fault{}
 		},
 	})
-	s := New(Config{Gateway: gw})
+	s := New(Config{Backend: gw})
 
 	code := make(chan int, 1)
 	go func() {
@@ -381,7 +381,7 @@ func TestDrainTimeoutCancelsStragglers(t *testing.T) {
 func TestDrainIdempotentWhenIdle(t *testing.T) {
 	db := testDB(t)
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")}, resilient.Config{})
-	s := New(Config{Gateway: gw})
+	s := New(Config{Backend: gw})
 	if !s.Drain(time.Second) {
 		t.Fatal("idle drain must finish cleanly")
 	}
@@ -408,7 +408,7 @@ func TestBatchEndToEndAndShedMarking(t *testing.T) {
 			return resilient.Fault{}
 		},
 	})
-	s := New(Config{Gateway: gw})
+	s := New(Config{Backend: gw})
 
 	questions := make([]string, 10)
 	for i := range questions {
@@ -448,7 +448,7 @@ func TestBatchDefaultsToBatchPriority(t *testing.T) {
 	db := testDB(t)
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")}, resilient.Config{})
 	ctrl := admission.New(admission.Config{MaxInFlight: 4, NoAdapt: true})
-	s := New(Config{Gateway: gw, Admission: ctrl})
+	s := New(Config{Backend: gw, Admission: ctrl})
 	if rec := post(s, "/batch", `{"questions": ["customers"]}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("batch status %d (body %s)", rec.Code, rec.Body)
 	}
@@ -463,7 +463,7 @@ func TestHTTPMetricsRecorded(t *testing.T) {
 	db := testDB(t)
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")}, resilient.Config{})
 	reg := obs.NewRegistry()
-	s := New(Config{Gateway: gw, Metrics: reg})
+	s := New(Config{Backend: gw, Metrics: reg})
 	post(s, "/query", `{"question": "customers"}`, nil)
 	text := promText(reg)
 	for _, want := range []string{

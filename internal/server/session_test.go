@@ -33,7 +33,7 @@ func sessionServer(t *testing.T) (*Server, *session.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Gateway: exec, Sessions: st}
+	cfg := Config{Backend: exec, Sessions: st}
 	return New(cfg), st
 }
 
@@ -118,15 +118,15 @@ func TestSessionErrors(t *testing.T) {
 		hdr                map[string]string
 		want               int
 	}{
-		"unknown session ask":  {http.MethodPost, "/session/ask", `{"utterance": "x"}`, hdrUnknown, http.StatusNotFound},
-		"unknown session end":  {http.MethodDelete, "/session", "", hdrUnknown, http.StatusNotFound},
-		"missing id":           {http.MethodPost, "/session/ask", `{"utterance": "x"}`, nil, http.StatusBadRequest},
-		"missing utterance":    {http.MethodPost, "/session/ask", `{}`, hdrUnknown, http.StatusBadRequest},
-		"bad json":             {http.MethodPost, "/session/ask", `{`, hdrUnknown, http.StatusBadRequest},
-		"bad priority":         {http.MethodPost, "/session/ask", `{"utterance": "x", "priority": "vip"}`, hdrUnknown, http.StatusBadRequest},
-		"end without id":       {http.MethodDelete, "/session", "", nil, http.StatusBadRequest},
-		"get session":          {http.MethodGet, "/session", "", nil, http.StatusMethodNotAllowed},
-		"get ask":              {http.MethodGet, "/session/ask", "", nil, http.StatusMethodNotAllowed},
+		"unknown session ask": {http.MethodPost, "/session/ask", `{"utterance": "x"}`, hdrUnknown, http.StatusNotFound},
+		"unknown session end": {http.MethodDelete, "/session", "", hdrUnknown, http.StatusNotFound},
+		"missing id":          {http.MethodPost, "/session/ask", `{"utterance": "x"}`, nil, http.StatusBadRequest},
+		"missing utterance":   {http.MethodPost, "/session/ask", `{}`, hdrUnknown, http.StatusBadRequest},
+		"bad json":            {http.MethodPost, "/session/ask", `{`, hdrUnknown, http.StatusBadRequest},
+		"bad priority":        {http.MethodPost, "/session/ask", `{"utterance": "x", "priority": "vip"}`, hdrUnknown, http.StatusBadRequest},
+		"end without id":      {http.MethodDelete, "/session", "", nil, http.StatusBadRequest},
+		"get session":         {http.MethodGet, "/session", "", nil, http.StatusMethodNotAllowed},
+		"get ask":             {http.MethodGet, "/session/ask", "", nil, http.StatusMethodNotAllowed},
 	} {
 		rec := do(s, tc.method, tc.path, tc.body, tc.hdr)
 		if rec.Code != tc.want {
@@ -138,7 +138,7 @@ func TestSessionErrors(t *testing.T) {
 func TestSessionDisabled(t *testing.T) {
 	db := testDB(t)
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")}, resilient.Config{})
-	s := New(Config{Gateway: gw})
+	s := New(Config{Backend: gw})
 	if rec := post(s, "/session", "", nil); rec.Code != http.StatusNotImplemented {
 		t.Fatalf("create with sessions off: %d, want 501", rec.Code)
 	}
@@ -162,7 +162,7 @@ func TestSessionRateLimitSheds(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rl := admission.NewRateLimiter(admission.RateConfig{RPS: 0.001, Burst: 1})
-	s := New(Config{Gateway: exec, Sessions: st, SessionRateLimit: rl, Metrics: reg})
+	s := New(Config{Backend: exec, Sessions: st, SessionRateLimit: rl, Metrics: reg})
 
 	id := st.Create()
 	hdr := map[string]string{"X-Session-ID": id}
@@ -208,7 +208,7 @@ func TestSessionExpiryIs410(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Gateway: exec, Sessions: st})
+	s := New(Config{Backend: exec, Sessions: st})
 	id := st.Create()
 	clock = clock.Add(2 * time.Minute)
 	rec := post(s, "/session/ask", `{"utterance": "customers in Berlin"}`, map[string]string{"X-Session-ID": id})

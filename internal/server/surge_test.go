@@ -49,7 +49,7 @@ func TestSurgeChaosUnderOverload(t *testing.T) {
 		Metrics:     reg,
 	})
 	s := New(Config{
-		Gateway:        gw,
+		Backend:        gw,
 		Admission:      ctrl,
 		Metrics:        reg,
 		DefaultTimeout: 2 * time.Second,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -31,14 +30,18 @@ type Config struct {
 	// Replicas is the replication factor R: every shard's partition is
 	// served by R identical gateways (default 1).
 	Replicas int
-	// Chain is the interpreter fallback chain shared by every replica.
-	// Build it over the FULL source database, not a partition: value
-	// vocabularies then match fleet-wide, so every replica interprets a
-	// question to the same SQL and routing is deterministic.
+	// Chain is the coordinator's interpreter fallback chain — the only one
+	// in the fleet; replicas execute SQL and never see a question. Build
+	// it over the FULL source database, not a partition, so a value that
+	// lives on one shard only is still in the vocabulary.
 	Chain []nlq.Interpreter
-	// Gateway is the per-replica gateway template. Cache, PlanCache, and
-	// Metrics are overridden per replica (the cluster caches fleet-wide
-	// and owns the metric namespace); everything else is passed through.
+	// Gateway is the template for both halves: the coordinator's
+	// interpreter front takes its chain-walk settings (breaker tuning,
+	// NoRetry, Hook, BreakerHook, Now) and the in-process replica
+	// executors take its execution settings (Timeout, Budget, Hook,
+	// NoTrace). Cache, PlanCache, Metrics, SlowLog and Traces are set by
+	// the cluster on either half: it caches fleet-wide, owns the metric
+	// namespace, and logs and retains at the coordinator only.
 	Gateway resilient.Config
 
 	// Timeout bounds one whole Ask, fan-out included (0 = none).
@@ -82,18 +85,17 @@ type Config struct {
 	// Metrics receives the nlidb_shard_* families.
 	Metrics *obs.Registry
 	// NoTrace disables coordinator span collection. When tracing is on
-	// (the default) every Ask that misses the cache builds one QueryTrace
-	// spanning classify → route → per-replica attempts → merge, with the
-	// replica gateways' own traces nested beneath the attempt spans.
+	// (the default) every Ask builds one QueryTrace spanning the engine
+	// attempts — interpret → classify → route → per-replica attempts →
+	// merge — with the replica executors' own parse/plan/execute traces
+	// nested beneath the replica attempt spans.
 	NoTrace bool
 	// SlowLog, when non-nil, records fleet-level slow queries with
-	// route/shard/partial/hedge attribution. The cluster owns slow
-	// logging: any SlowLog on the Gateway template is nil'd per replica so
-	// one slow query logs once, at the coordinator.
+	// route/shard/partial/hedge attribution: one slow query logs once, at
+	// the coordinator.
 	SlowLog *obs.SlowLog
 	// Traces, when non-nil, retains exemplar traces tail-sampled at the
 	// coordinator (slow/failed/partial always, the rest probabilistically).
-	// Like SlowLog, it is cluster-owned and nil'd on replica gateways.
 	Traces *obs.TraceStore
 	// BreakerHook, when non-nil, observes every replica breaker transition
 	// as (shard, replica, from, to). Called outside breaker locks; must be
@@ -117,16 +119,18 @@ type Config struct {
 // Ask/ServeBatch façade with health-checked, load-aware, hedged routing
 // and graceful degradation. Safe for concurrent use.
 type Cluster struct {
-	cfg   Config
-	n     int
-	part  *Partitioning
-	dbs   []*sqldata.Database
+	cfg  Config
+	n    int
+	part *Partitioning
+	// front is the fleet's one interpreter: a gateway whose executor is
+	// this cluster (see router).
+	front *resilient.Gateway
+	// bind prepares statements against the full database, so a statement
+	// the schema refuses fails here, as one engine's failed attempt, and
+	// not on every replica of every shard.
+	bind  *sqlexec.Engine
 	reps  [][]*replica
 	hists []*obs.Histogram // per-shard latency reservoirs driving hedge delays
-	cache *qcache.Cache
-	fp    uint64
-
-	flight qcache.Flight
 
 	// stats are the always-on fleet rollup counters (independent of
 	// cfg.Metrics): per-shard in stats, cluster-wide below. They cost one
@@ -151,19 +155,10 @@ type shardStats struct {
 	downLegs  atomic.Int64
 }
 
-// reqStats accumulates one Ask's fleet-level facts for the slow log and
-// the trace root. Fields written during fan-out are atomic; route is set
-// once in the single-goroutine classify phase.
-type reqStats struct {
-	route   string
-	shards  atomic.Int64
-	hedged  atomic.Int64
-	retries atomic.Int64
-}
-
-// New splits db across n shards and builds the replica fleet. The
-// interpreter chain in cfg.Chain should be built over db itself (see
-// Config.Chain); the shard databases only ever execute SQL.
+// New splits db across n shards and builds the replica fleet in process:
+// every replica is a chain-less gateway that executes SQL over its
+// partition. The interpreter chain in cfg.Chain should be built over db
+// itself (see Config.Chain).
 func New(db *sqldata.Database, n int, cfg Config) (*Cluster, error) {
 	return newCluster(db, n, cfg, func(s, r int, dbs []*sqldata.Database) Node {
 		gwCfg := cfg.Gateway
@@ -171,23 +166,23 @@ func New(db *sqldata.Database, n int, cfg Config) (*Cluster, error) {
 		gwCfg.Metrics = nil
 		gwCfg.SlowLog = nil // the coordinator slow-logs once, with routing context
 		gwCfg.Traces = nil  // likewise: exemplars retained at the coordinator
+		gwCfg.PlanCache = nil
 		if cfg.PlanCacheSize >= 0 {
 			size := cfg.PlanCacheSize
 			if size == 0 {
 				size = 256
 			}
 			gwCfg.PlanCache = qcache.New(qcache.Config{MaxEntries: size})
-		} else {
-			gwCfg.PlanCache = nil
 		}
-		return &LocalNode{GW: resilient.New(dbs[s], cfg.Chain, gwCfg)}
+		return resilient.New(dbs[s], nil, gwCfg)
 	})
 }
 
 // newCluster is the shared fleet constructor behind New (in-process
 // replicas) and NewRemote (out-of-process replicas over HTTP): split the
-// source database for the partitioning map and fingerprint, then build
-// the replica grid with nodeFor supplying each endpoint.
+// source database for the partitioning map, build the interpreter front
+// over the cluster as its executor, then build the replica grid with
+// nodeFor supplying each endpoint.
 func newCluster(db *sqldata.Database, n int, cfg Config, nodeFor func(s, r int, dbs []*sqldata.Database) Node) (*Cluster, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
@@ -236,26 +231,25 @@ func newCluster(db *sqldata.Database, n int, cfg Config, nodeFor func(s, r int, 
 		cfg:   cfg,
 		n:     n,
 		part:  part,
-		dbs:   dbs,
+		bind:  sqlexec.New(db),
 		reps:  make([][]*replica, n),
 		hists: make([]*obs.Histogram, n),
 		stats: make([]shardStats, n),
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
-	h := fnv.New64a()
-	for _, d := range dbs {
-		var buf [8]byte
-		fp := d.Fingerprint()
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(fp >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	c.fp = h.Sum64()
-
+	front := cfg.Gateway
+	front.Timeout = cfg.Timeout
+	front.NoTrace = cfg.NoTrace
+	front.Workers = cfg.Workers
+	front.Metrics = cfg.Metrics
+	front.SlowLog = cfg.SlowLog
+	front.Traces = cfg.Traces
+	front.PlanCache = nil // the coordinator binds; replicas plan and cache
+	front.Cache = nil
 	if cfg.CacheSize >= 0 {
-		c.cache = qcache.New(qcache.Config{MaxEntries: cfg.CacheSize, TTL: cfg.CacheTTL, Metrics: cfg.Metrics})
+		front.Cache = qcache.New(qcache.Config{MaxEntries: cfg.CacheSize, TTL: cfg.CacheTTL, Metrics: cfg.Metrics})
 	}
+	c.front = resilient.NewOver(db, cfg.Chain, front, router{c})
 
 	for s := 0; s < n; s++ {
 		c.hists[s] = obs.NewHistogram()
@@ -297,7 +291,7 @@ func (c *Cluster) preregisterMetrics() {
 		return
 	}
 	m.Counter(MetricPartial)
-	for _, route := range []string{"home", "pruned", "scatter"} {
+	for _, route := range routeNames {
 		m.Counter(MetricRoutes, "route", route)
 	}
 	for s := 0; s < c.n; s++ {
@@ -332,230 +326,113 @@ func (c *Cluster) ReplicaStates() [][]string {
 	return out
 }
 
-// Ask answers one natural-language question over the sharded fleet: the
-// question routes consistent-hash to a home replica for interpretation
-// (and, when the data allows, the complete answer); the interpreted SQL
-// is then pruned to its owner shard or scatter-gathered across all shards
-// with partial aggregates merged. Degradation is explicit: a dead shard
-// fails pruned questions for that shard with ErrShardDown, while
-// scatter-gather answers come back with Partial set and MissingShards
-// naming what is absent — never silently wrong. Answers route through a
+// Ask answers one natural-language question over the sharded fleet. The
+// coordinator's front interprets it — once, over the full database's
+// vocabulary — and hands each engine's SQL to the cluster, which prunes
+// it to its owner shard or scatter-gathers it across all shards with
+// partial aggregates merged; the first engine whose SQL the fleet answers
+// wins. Degradation is explicit: a dead shard fails pruned questions for
+// that shard with ErrShardDown, while scatter-gather answers come back
+// with Partial set and MissingShards naming what is absent — never
+// silently wrong, never cached. Complete answers route through a
 // fleet-wide cache keyed like the gateway's, with concurrent identical
 // misses collapsed.
 func (c *Cluster) Ask(ctx context.Context, question string) (*resilient.Answer, error) {
-	start := time.Now()
-	if c.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.Timeout)
-		defer cancel()
-	}
-
-	if c.cache == nil {
-		ans, err := c.askRoot(ctx, question)
-		if ans != nil {
-			ans.Elapsed = time.Since(start)
-		}
-		return ans, err
-	}
-
-	key := qcache.WithFingerprint(c.fp, qcache.Key(question))
-	if v, ok := c.cache.Get(key); ok {
-		hit := *(v.(*resilient.Answer)) // shallow copy; SQL/Result shared read-only
-		hit.Cached = true
-		hit.Elapsed = time.Since(start)
-		return &hit, nil
-	}
-	var mine *resilient.Answer
-	v, err, shared := c.flight.Do(ctx, key, func() (any, error) {
-		a, e := c.askRoot(ctx, question)
-		mine = a
-		if e != nil {
-			return nil, e
-		}
-		sh := &resilient.Answer{
-			Engine: a.Engine, SQL: a.SQL, Result: a.Result, Score: a.Score,
-			Simplified: a.Simplified, Usage: a.Usage,
-			Partial: a.Partial, MissingShards: a.MissingShards,
-		}
-		if !a.Partial {
-			c.cache.Put(key, sh)
-		}
-		return sh, nil
-	})
-	var ans *resilient.Answer
-	switch {
-	case !shared:
-		ans = mine // leader (or a follower canceled while waiting: nil)
-	case err == nil:
-		hit := *(v.(*resilient.Answer))
-		hit.Cached = true
-		ans = &hit
-	}
-	if ans != nil {
-		ans.Elapsed = time.Since(start)
-	}
-	return ans, err
-}
-
-// askRoot wraps one uncached ask with the coordinator's observability:
-// the fleet-level QueryTrace (unless NoTrace), tail-sampled exemplar
-// retention, and the route/shard/hedge-annotated slow-log entry. Cache
-// hits never reach here — a hit has no fan-out worth tracing.
-func (c *Cluster) askRoot(ctx context.Context, question string) (*resilient.Answer, error) {
-	start := time.Now()
-	var trace *obs.QueryTrace
-	if !c.cfg.NoTrace {
-		ctx, trace = obs.NewQueryTrace(ctx, question)
-	}
-	st := &reqStats{}
-	ans, err := c.ask(ctx, question, st)
-	elapsed := time.Since(start)
-	outcome := askOutcome(err)
-	partial := ans != nil && ans.Partial
-	engine := "none"
-	if ans != nil && ans.Engine != "" {
-		engine = ans.Engine
-	}
-	var tid obs.TraceID
-	if trace != nil {
-		tid = trace.ID
-		root := trace.Root
-		if st.route != "" {
-			root.SetAttr("route", st.route)
-		}
-		root.SetAttr("outcome", outcome)
-		if partial {
-			root.SetAttr("partial", "true")
-		}
-		root.End()
-		if ans != nil {
-			ans.Trace = trace
-		}
-		c.cfg.Traces.Offer(trace, outcome, elapsed, partial)
-	}
-	c.cfg.SlowLog.Observe(obs.SlowEntry{
-		Question: question, Engine: engine, Outcome: outcome,
-		Duration: elapsed, When: time.Now(), Trace: trace,
-		TraceID: tid, Route: st.route, Shards: int(st.shards.Load()),
-		Partial: partial, Hedged: int(st.hedged.Load()),
-		Retries: int(st.retries.Load()), DroppedSpans: trace.DroppedTotal(),
-	})
-	return ans, err
+	return c.front.Ask(ctx, question)
 }
 
 // AskSQL executes one trusted SQL statement over the fleet, mirroring the
 // single-gateway AskSQL contract: no NL chain, no answer cache — just
-// classification and routed execution with the coordinator's full
-// deadline, retry, hedging, and telemetry treatment. It is how dialogue
-// turns execute when serving is sharded: the session layer resolves a
-// follow-up to SQL, and that SQL routes exactly like any distributed
-// statement (pruned to its owner shard, or scatter-gathered with partial
-// aggregates merged).
+// binding, classification and routed execution with the coordinator's
+// full deadline, retry, hedging, and telemetry treatment. It is how
+// dialogue turns execute when serving is sharded: the session layer
+// resolves a follow-up to SQL, and that SQL routes exactly like an
+// interpreted statement.
 func (c *Cluster) AskSQL(ctx context.Context, sql string) (*resilient.Answer, error) {
-	start := time.Now()
-	if c.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.Timeout)
-		defer cancel()
-	}
-	var trace *obs.QueryTrace
-	if !c.cfg.NoTrace {
-		ctx, trace = obs.NewQueryTrace(ctx, sql)
-	}
-	st := &reqStats{}
-	ans, err := c.askSQL(ctx, sql, st)
-	elapsed := time.Since(start)
-	outcome := askOutcome(err)
-	partial := ans != nil && ans.Partial
-	if trace != nil {
-		root := trace.Root
-		root.SetAttr("engine", resilient.SQLEngine)
-		if st.route != "" {
-			root.SetAttr("route", st.route)
-		}
-		root.SetAttr("outcome", outcome)
-		if partial {
-			root.SetAttr("partial", "true")
-		}
-		root.End()
-		if ans != nil {
-			ans.Trace = trace
-		}
-		c.cfg.Traces.Offer(trace, outcome, elapsed, partial)
-	}
-	var tid obs.TraceID
-	if trace != nil {
-		tid = trace.ID
-	}
-	c.cfg.SlowLog.Observe(obs.SlowEntry{
-		Question: sql, Engine: resilient.SQLEngine, Outcome: outcome,
-		Duration: elapsed, When: time.Now(), Trace: trace,
-		TraceID: tid, Route: st.route, Shards: int(st.shards.Load()),
-		Partial: partial, Hedged: int(st.hedged.Load()),
-		Retries: int(st.retries.Load()), DroppedSpans: trace.DroppedTotal(),
-	})
-	if ans != nil {
-		ans.Elapsed = elapsed
+	return c.front.AskSQL(ctx, sql)
+}
+
+// ServeBatch answers every question through the front's bounded worker
+// pool and returns results in input order: questions not started when ctx
+// ends fail with resilient.ErrShed, so callers can resubmit exactly the
+// unserved tail.
+func (c *Cluster) ServeBatch(ctx context.Context, questions []string) []resilient.BatchResult {
+	return c.front.ServeBatch(ctx, questions)
+}
+
+// router is the Cluster as its front gateway's executor: the unexported
+// entry the chain walk (and the public AskSQL, through the front) reaches
+// routing by.
+type router struct{ c *Cluster }
+
+// AskSQL routes one statement and types its failure for the front: a
+// routing verdict, a shard with no replica left, or a dead deadline is a
+// resilient.Refusal — terminal and charged to no engine — while anything
+// the statement itself caused (it does not parse, the schema refuses it)
+// stays a plain error, and the next engine gets its turn.
+func (r router) AskSQL(ctx context.Context, sql string) (*resilient.Answer, error) {
+	ans, err := r.c.route(ctx, sql, resilient.RoutingFrom(ctx))
+	if err != nil && (ctx.Err() != nil || errors.Is(err, ErrShardDown) || errors.Is(err, ErrNotDistributable)) {
+		err = &resilient.Refusal{Outcome: askOutcome(err), Err: err}
 	}
 	return ans, err
 }
 
-// askSQL is AskSQL minus deadline and trace-root wrapping: parse,
-// classify, route.
-func (c *Cluster) askSQL(ctx context.Context, sql string, st *reqStats) (*resilient.Answer, error) {
+// route is the coordinator's executor half: parse, bind against the full
+// schema, classify, run on the shards that hold the rows, merge.
+func (c *Cluster) route(ctx context.Context, sql string, st *resilient.Routing) (*resilient.Answer, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
 	_, csp := childSpan(ctx, "classify")
-	rt, cerr := classify(stmt, c.part)
-	if cerr != nil {
-		csp.SetAttr("error", cerr.Error())
-		csp.End()
-		return nil, cerr
+	rt := &route{kind: routeHome} // a single shard holds every row
+	if _, err = c.bind.Prepare(stmt); err != nil {
+		err = fmt.Errorf("plan: %w", err)
+	} else if c.n > 1 {
+		rt, err = classify(stmt, c.part)
 	}
-	switch rt.kind {
-	case routeHome:
-		csp.SetAttr("route", "home")
-	case routePruned:
-		csp.SetAttr("route", "pruned")
+	if err != nil {
+		csp.SetAttr("error", err.Error())
+		csp.End()
+		return nil, err
+	}
+	csp.SetAttr("route", routeNames[rt.kind])
+	if rt.kind == routePruned {
 		csp.SetAttr("shard", strconv.Itoa(rt.shard))
-	default:
-		csp.SetAttr("route", "scatter")
 	}
 	csp.End()
+	c.countRoute(rt.kind, st)
 
+	var ans *resilient.Answer
 	switch rt.kind {
 	case routeHome:
-		// Any shard can answer (no partitioned table involved): run it on
-		// the rendezvous-home shard, failing over like interpretation does.
-		c.countRoute("home", st)
-		var ans *resilient.Answer
+		// Any shard can answer (no partitioned table involved, or there is
+		// only one shard): run it on the statement's rendezvous shard,
+		// failing over to the next while whole shards are down.
 		for _, s := range c.rendezvous(sql) {
-			ans, err = c.askShard(ctx, s, sql, false, st)
-			if err == nil {
-				return ans, nil
-			}
-			if ctx.Err() != nil || !errors.Is(err, ErrShardDown) {
-				return nil, err
+			ans, err = c.askShard(ctx, s, sql, st)
+			if err == nil || ctx.Err() != nil || !errors.Is(err, ErrShardDown) {
+				break
 			}
 		}
-		return nil, err // every shard down
 	case routePruned:
-		c.countRoute("pruned", st)
-		return c.askShard(ctx, rt.shard, sql, false, st)
+		ans, err = c.askShard(ctx, rt.shard, sql, st)
 	default:
-		c.countRoute("scatter", st)
-		phase1 := &resilient.Answer{Engine: resilient.SQLEngine, SQL: stmt, Score: 1}
-		return c.scatter(ctx, phase1, rt, st)
+		ans, err = c.scatter(ctx, rt, st)
 	}
+	if err != nil {
+		return nil, err
+	}
+	// The answer names the statement as the coordinator parsed it, not a
+	// replica's re-parse or the partial it was rewritten to.
+	ans.SQL = stmt
+	return ans, nil
 }
 
-// askOutcome maps an Ask error to its outcome label.
+// askOutcome maps a routing error to its outcome label.
 func askOutcome(err error) string {
 	switch {
-	case err == nil:
-		return "ok"
 	case errors.Is(err, ErrShardDown):
 		return "shard_down"
 	case errors.Is(err, ErrNotDistributable):
@@ -564,8 +441,6 @@ func askOutcome(err error) string {
 		return "timeout"
 	case errors.Is(err, context.Canceled):
 		return "canceled"
-	case errors.Is(err, resilient.ErrExhausted):
-		return "exhausted"
 	default:
 		return "error"
 	}
@@ -590,91 +465,16 @@ func childSpanf(ctx context.Context, format string, args ...any) (context.Contex
 	return obs.StartSpan(ctx, fmt.Sprintf(format, args...))
 }
 
-// ask is Ask minus deadline, cache, and trace-root wrapping.
-func (c *Cluster) ask(ctx context.Context, question string, st *reqStats) (*resilient.Answer, error) {
-	// Phase 1: interpret (and execute locally) on the home replica, with
-	// failover to the next rendezvous shard when a whole shard is down —
-	// interpretation only needs the shared chain, so any shard can do it.
-	order := c.rendezvous(question)
-	ictx, isp := childSpan(ctx, "interpret")
-	var ans *resilient.Answer
-	var err error
-	home := -1
-	for _, s := range order {
-		ans, err = c.askShard(ictx, s, question, true, st)
-		if err == nil {
-			home = s
-			break
-		}
-		if ctx.Err() != nil || !errors.Is(err, ErrShardDown) {
-			// Interpretation failures repeat identically on every shard
-			// (the chain is shared); only shard-down errors fail over.
-			isp.End()
-			return nil, err
-		}
-	}
-	if err != nil {
-		isp.End()
-		return nil, err // every shard down
-	}
-	isp.SetAttr("home", strconv.Itoa(home))
-	isp.End()
-	if c.n == 1 {
-		c.countRoute("home", st)
-		return ans, nil
-	}
-	if ans.SQL == nil {
-		st.route = "home" // no SQL to distribute; the home answer stands
-		return ans, nil
-	}
-
-	_, csp := childSpan(ctx, "classify")
-	rt, cerr := classify(ans.SQL, c.part)
-	if cerr != nil {
-		csp.SetAttr("error", cerr.Error())
-		csp.End()
-		return nil, cerr
-	}
-	switch rt.kind {
-	case routeHome:
-		csp.SetAttr("route", "home")
-	case routePruned:
-		csp.SetAttr("route", "pruned")
-		csp.SetAttr("shard", strconv.Itoa(rt.shard))
-	default:
-		csp.SetAttr("route", "scatter")
-	}
-	csp.End()
-
-	switch rt.kind {
-	case routeHome:
-		c.countRoute("home", st)
-		return ans, nil
-	case routePruned:
-		c.countRoute("pruned", st)
-		if rt.shard == home {
-			return ans, nil // interpreted where the rows live: already complete
-		}
-		sqlAns, serr := c.askShard(ctx, rt.shard, ans.SQL.String(), false, st)
-		if serr != nil {
-			return nil, serr
-		}
-		out := *ans
-		out.Result = sqlAns.Result
-		out.Usage = sqlAns.Usage
-		return &out, nil
-	default:
-		c.countRoute("scatter", st)
-		return c.scatter(ctx, ans, rt, st)
-	}
-}
-
 // scatter fans the partial statement out to every shard, merges what
-// comes back, and annotates what could not.
-func (c *Cluster) scatter(ctx context.Context, phase1 *resilient.Answer, rt *route, st *reqStats) (*resilient.Answer, error) {
+// comes back, and annotates what could not. A shard that is down goes
+// missing from a Partial answer; a shard that ran the statement and saw
+// it fail fails the whole statement, as it would have unsharded.
+func (c *Cluster) scatter(ctx context.Context, rt *route, st *resilient.Routing) (*resilient.Answer, error) {
 	ctx, ssp := childSpan(ctx, "scatter")
 	defer ssp.End()
 	ssp.Add("shards", int64(c.n))
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel() // an early return stops the legs still running
 	type leg struct {
 		idx int
 		ans *resilient.Answer
@@ -683,7 +483,7 @@ func (c *Cluster) scatter(ctx context.Context, phase1 *resilient.Answer, rt *rou
 	ch := make(chan leg, c.n)
 	for s := 0; s < c.n; s++ {
 		go func(s int) {
-			a, e := c.askShard(ctx, s, rt.partialSQL, false, st)
+			a, e := c.askShard(ctx, s, rt.partialSQL, st)
 			ch <- leg{idx: s, ans: a, err: e}
 		}(s)
 	}
@@ -695,6 +495,9 @@ func (c *Cluster) scatter(ctx context.Context, phase1 *resilient.Answer, rt *rou
 	for i := 0; i < c.n; i++ {
 		l := <-ch
 		if l.err != nil {
+			if !errors.Is(l.err, ErrShardDown) && ctx.Err() == nil {
+				return nil, l.err
+			}
 			if firstErr == nil {
 				firstErr = l.err
 			}
@@ -728,11 +531,10 @@ func (c *Cluster) scatter(ctx context.Context, phase1 *resilient.Answer, rt *rou
 		msp.Add("rows", int64(len(res.Rows)))
 	}
 	sort.Ints(missing)
-	out := *phase1
-	out.Result = res
-	out.Usage = usage
-	out.Partial = len(missing) > 0
-	out.MissingShards = missing
+	out := &resilient.Answer{
+		Engine: resilient.SQLEngine, Score: 1, Result: res, Usage: usage,
+		Partial: len(missing) > 0, MissingShards: missing,
+	}
 	if out.Partial {
 		msp.SetAttr("missing", fmt.Sprint(missing))
 		c.partials.Add(1)
@@ -741,24 +543,19 @@ func (c *Cluster) scatter(ctx context.Context, phase1 *resilient.Answer, rt *rou
 		}
 	}
 	msp.End()
-	return &out, nil
+	return out, nil
 }
 
-// askShard runs one statement (NL question or SQL) on shard s: pick the
-// least-loaded healthy replica, hedge to a second after the latency-
-// percentile delay, and retry with jittered backoff against replicas not
-// yet tried. Failures that would repeat identically on any replica (the
-// chain has no reading of the question) return as-is; infrastructure
-// failures exhaust into a *ShardDownError.
-func (c *Cluster) askShard(ctx context.Context, s int, q string, nl bool, st *reqStats) (*resilient.Answer, error) {
+// askShard runs one statement on shard s: pick the least-loaded healthy
+// replica, hedge to a second after the latency-percentile delay, and
+// retry with jittered backoff against replicas not yet tried. Failures
+// that would repeat identically on any replica (a protocol or semantic
+// refusal) return as-is; infrastructure failures exhaust into a
+// *ShardDownError.
+func (c *Cluster) askShard(ctx context.Context, s int, sql string, st *resilient.Routing) (*resilient.Answer, error) {
 	ctx, sp := childSpanf(ctx, "shard %d", s)
 	defer sp.End()
-	if nl {
-		sp.SetAttr("stmt", "nl")
-	} else {
-		sp.SetAttr("stmt", "sql")
-	}
-	st.shards.Add(1)
+	st.Shards.Add(1)
 	tried := map[*replica]bool{}
 	var lastErr error
 	for try := 0; ; try++ {
@@ -769,7 +566,7 @@ func (c *Cluster) askShard(ctx context.Context, s int, q string, nl bool, st *re
 			return nil, err
 		}
 		lctx, cancel := context.WithTimeout(ctx, c.cfg.ShardTimeout)
-		ans, err := c.legOnce(lctx, s, q, nl, tried, st)
+		ans, err := c.legOnce(lctx, s, sql, tried, st)
 		cancel()
 		if err == nil {
 			return ans, nil
@@ -789,7 +586,7 @@ func (c *Cluster) askShard(ctx context.Context, s int, q string, nl bool, st *re
 			break
 		}
 		sp.Add("retries", 1)
-		st.retries.Add(1)
+		st.Retries.Add(1)
 		c.stats[s].retries.Add(1)
 		if m := c.cfg.Metrics; m != nil {
 			m.Counter(MetricRetries, "shard", strconv.Itoa(s)).Inc()
@@ -846,19 +643,19 @@ func (c *Cluster) sleep(ctx context.Context, d time.Duration) bool {
 // replica leads; if it fails fast the second-best takes over immediately,
 // and if it is merely slow the second-best is hedged in after the
 // latency-percentile delay, first answer wins.
-func (c *Cluster) legOnce(ctx context.Context, s int, q string, nl bool, tried map[*replica]bool, st *reqStats) (*resilient.Answer, error) {
+func (c *Cluster) legOnce(ctx context.Context, s int, sql string, tried map[*replica]bool, st *resilient.Routing) (*resilient.Answer, error) {
 	prim, alt := c.pick(s, tried)
 	if prim == nil {
 		return nil, &ShardDownError{Shard: s}
 	}
 	tried[prim] = true
 	if alt == nil || c.cfg.NoHedge {
-		ans, err := c.call(ctx, prim, q, nl, "primary")
+		ans, err := c.call(ctx, prim, sql, "primary")
 		if err == nil || alt == nil {
 			return ans, err
 		}
 		tried[alt] = true
-		return c.call(ctx, alt, q, nl, "failover")
+		return c.call(ctx, alt, sql, "failover")
 	}
 
 	cctx, cancel := context.WithCancel(ctx)
@@ -871,7 +668,7 @@ func (c *Cluster) legOnce(ctx context.Context, s int, q string, nl bool, tried m
 	ch := make(chan rres, 2)
 	launch := func(r *replica, kind string) {
 		go func() {
-			a, e := c.call(cctx, r, q, nl, kind)
+			a, e := c.call(cctx, r, sql, kind)
 			ch <- rres{from: r, ans: a, err: e}
 		}()
 	}
@@ -915,7 +712,7 @@ func (c *Cluster) legOnce(ctx context.Context, s int, q string, nl bool, tried m
 			hedged = true
 			hedgeFired = true
 			tried[alt] = true
-			st.hedged.Add(1)
+			st.Hedged.Add(1)
 			c.stats[s].hedges.Add(1)
 			if m := c.cfg.Metrics; m != nil {
 				m.Counter(MetricHedges, "shard", strconv.Itoa(s)).Inc()
@@ -965,12 +762,12 @@ func (c *Cluster) hedgeDelay(s int) time.Duration {
 	return d
 }
 
-// call sends one request to one replica and folds the outcome into its
+// call sends one statement to one replica and folds the outcome into its
 // health state and the shard's latency reservoir. kind labels why this
 // attempt exists ("primary", "failover", "hedge") on its trace span; the
-// replica's own gateway trace nests beneath the span, so one coordinator
-// tree shows the whole cross-node story.
-func (c *Cluster) call(ctx context.Context, r *replica, q string, nl bool, kind string) (*resilient.Answer, error) {
+// replica's own parse/plan/execute trace nests beneath the span, so one
+// coordinator tree shows the whole cross-node story.
+func (c *Cluster) call(ctx context.Context, r *replica, sql string, kind string) (*resilient.Answer, error) {
 	ctx, sp := childSpan(ctx, "attempt")
 	sp.SetAttr("replica", strconv.Itoa(r.idx))
 	sp.SetAttr("kind", kind)
@@ -978,13 +775,7 @@ func (c *Cluster) call(ctx context.Context, r *replica, q string, nl bool, kind 
 	r.inflight.Add(1)
 	c.stats[r.shard].requests.Add(1)
 	t0 := time.Now()
-	var ans *resilient.Answer
-	var err error
-	if nl {
-		ans, err = r.node.Ask(ctx, q)
-	} else {
-		ans, err = r.node.AskSQL(ctx, q)
-	}
+	ans, err := r.node.AskSQL(ctx, sql)
 	elapsed := time.Since(t0)
 	r.inflight.Add(-1)
 	r.observe(err, elapsed)
@@ -1020,28 +811,28 @@ func callOutcome(err error) string {
 	}
 }
 
-func (c *Cluster) countRoute(route string, st *reqStats) {
-	st.route = route
-	switch route {
-	case "home":
+func (c *Cluster) countRoute(kind routeKind, st *resilient.Routing) {
+	st.Route = routeNames[kind]
+	switch kind {
+	case routeHome:
 		c.routeHome.Add(1)
-	case "pruned":
+	case routePruned:
 		c.routePruned.Add(1)
-	case "scatter":
+	default:
 		c.routeScatter.Add(1)
 	}
 	if m := c.cfg.Metrics; m != nil {
-		m.Counter(MetricRoutes, "route", route).Inc()
+		m.Counter(MetricRoutes, "route", st.Route).Inc()
 	}
 }
 
-// rendezvous orders shards by highest-random-weight for the question's
-// normalized cache key: element 0 is the home shard, the rest the
-// failover order. Every process computing this over the same N gets the
-// same order, which is what lets a fleet interpret and cache each
-// question exactly once.
-func (c *Cluster) rendezvous(question string) []int {
-	key := qcache.Key(question)
+// rendezvous orders shards by highest-random-weight for a statement any
+// shard can answer: element 0 is where it runs, the rest the failover
+// order. Every process computing this over the same N gets the same
+// order, so such statements spread evenly and stick to one shard's plan
+// cache.
+func (c *Cluster) rendezvous(sql string) []int {
+	key := qcache.Key(sql)
 	type sw struct {
 		s int
 		w uint64
@@ -1063,46 +854,5 @@ func (c *Cluster) rendezvous(question string) []int {
 	for i, w := range ws {
 		out[i] = w.s
 	}
-	return out
-}
-
-// ServeBatch answers every question using a bounded worker pool and
-// returns results in input order, mirroring the single-gateway
-// ServeBatch contract: questions not started when ctx ends fail with
-// resilient.ErrShed, so callers can resubmit exactly the unserved tail.
-func (c *Cluster) ServeBatch(ctx context.Context, questions []string) []resilient.BatchResult {
-	out := make([]resilient.BatchResult, len(questions))
-	if len(questions) == 0 {
-		return out
-	}
-	workers := c.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(questions) {
-		workers = len(questions)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(questions) {
-					return
-				}
-				q := questions[i]
-				if err := ctx.Err(); err != nil {
-					out[i] = resilient.BatchResult{Index: i, Question: q, Err: fmt.Errorf("%w: %w", resilient.ErrShed, err)}
-					continue
-				}
-				ans, err := c.Ask(ctx, q)
-				out[i] = resilient.BatchResult{Index: i, Question: q, Answer: ans, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }

@@ -13,8 +13,8 @@ import (
 type routeKind int
 
 const (
-	// routeHome: the statement needs no table data (or references unknown
-	// tables); the interpreting replica's answer is already complete.
+	// routeHome: the statement reads no partitioned table, so any one
+	// shard answers it whole.
 	routeHome routeKind = iota
 	// routePruned: every relevant row lives on one shard; run the original
 	// statement there.
@@ -23,6 +23,9 @@ const (
 	// and merge.
 	routeScatter
 )
+
+// routeNames are the route labels on spans, metrics and the slow log.
+var routeNames = [...]string{routeHome: "home", routePruned: "pruned", routeScatter: "scatter"}
 
 // route is one classified statement: where to run it and how to combine.
 type route struct {
@@ -129,7 +132,8 @@ type tableInstance struct {
 	real string
 }
 
-// classify decides how stmt runs on a cluster partitioned by part.
+// classify decides how stmt runs on a cluster partitioned by part. stmt
+// has been bound against the full schema: every table it names exists.
 func classify(stmt *sqlparse.SelectStmt, part *Partitioning) (*route, error) {
 	if stmt.From == nil {
 		return &route{kind: routeHome}, nil
@@ -142,11 +146,6 @@ func classify(stmt *sqlparse.SelectStmt, part *Partitioning) (*route, error) {
 	insts := make([]tableInstance, len(refs))
 	for i, r := range refs {
 		insts[i] = tableInstance{eff: r.EffName(), real: r.Name}
-		if part.Spec(r.Name) == nil {
-			// Unknown table: execution fails identically on any shard, so
-			// let the interpreting replica's local error stand.
-			return &route{kind: routeHome}, nil
-		}
 	}
 
 	// Pruning: a single-table query whose WHERE pins the partition column

@@ -50,9 +50,10 @@ const (
 	// replica blowing its leg deadline.
 	RemoteTimeout
 	// RemoteSemantic is 422: the node answered honestly that the
-	// question/SQL cannot be served (chain exhausted, not
-	// distributable). Deterministic — retrying any replica repeats it —
-	// and not ill-health.
+	// statement cannot be served — it failed on its own terms
+	// (resilient.ErrStatement), or the node is itself a coordinator and
+	// found it not distributable. Deterministic — retrying any replica
+	// repeats it — and not ill-health.
 	RemoteSemantic
 	// RemoteProtocol is 400 or an unintelligible body: one side speaks
 	// the protocol wrong. Deterministic, so never retried, and not
@@ -117,7 +118,7 @@ func (e *RemoteError) Error() string {
 // Unwrap maps each kind onto the sentinel the routing and serving layers
 // already understand: conn → ErrNodeDown (breaker fast-path), shedding →
 // ErrBackpressure, stale → a *StaleEpochError, node-side deadline →
-// context.DeadlineExceeded, semantic → resilient.ErrExhausted.
+// context.DeadlineExceeded, semantic → resilient.ErrStatement.
 func (e *RemoteError) Unwrap() error {
 	switch e.Kind {
 	case RemoteConn:
@@ -129,7 +130,7 @@ func (e *RemoteError) Unwrap() error {
 	case RemoteTimeout:
 		return context.DeadlineExceeded
 	case RemoteSemantic:
-		return resilient.ErrExhausted
+		return resilient.ErrStatement
 	default:
 		return e.Err
 	}
@@ -188,12 +189,12 @@ func NewRemoteClient(rc RemoteConfig) *http.Client {
 	}
 }
 
-// RemoteNode is a Node whose replica lives in another process: Ask and
-// AskSQL become POST /internal/query against an internal/server
-// instance, with the query deadline in X-Deadline-Ms, the trace context
-// in X-Trace-Context, the shard map epoch in X-Shard-Epoch, and the
-// answer as the typed wire form (resilient.WireAnswer). Safe for
-// concurrent use.
+// RemoteNode is a Node whose replica lives in another process: AskSQL
+// becomes POST /internal/query against an internal/server instance,
+// with the query deadline in X-Deadline-Ms, the trace context in
+// X-Trace-Context, the shard map epoch in X-Shard-Epoch, and the answer
+// as the typed wire form (resilient.WireAnswer). Safe for concurrent
+// use.
 type RemoteNode struct {
 	// addr returns the replica's current base URL ("http://host:port"),
 	// or "" while the process is down. A func, not a string: a
@@ -215,26 +216,14 @@ func NewRemoteNode(addr func() string, epoch int64, client *http.Client) *Remote
 	return &RemoteNode{addr: addr, client: client, epoch: epoch, maxErr: 8 << 10}
 }
 
-// remoteRequest is the POST /internal/query body: exactly one of
-// Question (full NL pipeline on the node) or SQL (trusted pushdown).
+// remoteRequest is the POST /internal/query body: the trusted statement.
 type remoteRequest struct {
-	Question string `json:"question,omitempty"`
-	SQL      string `json:"sql,omitempty"`
-}
-
-// Ask implements Node: the natural-language pipeline runs on the remote
-// replica, over its partition.
-func (n *RemoteNode) Ask(ctx context.Context, question string) (*resilient.Answer, error) {
-	return n.do(ctx, remoteRequest{Question: question})
+	SQL string `json:"sql"`
 }
 
 // AskSQL implements Node: trusted SQL — the coordinator's pruned and
 // partial-aggregate pushdown statements — executed on the remote replica.
 func (n *RemoteNode) AskSQL(ctx context.Context, sql string) (*resilient.Answer, error) {
-	return n.do(ctx, remoteRequest{SQL: sql})
-}
-
-func (n *RemoteNode) do(ctx context.Context, reqBody remoteRequest) (*resilient.Answer, error) {
 	addr := n.addr()
 	rctx, sp := childSpan(ctx, "remote")
 	defer sp.End()
@@ -246,7 +235,7 @@ func (n *RemoteNode) do(ctx context.Context, reqBody remoteRequest) (*resilient.
 		return nil, &RemoteError{Kind: RemoteConn, Addr: addr, Msg: "no address: process down"}
 	}
 
-	body, err := json.Marshal(reqBody)
+	body, err := json.Marshal(remoteRequest{SQL: sql})
 	if err != nil {
 		return nil, &RemoteError{Kind: RemoteProtocol, Addr: addr, Msg: err.Error(), Err: err}
 	}
@@ -374,15 +363,15 @@ type RemoteFleet struct {
 }
 
 // NewRemote builds a Cluster whose replicas are remote internal/server
-// processes. db is the full source database — still needed locally for
-// the partitioning map (routing, pruning, scatter classification) and
-// the cache fingerprint; the remote processes hold the actual partitions
-// and execute everything. cfg.Chain is unused: interpretation happens on
-// the remote node, over its own partition's chain. All of the in-process
-// cluster's machinery — replica breakers, EWMA load routing, hedging,
-// retries, scatter-gather with typed partial-aggregate merge, honest
-// Partial answers — applies unchanged; only the last hop changed from a
-// function call to a socket.
+// processes. db is the full source database: cfg.Chain interprets over
+// it here, at the coordinator, and it supplies the schema statements are
+// bound against, the partitioning map (routing, pruning, scatter
+// classification) and the cache fingerprint; the remote processes hold
+// the actual partitions and only execute the SQL they are sent. All of
+// the in-process cluster's machinery — the interpreter front, replica
+// breakers, EWMA load routing, hedging, retries, scatter-gather with
+// typed partial-aggregate merge, honest Partial answers — applies
+// unchanged; only the last hop changed from a function call to a socket.
 func NewRemote(db *sqldata.Database, cfg Config, fleet RemoteFleet) (*Cluster, error) {
 	n := len(fleet.Addrs)
 	if n == 0 {

@@ -10,10 +10,16 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"nlidb/internal/benchdata"
+	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/resilient"
 	"nlidb/internal/server"
@@ -35,6 +41,9 @@ func (echoInterp) Interpret(q string) ([]nlq.Interpretation, error) {
 	}
 	return []nlq.Interpretation{{SQL: stmt, Score: 1}}, nil
 }
+
+// echoChain is the coordinator's chain in the routing tests.
+var echoChain = []nlq.Interpreter{echoInterp{}}
 
 // remoteDB is the FK dataset the remote tests shard.
 func remoteDB(t testing.TB) *sqldata.Database {
@@ -83,20 +92,38 @@ func remoteDB(t testing.TB) *sqldata.Database {
 // remoteFleet boots one real internal/server process-equivalent per
 // replica (same handler stack a child process serves, minus the OS
 // process) and returns the fleet plus per-replica address slots that
-// tests can blank to simulate a dead process.
+// tests can blank to simulate a dead process. Each child is built the way
+// cmd/nlidb -join builds itself, from the partition only: the tables are
+// written out and loaded back through the CSV-plus-sidecar path, and the
+// gateway over them has no interpreter chain.
 func remoteFleet(t testing.TB, db *sqldata.Database, shards, replicas int, epoch int64) (shard.RemoteFleet, [][]*atomic.Value) {
 	t.Helper()
 	dbs, _, err := shard.Split(db, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dir := t.TempDir()
 	addrs := make([][]*atomic.Value, shards)
 	fns := make([][]func() string, shards)
 	for s := 0; s < shards; s++ {
+		child := sqldata.NewDatabase("csv")
+		for _, tbl := range dbs[s].Tables() {
+			path := filepath.Join(dir, fmt.Sprintf("s%d_%s.csv", s, tbl.Schema.Name))
+			if err := sqldata.WriteCSVFile(path, tbl); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := sqldata.LoadCSVFile(path)
+			if err == nil {
+				err = child.AddTable(loaded)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
 		addrs[s] = make([]*atomic.Value, replicas)
 		fns[s] = make([]func() string, replicas)
 		for r := 0; r < replicas; r++ {
-			gw := resilient.New(dbs[s], []nlq.Interpreter{echoInterp{}}, resilient.Config{NoRetry: true})
+			gw := resilient.New(child, nil, resilient.Config{})
 			api := server.New(server.Config{Backend: gw, ShardEpoch: epoch, ShardIndex: s})
 			ts := httptest.NewServer(api)
 			t.Cleanup(ts.Close)
@@ -115,9 +142,9 @@ func remoteFleet(t testing.TB, db *sqldata.Database, shards, replicas int, epoch
 // shape including the partial-aggregate pushdowns.
 func TestRemoteMatchesLocal(t *testing.T) {
 	db := remoteDB(t)
-	single := resilient.New(db, []nlq.Interpreter{echoInterp{}}, resilient.Config{NoRetry: true})
+	single := resilient.New(db, echoChain, resilient.Config{NoRetry: true})
 	fleet, _ := remoteFleet(t, db, 3, 2, 1)
-	cl, err := shard.NewRemote(db, shard.Config{Seed: 11, CacheSize: -1}, fleet)
+	cl, err := shard.NewRemote(db, shard.Config{Chain: echoChain, Seed: 11, CacheSize: -1}, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +249,7 @@ func TestRemoteErrorTaxonomy(t *testing.T) {
 
 	t.Run("stale epoch", func(t *testing.T) {
 		db := remoteDB(t)
-		gw := resilient.New(db, []nlq.Interpreter{echoInterp{}}, resilient.Config{NoRetry: true})
+		gw := resilient.New(db, nil, resilient.Config{})
 		api := server.New(server.Config{Backend: gw, ShardEpoch: 2})
 		ts := httptest.NewServer(api)
 		defer ts.Close()
@@ -243,14 +270,15 @@ func TestRemoteErrorTaxonomy(t *testing.T) {
 	})
 
 	t.Run("semantic", func(t *testing.T) {
-		db := remoteDB(t)
-		gw := resilient.New(db, []nlq.Interpreter{echoInterp{}}, resilient.Config{NoRetry: true})
+		// The node ran the statement and it failed on its own terms: 422,
+		// a verdict on the statement, not on the node's health.
+		gw := resilient.New(remoteDB(t), nil, resilient.Config{})
 		ts := httptest.NewServer(server.New(server.Config{Backend: gw}))
 		defer ts.Close()
 		n := shard.NewRemoteNode(func() string { return ts.URL }, 0, nil)
-		_, err := n.Ask(ctx, "colorless green ideas sleep furiously")
-		if kindOf(err) != shard.RemoteSemantic || !errors.Is(err, resilient.ErrExhausted) {
-			t.Fatalf("err = %v, want semantic/ErrExhausted", err)
+		_, err := n.AskSQL(ctx, "SELECT SUM(name) FROM customers")
+		if kindOf(err) != shard.RemoteSemantic || !errors.Is(err, resilient.ErrStatement) {
+			t.Fatalf("err = %v, want semantic/ErrStatement", err)
 		}
 	})
 
@@ -310,6 +338,7 @@ func TestRemoteClusterChaos(t *testing.T) {
 	db := remoteDB(t)
 	fleet, addrs := remoteFleet(t, db, 2, 2, 1)
 	cl, err := shard.NewRemote(db, shard.Config{
+		Chain:            echoChain,
 		Seed:             3,
 		CacheSize:        -1,
 		Retries:          1,
@@ -399,7 +428,7 @@ func TestRemoteClusterChaos(t *testing.T) {
 func TestRemoteTraceGraft(t *testing.T) {
 	db := remoteDB(t)
 	fleet, _ := remoteFleet(t, db, 2, 1, 1)
-	cl, err := shard.NewRemote(db, shard.Config{Seed: 5, CacheSize: -1}, fleet)
+	cl, err := shard.NewRemote(db, shard.Config{Chain: echoChain, Seed: 5, CacheSize: -1}, fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,5 +454,154 @@ func TestRemoteTraceGraft(t *testing.T) {
 	}
 	if !grafted {
 		t.Fatalf("server-side span tree not grafted under the remote span:\n%s", ans.Trace)
+	}
+}
+
+// typedRows renders a result's rows with every cell's type tag, sorted
+// unless the statement fixes an order, so two results compare equal only
+// when they hold the same typed cells (Value.Key alone folds 3.0 into 3).
+// FLOAT cells are rendered to 12 significant digits unless exact: a sum
+// merged from per-shard partials adds in another order than the unsharded
+// sum and may differ from it in the last bits, and only there.
+func typedRows(res *sqldata.Result, ordered, exact bool) []string {
+	out := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		var sb strings.Builder
+		for _, v := range row {
+			switch {
+			case v.Null:
+				sb.WriteString(v.Key())
+			case v.T == sqldata.TypeFloat && !exact:
+				fmt.Fprintf(&sb, "FLOAT %.12g|", v.Float())
+			default:
+				sb.WriteString(v.T.String() + v.Key() + "|")
+			}
+		}
+		out[i] = sb.String()
+	}
+	if !ordered {
+		sort.Strings(out)
+	}
+	return out
+}
+
+// sameAnswer reports how got differs from want in engine, question form,
+// SQL text, header or typed rows ("" when it does not).
+func sameAnswer(got, want *resilient.Answer, exact bool) string {
+	if got.Engine != want.Engine || got.Simplified != want.Simplified || got.SQL.String() != want.SQL.String() {
+		return fmt.Sprintf("answered [%s simplified=%v] %s, want [%s simplified=%v] %s",
+			got.Engine, got.Simplified, got.SQL, want.Engine, want.Simplified, want.SQL)
+	}
+	ordered := len(want.SQL.OrderBy) > 0
+	if !reflect.DeepEqual(got.Result.Columns, want.Result.Columns) ||
+		!reflect.DeepEqual(typedRows(got.Result, ordered, exact), typedRows(want.Result, ordered, exact)) {
+		return fmt.Sprintf("rows differ:\n%s\nwant:\n%s", got.Result, want.Result)
+	}
+	if got.Partial {
+		return "answered partial with every node healthy"
+	}
+	return ""
+}
+
+// TestTopologiesAnswerAlike is the interpret-once contract: the same
+// question answers with the same engine, the same SQL text and the same
+// typed rows through a bare gateway, an in-process 3×2 cluster and a 3×2
+// fleet of remote nodes that hold nothing but their partition — or is
+// refused identically by both clusters. The questions carry values, among
+// them customer names, each of which lives on exactly one shard: a node
+// that interpreted over its own partition's vocabulary (as the fleet's
+// children once did) could not see two thirds of them.
+func TestTopologiesAnswerAlike(t *testing.T) {
+	d := benchdata.Sales(1)
+	chain, err := resilient.ChainByNames(d.DB, lexicon.New(), resilient.DefaultChainNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := resilient.New(d.DB, chain, resilient.Config{})
+	local, err := shard.New(d.DB, 3, shard.Config{Replicas: 2, Chain: chain, CacheSize: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet, _ := remoteFleet(t, d.DB, 3, 2, 1)
+	remote, err := shard.NewRemote(d.DB, shard.Config{Chain: chain, CacheSize: -1, Seed: 1}, fleet)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	questions := []string{
+		// FK joins along the co-location edge, grouped and plain.
+		"number of orders per city",
+		// A paraphrase athena and parse both give up on: the walk reaches
+		// the later engines, and the value still resolves.
+		"what is overall the city of the cutsomer ivan",
+		"could you list the clients located in the town of Berlin please",
+		// Shapes the coordinator must refuse, and one nobody can read.
+		"customers with more than 4 orders",
+		"customers without orders",
+		"colorless green ideas sleep furiously",
+	}
+	cust := d.DB.Table("customer")
+	ownersOfName := map[int]bool{}
+	cities := map[string]bool{}
+	for _, row := range cust.Rows {
+		name, city := row[1].Text(), row[2].Text()
+		owner, ok := local.Partitioning().Owner("customer", row[0])
+		if !ok {
+			t.Fatal("customer is not in the partitioning map")
+		}
+		ownersOfName[owner] = true
+		questions = append(questions, "show the credit of "+name, "orders of "+name)
+		if !cities[city] {
+			cities[city] = true
+			questions = append(questions,
+				"customers in "+city,
+				"how many customers are in "+city,
+				"orders of customers in "+city,
+				"total revenue of customers in "+city)
+		}
+	}
+	if len(ownersOfName) != 3 {
+		t.Fatalf("customer names live on shards %v, want all 3 covered", ownersOfName)
+	}
+
+	ctx := context.Background()
+	answered, refused, laterEngine := 0, 0, 0
+	for _, q := range questions {
+		want, werr := gw.Ask(ctx, q)
+		loc, lerr := local.Ask(ctx, q)
+		rem, rerr := remote.Ask(ctx, q)
+		switch {
+		case werr != nil:
+			// Nobody reads it: the same exhausted chain everywhere.
+			for _, err := range []error{werr, lerr, rerr} {
+				if !errors.Is(err, resilient.ErrExhausted) {
+					t.Errorf("%q: errors %v / %v / %v, want ErrExhausted from all three", q, werr, lerr, rerr)
+					break
+				}
+			}
+		case lerr != nil || rerr != nil:
+			// The gateway answers what a fleet must refuse; what matters is
+			// that the refusal is typed and the same in both fleets.
+			if !errors.Is(lerr, shard.ErrNotDistributable) || rerr == nil || rerr.Error() != lerr.Error() {
+				t.Errorf("%q: in-process refused with %v, remote with %v, want one ErrNotDistributable", q, lerr, rerr)
+			}
+			refused++
+		default:
+			if diff := sameAnswer(loc, want, false); diff != "" {
+				t.Errorf("%q: in-process cluster vs gateway: %s", q, diff)
+			}
+			if diff := sameAnswer(rem, loc, true); diff != "" {
+				t.Errorf("%q: remote fleet vs in-process cluster: %s", q, diff)
+			}
+			answered++
+			if want.Engine != chain[0].Name() {
+				laterEngine++
+			}
+		}
+	}
+	// The sample must exercise what it claims to: answers, refusals, and
+	// at least one answer from an engine behind the first.
+	if answered < 2*len(cust.Rows) || refused == 0 || laterEngine == 0 {
+		t.Fatalf("sample too thin: %d answers, %d refusals, %d from a later engine", answered, refused, laterEngine)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nlidb/internal/nlq"
 	"nlidb/internal/resilient"
 )
 
@@ -74,12 +73,13 @@ func (r *replica) observe(err error, elapsed time.Duration) {
 
 // replicaCountable reports whether a call failure indicates replica
 // ill-health. Cancellation is not: a hedge loser canceled because its
-// twin won, or a caller that gave up, says nothing about the replica. A
-// clean "no interpretation" chain miss is the replica answering honestly,
-// also not ill-health; but an exhausted chain full of panics or
-// timeouts, a dead node, or a deadline blown inside the call all count.
+// twin won, or a caller that gave up, says nothing about the replica.
+// Neither are a statement that fails on its own terms
+// (resilient.ErrStatement), a remote node's shedding, or its protocol
+// refusals; a dead node, a broken executor, or a deadline blown inside
+// the call all count.
 func replicaCountable(err error) bool {
-	if errors.Is(err, context.Canceled) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, resilient.ErrStatement) {
 		return false
 	}
 	var re *RemoteError
@@ -95,24 +95,6 @@ func replicaCountable(err error) bool {
 		// Conn, timeout, stale-epoch, and execution failures all count:
 		// the process is unreachable, too slow, misconfigured, or broken.
 		return true
-	}
-	if errors.Is(err, resilient.ErrExhausted) {
-		// An exhausted chain can mean "healthy but cannot interpret the
-		// question". Count it only when some attempt failed for an
-		// infrastructure reason — the same rule the gateway's own breakers
-		// use — not when every engine reported a clean semantic miss or
-		// was skipped by its breaker.
-		var ce *resilient.ChainError
-		if errors.As(err, &ce) {
-			for _, a := range ce.Attempts {
-				if a.Err == nil || errors.Is(a.Err, nlq.ErrNoInterpretation) ||
-					errors.Is(a.Err, resilient.ErrBreakerOpen) {
-					continue
-				}
-				return true
-			}
-		}
-		return false
 	}
 	return true
 }

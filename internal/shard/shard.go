@@ -1,18 +1,25 @@
 // Package shard turns the single-process NLIDB gateway into a
-// fault-tolerant sharded fleet. Rows are hash-partitioned across N
-// in-process engine shards (children co-located with their foreign-key
-// parents so FK joins stay shard-local), each shard is served by R
-// replicas — every replica a full resilient.Gateway over an immutable
-// copy-free view of its partition — and a Cluster coordinates:
+// fault-tolerant sharded fleet that interprets each question once. Rows
+// are hash-partitioned across N shards (children co-located with their
+// foreign-key parents so FK joins stay shard-local) and each shard is
+// served by R replicas. A replica is an executor and nothing else: a
+// chain-less resilient.Gateway over its partition in process, or a
+// cmd/nlidb -join child behind POST /internal/query. A Cluster
+// coordinates:
 //
-//   - questions route consistent-hash (rendezvous) to a home replica for
-//     NL interpretation, so each answer is interpreted and cached once
-//     fleet-wide;
-//   - the interpreted SQL is classified: single-shard queries are pruned
-//     to their owner shard, cross-shard queries scatter-gather with
-//     partial aggregation pushed down, and queries the coordinator cannot
-//     merge correctly fail with ErrNotDistributable — never silently
-//     wrong;
+//   - the one interpreter front — fallback chain, per-engine breakers,
+//     simplified retry, answer cache, singleflight, batch pool, trace root
+//     and slow log — is a resilient.Gateway built over the FULL database's
+//     vocabulary (resilient.NewOver), the same code a bare gateway runs;
+//     the Cluster is the Executor it hands each interpretation's SQL to;
+//   - that SQL is bound against the full schema, then classified:
+//     single-shard queries are pruned to their owner shard, cross-shard
+//     queries scatter-gather with partial aggregation pushed down, and
+//     queries the coordinator cannot merge correctly fail with
+//     ErrNotDistributable — never silently wrong;
+//   - routing verdicts and infrastructure failures (ErrNotDistributable,
+//     ErrShardDown, a dead deadline) go back to the front as
+//     resilient.Refusal: terminal, typed, and charged to no engine;
 //   - per-replica health (circuit breaker + EWMA latency + in-flight
 //     load) drives load-aware routing, slow calls hedge to a second
 //     replica after a latency-percentile delay, and failed shards degrade
@@ -47,9 +54,10 @@ const (
 	MetricHedges = "nlidb_shard_hedges_total"
 	// MetricRetries counts per-shard retry attempts after a failed call.
 	MetricRetries = "nlidb_shard_retries_total"
-	// MetricRoutes counts answered questions by route: "home" (answered
-	// entirely on the interpreting replica), "pruned" (forwarded to one
-	// owner shard), "scatter" (fanned out to all shards).
+	// MetricRoutes counts routed statements by route: "home" (no
+	// partitioned table involved, or a single-shard cluster: run whole on
+	// one rendezvous-chosen shard), "pruned" (sent to the one owner
+	// shard), "scatter" (fanned out to all shards).
 	MetricRoutes = "nlidb_shard_routes_total"
 	// MetricPartial counts scatter-gather answers returned Partial.
 	MetricPartial = "nlidb_shard_partial_total"
@@ -107,33 +115,11 @@ func (e *NotDistributableError) Error() string {
 // Unwrap lets errors.Is(err, ErrNotDistributable) match.
 func (e *NotDistributableError) Unwrap() error { return ErrNotDistributable }
 
-// Node is one replica endpoint: a full NL pipeline (Ask) plus a direct
-// SQL path (AskSQL) for pushed-down partial statements. The in-process
-// implementation is LocalNode; tests interpose ChaosNode to simulate
-// crashes and slowness.
-type Node interface {
-	// Ask answers a natural-language question over the node's partition.
-	Ask(ctx context.Context, question string) (*resilient.Answer, error)
-	// AskSQL executes trusted SQL over the node's partition.
-	AskSQL(ctx context.Context, sql string) (*resilient.Answer, error)
-}
-
-// LocalNode is an in-process replica: a resilient.Gateway over one
-// shard's partition database.
-type LocalNode struct {
-	// GW is the replica's gateway.
-	GW *resilient.Gateway
-}
-
-// Ask implements Node.
-func (n *LocalNode) Ask(ctx context.Context, question string) (*resilient.Answer, error) {
-	return n.GW.Ask(ctx, question)
-}
-
-// AskSQL implements Node.
-func (n *LocalNode) AskSQL(ctx context.Context, sql string) (*resilient.Answer, error) {
-	return n.GW.AskSQL(ctx, sql)
-}
+// Node is one replica endpoint: trusted SQL in, typed rows out, over the
+// node's partition. In process it is a chain-less *resilient.Gateway, out
+// of process a RemoteNode; tests interpose ChaosNode to simulate crashes
+// and slowness.
+type Node = resilient.Executor
 
 // ChaosNode wraps a Node with a kill switch and an optional artificial
 // delay, standing in for a crashed or degraded replica process. The
@@ -178,14 +164,6 @@ func (c *ChaosNode) gate(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// Ask implements Node.
-func (c *ChaosNode) Ask(ctx context.Context, question string) (*resilient.Answer, error) {
-	if err := c.gate(ctx); err != nil {
-		return nil, err
-	}
-	return c.Inner.Ask(ctx, question)
 }
 
 // AskSQL implements Node.

@@ -29,11 +29,6 @@ func (p *idProbe) record(ctx context.Context) {
 	p.mu.Unlock()
 }
 
-func (p *idProbe) Ask(ctx context.Context, q string) (*resilient.Answer, error) {
-	p.record(ctx)
-	return p.inner.Ask(ctx, q)
-}
-
 func (p *idProbe) AskSQL(ctx context.Context, q string) (*resilient.Answer, error) {
 	p.record(ctx)
 	return p.inner.AskSQL(ctx, q)
@@ -57,10 +52,11 @@ func childNamed(sp *obs.Span, name string) []*obs.Span {
 }
 
 // TestScatterTraceCrossNode is the acceptance shape: one scatter query's
-// trace must show the coordinator's classify/route spans, per-shard legs
-// with annotated replica attempts, the nested replica-gateway trace under
-// each attempt, and the merge — all under a single trace ID that the
-// replica nodes saw on the wire.
+// trace must show interpretation at the coordinator, its classify/route
+// spans, per-shard legs with annotated replica attempts, the nested
+// replica-executor trace (parse/plan/execute and nothing else) under each
+// attempt, and the merge — all under a single trace ID that the replica
+// nodes saw on the wire.
 func TestScatterTraceCrossNode(t *testing.T) {
 	db := fleetDB(t)
 	var probes []*idProbe
@@ -97,22 +93,18 @@ func TestScatterTraceCrossNode(t *testing.T) {
 		t.Fatalf("root attrs route=%q outcome=%q, want scatter/ok", root.Attr("route"), root.Attr("outcome"))
 	}
 
-	// Coordinator phase spans.
-	interp := tr.Find("interpret")
-	if interp == nil {
-		t.Fatal("no interpret span")
+	// Coordinator phase spans: the engine attempt holds interpret, then
+	// the routing of the SQL it produced. Interpretation touched no shard.
+	attempt := tr.Find("attempt sqlecho")
+	if attempt == nil {
+		t.Fatalf("no engine attempt span at the coordinator:\n%s", tr)
 	}
-	home, err := strconv.Atoi(interp.Attr("home"))
-	if err != nil || home < 0 || home >= 3 {
-		t.Fatalf("interpret home attr = %q, want a shard index", interp.Attr("home"))
+	interps := childNamed(attempt, "interpret")
+	if len(interps) != 1 || len(interps[0].Children()) != 0 {
+		t.Fatalf("attempt has %d interpret spans (want 1, a leaf):\n%s", len(interps), tr)
 	}
-	// Interpretation itself ran as a shard leg under the interpret span.
-	homeLegs := childNamed(interp, fmt.Sprintf("shard %d", home))
-	if len(homeLegs) == 0 {
-		t.Fatalf("interpret span has no 'shard %d' leg", home)
-	}
-	if got := homeLegs[0].Attr("stmt"); got != "nl" {
-		t.Fatalf("interpret leg stmt = %q, want nl", got)
+	if root.Attr("engine") != "sqlecho" || !strings.Contains(root.Attr("breakers"), "sqlecho=closed") {
+		t.Fatalf("root attrs engine=%q breakers=%q, want the front's", root.Attr("engine"), root.Attr("breakers"))
 	}
 	classify := tr.Find("classify")
 	if classify == nil || classify.Attr("route") != "scatter" {
@@ -135,9 +127,6 @@ func TestScatterTraceCrossNode(t *testing.T) {
 			t.Fatalf("scatter has %d 'shard %d' legs, want 1", len(legs), s)
 		}
 		leg := legs[0]
-		if got := leg.Attr("stmt"); got != "sql" {
-			t.Fatalf("shard %d leg stmt = %q, want sql (pushed-down partial)", s, got)
-		}
 		attempts := childNamed(leg, "attempt")
 		if len(attempts) == 0 {
 			t.Fatalf("shard %d leg has no attempt span", s)
@@ -149,10 +138,19 @@ func TestScatterTraceCrossNode(t *testing.T) {
 		if at.Attr("breaker") != "closed" || at.Attr("outcome") != "ok" {
 			t.Fatalf("shard %d attempt breaker=%q outcome=%q", s, at.Attr("breaker"), at.Attr("outcome"))
 		}
-		// The replica's own gateway trace joined the tree across the node
-		// boundary: its root "query" span hangs under the attempt.
-		if len(childNamed(at, "query")) == 0 {
+		// The replica's own trace joined the tree across the node boundary:
+		// its root "query" span hangs under the attempt, and holds the
+		// executor stages only.
+		queries := childNamed(at, "query")
+		if len(queries) == 0 {
 			t.Fatalf("shard %d attempt has no nested replica query span", s)
+		}
+		var stages []string
+		for _, c := range queries[0].Children() {
+			stages = append(stages, c.Name)
+		}
+		if got := strings.Join(stages, ","); got != "parse,plan,execute" {
+			t.Fatalf("shard %d replica subtree = %q, want parse,plan,execute", s, got)
 		}
 	}
 
@@ -168,13 +166,13 @@ func TestScatterTraceCrossNode(t *testing.T) {
 	}
 
 	// Every node-boundary crossing carried the coordinator's trace ID:
-	// 1 NL interpretation call + 3 scatter SQL calls, all under one ID.
+	// the 3 scatter legs and nothing else, all under one ID.
 	var seen []obs.TraceID
 	for _, p := range probes {
 		seen = append(seen, p.recorded()...)
 	}
-	if len(seen) != 4 {
-		t.Fatalf("replica nodes saw %d calls, want 4 (interpret + 3 scatter legs)", len(seen))
+	if len(seen) != 3 {
+		t.Fatalf("replica nodes saw %d calls, want 3 (one per scatter leg)", len(seen))
 	}
 	for _, id := range seen {
 		if id != tr.ID {
@@ -230,14 +228,14 @@ func TestCoordinatorSlowLogAndTraceStore(t *testing.T) {
 		t.Fatalf("slow log has %d entries, want 1", len(entries))
 	}
 	e := entries[0]
-	if e.Route != "scatter" || e.Shards != 4 || e.Partial || e.Outcome != "ok" {
-		t.Fatalf("entry = route %q shards %d partial %v outcome %q, want scatter/4/false/ok", e.Route, e.Shards, e.Partial, e.Outcome)
+	if e.Route != "scatter" || e.Shards != 3 || e.Partial || e.Outcome != "ok" {
+		t.Fatalf("entry = route %q shards %d partial %v outcome %q, want scatter/3/false/ok", e.Route, e.Shards, e.Partial, e.Outcome)
 	}
 	if e.TraceID != ans.Trace.ID {
 		t.Fatalf("entry trace ID %q != answer's %q", e.TraceID, ans.Trace.ID)
 	}
 	line := slow.String()
-	for _, want := range []string{"route=scatter", "shards=4", "trace=" + string(e.TraceID)} {
+	for _, want := range []string{"route=scatter", "shards=3", "trace=" + string(e.TraceID)} {
 		if !strings.Contains(line, want) {
 			t.Errorf("slow-log line missing %q:\n%s", want, line)
 		}
@@ -295,8 +293,8 @@ func TestFleetRollups(t *testing.T) {
 			t.Fatalf("shard %d served %d requests but reports p99 = %g", sh.Shard, sh.Requests, sh.P99MS)
 		}
 	}
-	// 5 scatters x 2 shards + 1 interpret each + the pruned question's
-	// legs: at least 11 replica calls fleet-wide.
+	// 5 scatters x 2 shards + the pruned question's leg: at least 11
+	// replica calls fleet-wide.
 	if totalReq < 11 {
 		t.Fatalf("fleet-wide requests = %d, want >= 11", totalReq)
 	}

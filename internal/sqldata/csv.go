@@ -2,8 +2,13 @@ package sqldata
 
 import (
 	"encoding/csv"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
@@ -15,6 +20,15 @@ import (
 // become NULL. The header supplies column names (normalized to lower-case
 // with spaces replaced by underscores).
 func LoadCSV(name string, r io.Reader) (*Table, error) {
+	return loadCSV(name, nil, r)
+}
+
+// loadCSV is LoadCSV with an optional declared schema: when declared is
+// non-nil its name, column types, keys and synonyms are the table's, the
+// header only has to name the same columns in the same order, and nothing
+// is inferred — an all-integral FLOAT column stays FLOAT, a TEXT column
+// of digit strings stays TEXT.
+func loadCSV(name string, declared *Schema, r io.Reader) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
 	records, err := cr.ReadAll()
@@ -27,19 +41,26 @@ func LoadCSV(name string, r io.Reader) (*Table, error) {
 	header := records[0]
 	body := records[1:]
 
-	types := make([]Type, len(header))
-	for c := range header {
-		types[c] = inferColumnType(body, c)
-	}
-
-	schema := &Schema{Name: name}
-	for c, h := range header {
-		col := strings.ToLower(strings.TrimSpace(h))
-		col = strings.ReplaceAll(col, " ", "_")
-		if col == "" {
-			return nil, fmt.Errorf("sqldata: csv %q: empty header in column %d", name, c+1)
+	schema := declared
+	if schema == nil {
+		schema = &Schema{Name: name}
+		for c, h := range header {
+			col := strings.ToLower(strings.TrimSpace(h))
+			col = strings.ReplaceAll(col, " ", "_")
+			if col == "" {
+				return nil, fmt.Errorf("sqldata: csv %q: empty header in column %d", name, c+1)
+			}
+			schema.Columns = append(schema.Columns, Column{Name: col, Type: inferColumnType(body, c)})
 		}
-		schema.Columns = append(schema.Columns, Column{Name: col, Type: types[c]})
+	} else {
+		if len(header) != len(schema.Columns) {
+			return nil, fmt.Errorf("sqldata: csv %q: %d columns, its schema declares %d", name, len(header), len(schema.Columns))
+		}
+		for c, h := range header {
+			if !strings.EqualFold(strings.TrimSpace(h), schema.Columns[c].Name) {
+				return nil, fmt.Errorf("sqldata: csv %q: column %d is %q, its schema declares %q", name, c+1, h, schema.Columns[c].Name)
+			}
+		}
 	}
 	tbl, err := NewTable(schema)
 	if err != nil {
@@ -51,7 +72,7 @@ func LoadCSV(name string, r io.Reader) (*Table, error) {
 		}
 		row := make(Row, len(rec))
 		for c, cell := range rec {
-			v, err := parseCell(cell, types[c])
+			v, err := parseCell(cell, schema.Columns[c].Type)
 			if err != nil {
 				return nil, fmt.Errorf("sqldata: csv %q row %d column %q: %w", name, ri+2, schema.Columns[c].Name, err)
 			}
@@ -185,4 +206,77 @@ func WriteCSV(w io.Writer, res *Result) error {
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// schemaSidecar names the file that carries a CSV file's declared schema:
+// "orders.csv" → "orders.schema.json", in the same directory.
+func schemaSidecar(csvPath string) string {
+	return strings.TrimSuffix(csvPath, filepath.Ext(csvPath)) + ".schema.json"
+}
+
+// WriteCSVFile writes t's rows to path as CSV and its declared schema —
+// name, column types, primary key, foreign keys, synonyms — to the
+// sidecar next to it, so LoadCSVFile rebuilds the table as declared
+// instead of re-inferring it from the text.
+func WriteCSVFile(path string, t *Table) error {
+	header := make([]string, len(t.Schema.Columns))
+	for i, c := range t.Schema.Columns {
+		header[i] = c.Name
+	}
+	err := writeFile(path, func(w io.Writer) error {
+		return WriteCSV(w, &Result{Columns: header, Rows: t.Rows})
+	})
+	if err != nil {
+		return err
+	}
+	return writeFile(schemaSidecar(path), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(t.Schema)
+	})
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("%s: %w", path, werr)
+	}
+	return nil
+}
+
+// LoadCSVFile loads one CSV file as a table. When the file has a schema
+// sidecar (see WriteCSVFile) the table is built as declared there;
+// otherwise it is named after the file and its column types are inferred
+// (LoadCSV). Errors carry the path, and for a bad cell its row and
+// column.
+func LoadCSVFile(path string) (*Table, error) {
+	var declared *Schema
+	side := schemaSidecar(path)
+	switch data, err := os.ReadFile(side); {
+	case err == nil:
+		declared = &Schema{}
+		if err := json.Unmarshal(data, declared); err != nil {
+			return nil, fmt.Errorf("%s: %w", side, err)
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return nil, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
+	tbl, err := loadCSV(name, declared, f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return tbl, nil
 }

@@ -47,6 +47,21 @@ func (t Type) String() string {
 	}
 }
 
+// MarshalText spells the type the way String does, so a serialized
+// schema reads "FLOAT" and survives a reordering of the constants.
+func (t Type) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
+// UnmarshalText is MarshalText's inverse; unknown spellings are an error.
+func (t *Type) UnmarshalText(text []byte) error {
+	for c := TypeInt; c <= TypeDate; c++ {
+		if c.String() == string(text) {
+			*t = c
+			return nil
+		}
+	}
+	return fmt.Errorf("sqldata: unknown column type %q", text)
+}
+
 // Numeric reports whether values of the type can participate in arithmetic.
 func (t Type) Numeric() bool { return t == TypeInt || t == TypeFloat }
 

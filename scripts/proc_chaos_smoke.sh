@@ -10,6 +10,12 @@
 #   - zero wrong answers: every 200 response either carries the correct
 #     fleet-wide COUNT, or says so when it could not ("partial": true
 #     with a smaller count); errors/sheds are honest refusals,
+#   - the fleet reads values like the unsharded database does: one
+#     "how many customers are in <city>" per distinct customer city is
+#     asked through the fleet, before and during the kill window, and
+#     must match the one-shot unsharded nlidb answer on the same seed
+#     (the coordinator interprets over the full vocabulary; no child
+#     sees a question),
 #   - bounded recovery: the supervisor relaunches the killed children
 #     (with backoff) and a correct non-partial answer returns within
 #     the recovery deadline,
@@ -67,15 +73,70 @@ fi
 
 QUESTION='{"question": "how many customers are there"}'
 
+# count_of prints the single COUNT cell of a /query response, or nothing.
+count_of() {
+    printf '%s' "$1" | sed -n 's/.*"rows":\[\["\([0-9][0-9]*\)"\]\].*/\1/p'
+}
+
+# The unsharded truth, from one-shot runs of the same binary on the same
+# seed: the distinct customer cities, then "city count" for each.
+CITIES="$("$TMP/nlidb" "number of customers per city" | sed -n 's/^  \([A-Za-z][A-Za-z]*\) *| [0-9].*/\1/p')"
+: >"$TMP/cities.txt"
+for city in $CITIES; do
+    want="$("$TMP/nlidb" "how many customers are in $city" | awk 'prev ~ /^  -+ *$/ { print $1; exit } { prev = $0 }')"
+    echo "$city $want" >>"$TMP/cities.txt"
+done
+NCITIES="$(grep -c '^[A-Za-z][A-Za-z]* [0-9][0-9]*$' "$TMP/cities.txt" || true)"
+if [ "$NCITIES" -lt 2 ]; then
+    echo "proc-chaos: could not read per-city counts from the unsharded binary:" >&2
+    cat "$TMP/cities.txt" >&2
+    exit 1
+fi
+
+# check_cities PHASE asks the per-city question through the fleet and
+# compares with the unsharded answer. A 200 must carry the same count, or
+# be flagged partial with a count no larger; anything else is a wrong
+# answer. Non-200s are honest refusals. Sets COMPARED and PARTIALS.
+WRONG=0
+check_cities() {
+    COMPARED=0
+    PARTIALS=0
+    while read -r city want; do
+        q="how many customers are in $city"
+        got_json="$(curl -s -m 5 -X POST "http://$ADDR/query" -d "{\"question\": \"$q\"}" || true)"
+        got="$(count_of "$got_json")"
+        [ -z "$got" ] && continue
+        COMPARED=$((COMPARED + 1))
+        if printf '%s' "$got_json" | grep -q '"partial": *true'; then
+            PARTIALS=$((PARTIALS + 1))
+            if [ "$got" -gt "$want" ]; then
+                echo "proc-chaos: $1: \"$q\": partial answer $got exceeds the unsharded $want" >&2
+                WRONG=$((WRONG + 1))
+            fi
+        elif [ "$got" != "$want" ]; then
+            echo "proc-chaos: $1: WRONG answer for \"$q\": fleet $got, unsharded $want: $got_json" >&2
+            WRONG=$((WRONG + 1))
+        fi
+    done <"$TMP/cities.txt"
+}
+
 # Ground truth from the healthy fleet.
 curl -sf -X POST "http://$ADDR/query" -d "$QUESTION" >"$TMP/base.json"
-TOTAL="$(sed -n 's/.*"rows":\[\["\([0-9][0-9]*\)"\]\].*/\1/p' "$TMP/base.json")"
+TOTAL="$(count_of "$(cat "$TMP/base.json")")"
 if [ -z "$TOTAL" ]; then
     echo "proc-chaos: baseline COUNT unreadable: $(cat "$TMP/base.json")" >&2
     exit 1
 fi
 if grep -q '"partial": *true' "$TMP/base.json"; then
     echo "proc-chaos: healthy fleet answered partial: $(cat "$TMP/base.json")" >&2
+    exit 1
+fi
+
+# Healthy fleet: every city answers, whole, with the unsharded count.
+check_cities healthy
+if [ "$COMPARED" -ne "$NCITIES" ] || [ "$PARTIALS" -ne 0 ] || [ "$WRONG" -ne 0 ]; then
+    echo "proc-chaos: healthy fleet answered $COMPARED of $NCITIES city questions ($PARTIALS partial, $WRONG wrong)" >&2
+    cat "$TMP/out.log" >&2
     exit 1
 fi
 
@@ -100,6 +161,11 @@ for s in 0 1; do
     fi
     kill -9 "$CHILD"
 done
+
+# Inside the kill window the same questions must stay right: the
+# surviving replicas answer, or the answer says it is partial.
+check_cities kill-window
+CITY_ANSWERS=$((NCITIES + COMPARED))
 
 # Let the load run through the kill window.
 sleep 1
@@ -137,10 +203,9 @@ status=0
 # or an honest partial (smaller count, flagged). Non-200s (sheds, shard
 # down) are honest refusals and don't count against correctness.
 ANSWERS=0
-WRONG=0
 while IFS= read -r line; do
     [ -z "$line" ] && continue
-    count="$(printf '%s' "$line" | sed -n 's/.*"rows":\[\["\([0-9][0-9]*\)"\]\].*/\1/p')"
+    count="$(count_of "$line")"
     [ -z "$count" ] && continue
     ANSWERS=$((ANSWERS + 1))
     if printf '%s' "$line" | grep -q '"partial": *true'; then
@@ -202,4 +267,4 @@ if [ "$status" -ne 0 ]; then
     cat "$TMP/out.log" >&2
     exit "$status"
 fi
-echo "proc-chaos: ok ($ANSWERS answers under real-process SIGKILL chaos, 0 wrong; children restarted and reaped on $ADDR)"
+echo "proc-chaos: ok ($ANSWERS load answers and $CITY_ANSWERS per-city answers under real-process SIGKILL chaos, 0 wrong; children restarted and reaped on $ADDR)"

@@ -6,9 +6,11 @@
 # HTTP, and asserts the distributed-tracing contract end to end:
 #   - the /query response carries a trace_id,
 #   - GET /trace?id=<trace_id> renders ONE span tree that crosses the
-#     coordinator/replica boundary: classify + scatter routing at the
-#     coordinator, per-replica attempt spans, the replica gateway's own
-#     interpret/execute spans nested beneath them, and the merge span,
+#     coordinator/replica boundary: the engine attempt with its interpret
+#     span at the coordinator — the question is interpreted once, there —
+#     then classify + scatter routing, per-replica attempt spans, each
+#     replica executor's own span tree nested beneath them holding
+#     parse/plan/execute and nothing else, and the merge span,
 #   - /fleet reports per-shard/per-replica rollups with closed breakers,
 #   - /slo reports multi-window burn rates that saw the request,
 #   - the nlidb_shard_* and nlidb_slo_* families ride the /metrics scrape,
@@ -67,16 +69,40 @@ if [ -z "$TID" ]; then
 fi
 
 # The exemplar store must render the whole distributed tree under that ID:
-# coordinator spans (classify/scatter/merge), the per-replica attempt legs,
-# and the replica gateway's own spans (interpret/execute) nested beneath —
-# proof that one trace crosses the coordinator/replica boundary.
+# coordinator spans (interpret/classify/scatter/merge), the per-replica
+# attempt legs, and the replica executors' own spans (parse/plan/execute)
+# nested beneath — proof that one trace crosses the coordinator/replica
+# boundary.
 curl -sf "http://$ADDR/trace?id=$TID" >"$TMP/trace.txt"
-for span in classify route=scatter scatter attempt replica= execute merge; do
+for span in interpret classify route=scatter scatter attempt replica= parse plan execute merge; do
     if ! grep -q "$span" "$TMP/trace.txt"; then
         echo "trace-smoke: /trace?id=$TID missing \"$span\"" >&2
         status=1
     fi
 done
+# Who did what: exactly one interpret span, above every shard leg (so at
+# the coordinator), and under each replica's "query" root only the
+# executor stages. Tree glyphs become ASCII of the same width so a span's
+# depth is the column of its name; lines without a branch glyph are
+# attribute continuations (the plan rendering), not spans.
+if ! sed 's/│/|/g; s/├─/+-/g; s/└─/+-/g' "$TMP/trace.txt" | awk '
+    /\+- [a-z]/ {
+        col = match($0, /\+- [a-z]/) + 3
+        name = substr($0, col); sub(/ .*/, "", name)
+        if (inq && col <= inq) inq = 0
+        if (name == "interpret") { interprets++; if (shards) bad = bad " interpret-below-a-shard-leg" }
+        if (name == "shard") shards++
+        if (inq && col == inq + 3 && name != "parse" && name != "plan" && name != "execute")
+            bad = bad " replica-span:" name
+        if (name == "query") { inq = col; replicas++ }
+    }
+    END {
+        if (interprets != 1) bad = bad " interpret-spans:" interprets
+        if (replicas < 3) bad = bad " replica-trees:" replicas
+        if (bad != "") { print "trace-smoke: span placement wrong:" bad; exit 1 }
+    }' >&2; then
+    status=1
+fi
 
 # /fleet: per-shard rollups, every replica breaker closed after a healthy
 # scatter that touched all three shards.
