@@ -166,4 +166,4 @@ bench-remote-shard: build
 bench-session: build
 	$(GO) run -race ./cmd/nlidb-bench -session BENCH_session.json
 
-check: build vet test race bench-check tables-check proc-chaos
+check: build vet test race bench-check tables-check proc-chaos overload-smoke

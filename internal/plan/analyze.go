@@ -229,6 +229,57 @@ func safeType(e bexpr) sType {
 	return unsafe()
 }
 
+// boundedK returns the LIMIT when the ORDER BY tail may keep just that
+// many rows with a bounded heap instead of sorting them all, else -1.
+// DISTINCT dedups after the sort, so it needs every row; and a key whose
+// values are not statically of one comparable class could make Compare
+// fail on some pair, which only the full sort is sure to reach.
+func (p *Plan) boundedK() int {
+	if len(p.orderBy) == 0 || p.limit < 0 || p.distinct {
+		return -1
+	}
+	for _, o := range p.orderBy {
+		if !p.sortTyped(o.key) {
+			return -1
+		}
+	}
+	return p.limit
+}
+
+// sortTyped reports whether any two non-NULL values e produces (in rows
+// that were emitted, so e itself did not fail) compare without error: a
+// statically typed safe expression, an aggregate with a numeric result
+// or MIN/MAX of such an expression, or a select alias of one of those.
+func (p *Plan) sortTyped(e bexpr) bool {
+	switch t := e.(type) {
+	case *bAlias:
+		if t.level != 0 {
+			return false
+		}
+		slot := 0
+		for _, it := range p.items {
+			if it.star {
+				slot += len(it.offs)
+				continue
+			}
+			if slot == t.slot {
+				return p.sortTyped(it.expr)
+			}
+			slot++
+		}
+		return false
+	case *bAgg:
+		switch t.name {
+		case "COUNT", "SUM", "AVG":
+			return true
+		case "MIN", "MAX":
+			return t.arg != nil && safeType(t.arg).safe
+		}
+		return false
+	}
+	return safeType(e).safe
+}
+
 // predSafe reports whether e can serve as a pushed-down or hash-join
 // predicate: evaluation can never error and the result is BOOL or NULL.
 func predSafe(e bexpr) bool {

@@ -467,6 +467,7 @@ func (b *binder) bindStmt(stmt *sqlparse.SelectStmt, parent *bindEnv) (*Plan, er
 		p.orderBy = append(p.orderBy, boundOrder{key: k, desc: o.Desc})
 		p.orderDisp = append(p.orderDisp, o.String())
 	}
+	p.topk = p.boundedK()
 
 	if err := b.planFrom(p, stmt, sc, tabs, ons, where); err != nil {
 		return nil, err

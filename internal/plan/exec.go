@@ -196,40 +196,78 @@ func (p *Plan) run(env *execEnv) (*sqldata.Result, error) {
 		}
 	}
 
-	return p.finishRows(env, out)
+	return p.finishRows(env, out, len(out))
+}
+
+// cmpKeys orders two rows by their ORDER BY keys: NULLs first ascending,
+// last descending. It fails only where sqldata.Compare does.
+func (p *Plan) cmpKeys(x, y []sqldata.Value) (int, error) {
+	for k, o := range p.orderBy {
+		a, b := x[k], y[k]
+		if a.Null || b.Null {
+			if a.Null && b.Null {
+				continue
+			}
+			return o.nullOrder(a.Null), nil
+		}
+		c, err := sqldata.Compare(a, b)
+		if err != nil {
+			return 0, err
+		}
+		if c != 0 {
+			return o.directed(c), nil
+		}
+	}
+	return 0, nil
+}
+
+// nullOrder orders a NULL key against a non-NULL one (aNull says which
+// is the NULL): first ascending, last descending.
+func (o boundOrder) nullOrder(aNull bool) int {
+	if aNull != o.desc {
+		return -1
+	}
+	return 1
+}
+
+// directed flips an ascending comparison for DESC.
+func (o boundOrder) directed(c int) int {
+	if o.desc {
+		return -c
+	}
+	return c
 }
 
 // finishRows applies the shared ORDER BY / DISTINCT / LIMIT tail to the
 // emitted rows and fills the projection/result stat slots. Both executors
 // (row-at-a-time and vectorized) funnel through it, so the output ordering
-// and dedup semantics cannot drift between them.
-func (p *Plan) finishRows(env *execEnv, out []outRow) (*sqldata.Result, error) {
-	// ORDER BY (stable, so ties keep input order).
-	if len(p.orderBy) > 0 {
+// and dedup semantics cannot drift between them. projected is how many
+// rows the projection produced: the vectorized emit hands over only the
+// ones the tail can return.
+func (p *Plan) finishRows(env *execEnv, out []outRow, projected int) (*sqldata.Result, error) {
+	switch {
+	case len(p.orderBy) == 0:
+	case p.topk >= 0 && p.topk < len(out):
+		// Bounded: keep the topk rows a stable sort would put first.
+		// The keys are statically typed, so cmpKeys cannot fail.
+		sel := make([]outRow, p.topk)
+		for o, i := range topK(len(out), p.topk, func(i, j int32) int {
+			c, _ := p.cmpKeys(out[i].keys, out[j].keys)
+			return c
+		}) {
+			sel[o] = out[i]
+		}
+		out = sel
+	default:
+		// Stable, so ties keep input order.
 		var sortErr error
 		sort.SliceStable(out, func(i, j int) bool {
-			for k, o := range p.orderBy {
-				a, b := out[i].keys[k], out[j].keys[k]
-				// NULLs sort first ascending, last descending.
-				if a.Null || b.Null {
-					if a.Null && b.Null {
-						continue
-					}
-					return a.Null != o.desc
-				}
-				c, err := sqldata.Compare(a, b)
-				if err != nil {
-					sortErr = err
-					return false
-				}
-				if c != 0 {
-					if o.desc {
-						return c > 0
-					}
-					return c < 0
-				}
+			c, err := p.cmpKeys(out[i].keys, out[j].keys)
+			if err != nil {
+				sortErr = err
+				return false
 			}
-			return false
+			return c < 0
 		})
 		if sortErr != nil {
 			return nil, sortErr
@@ -255,7 +293,7 @@ func (p *Plan) finishRows(env *execEnv, out []outRow) (*sqldata.Result, error) {
 		result.Rows = nil
 	}
 	if env.stats != nil {
-		env.stats[p.nidProject] = int64(len(out))
+		env.stats[p.nidProject] = int64(projected)
 		env.stats[p.nidResult] = int64(len(result.Rows))
 	}
 	return result, nil

@@ -4,12 +4,17 @@ import (
 	"fmt"
 	"strings"
 
+	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlparse"
 )
 
 // EXPLAIN renders the physical operator tree — what will actually run —
 // rather than the statement's syntactic shape: push-down shows up as
-// [filter: ...] annotations on scans, and each join names its algorithm.
+// [filter: ...] annotations on scans, each join names its algorithm, a
+// Sort that only keeps the LIMIT rows says topk=<k>, and under the
+// vectorized executor the group and hash-join lines name the machine
+// word each key lane is hashed as (keys=code: a text dictionary code,
+// int, float: canonical bits, bool; fold(...) for a composite).
 
 // Explain renders the plan as an indented operator tree.
 func (p *Plan) Explain() string {
@@ -26,6 +31,38 @@ type renderer struct {
 	sb    strings.Builder
 	stats *Stats
 	est   []int64
+	vec   bool // the plan runs vectorized: key representations are typed
+}
+
+// keysSuffix names how the vectorized executor hashes an operator's key
+// lanes, from their static types. A join passes the other side's keys
+// too: a FLOAT lane paired with an INT one is hashed as the equal integer.
+func (r *renderer) keysSuffix(keys, other []bexpr) string {
+	if !r.vec || len(keys) == 0 {
+		return ""
+	}
+	names := make([]string, len(keys))
+	for i, k := range keys {
+		st := safeType(k)
+		switch {
+		case st.null:
+			names[i] = "null"
+		case other != nil && safeType(other[i]).t == sqldata.TypeInt:
+			names[i] = "int"
+		case st.t == sqldata.TypeText:
+			names[i] = "code"
+		case st.t == sqldata.TypeFloat:
+			names[i] = "float"
+		case st.t == sqldata.TypeBool:
+			names[i] = "bool"
+		default:
+			names[i] = "int"
+		}
+	}
+	if len(names) == 1 {
+		return " keys=" + names[0]
+	}
+	return " keys=fold(" + strings.Join(names, ",") + ")"
 }
 
 func (r *renderer) line(depth int, format string, args ...any) {
@@ -48,7 +85,7 @@ func (r *renderer) statLine(depth, nid int, format string, args ...any) {
 }
 
 func (p *Plan) render(s *Stats) string {
-	r := &renderer{stats: s, est: p.est}
+	r := &renderer{stats: s, est: p.est, vec: p.vec != nil}
 	p.renderTo(r, 0)
 	return strings.TrimRight(r.sb.String(), "\n")
 }
@@ -63,7 +100,11 @@ func (p *Plan) renderTo(r *renderer, depth int) {
 		depth++
 	}
 	if len(p.orderBy) > 0 {
-		r.line(depth, "Sort [%s]", strings.Join(p.orderDisp, ", "))
+		if p.topk >= 0 {
+			r.line(depth, "Sort [%s] topk=%d", strings.Join(p.orderDisp, ", "), p.topk)
+		} else {
+			r.line(depth, "Sort [%s]", strings.Join(p.orderDisp, ", "))
+		}
 		depth++
 	}
 	r.statLine(depth, p.nidProject, "Project [%s]", strings.Join(p.itemsDisp, ", "))
@@ -74,7 +115,7 @@ func (p *Plan) renderTo(r *renderer, depth int) {
 	}
 	if p.grouped {
 		if len(p.groupKeys) > 0 {
-			r.statLine(depth, p.nidGroup, "HashGroupBy [%s]", strings.Join(p.groupDisp, ", "))
+			r.statLine(depth, p.nidGroup, "HashGroupBy [%s]%s", strings.Join(p.groupDisp, ", "), r.keysSuffix(p.groupKeys, nil))
 		} else {
 			r.line(depth, "Aggregate (global)")
 		}
@@ -102,7 +143,7 @@ func renderNode(r *renderer, n node, depth int) {
 		renderNode(r, t.child, depth+1)
 
 	case *joinNode:
-		r.statLine(depth, t.nid, "%s (%s)", joinName(t), t.onDisp)
+		r.statLine(depth, t.nid, "%s (%s)%s", joinName(t), t.onDisp, r.keysSuffix(t.lKeys, t.rKeys))
 		renderNode(r, t.left, depth+1)
 		renderNode(r, t.right, depth+1)
 	}

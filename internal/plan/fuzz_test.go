@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"nlidb/internal/sqldata"
@@ -13,7 +14,12 @@ import (
 // orders, product, category; name/city/total/status/placed/credit/...),
 // so mutated seeds keep resolving. "name" appears in three tables to
 // exercise ambiguity handling, and NULLs are sprinkled through nullable
-// columns to exercise three-valued logic and join padding.
+// columns to exercise three-valued logic and join padding. probe holds the
+// key values the typed-key paths must canonicalize: a FLOAT column with
+// -0, 0, two NaNs, 2.0 and an integral float whose int64 value equals the
+// IEEE bits of 1.5, a nullable BOOL, a text column whose dictionary only
+// partly overlaps customer.city, and an INT wide enough to leave the
+// direct key table.
 func fuzzDB() *sqldata.Database {
 	db := sqldata.NewDatabase("fuzz")
 	null := sqldata.NullValue()
@@ -81,6 +87,27 @@ func fuzzDB() *sqldata.Database {
 	}
 	category.MustInsert(sqldata.NewInt(1), sqldata.NewText("tools"))
 	category.MustInsert(sqldata.NewInt(2), sqldata.NewText("toys"))
+
+	probe, err := db.CreateTable(&sqldata.Schema{
+		Name: "probe",
+		Columns: []sqldata.Column{
+			{Name: "pid", Type: sqldata.TypeInt, PrimaryKey: true},
+			{Name: "f", Type: sqldata.TypeFloat},
+			{Name: "flag", Type: sqldata.TypeBool},
+			{Name: "tag", Type: sqldata.TypeText},
+			{Name: "big", Type: sqldata.TypeInt},
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+	for i, f := range []float64{math.Copysign(0, -1), 0, math.NaN(), 2, 4609434218613702656.0, 1.5, -math.NaN(), 2, 1200} {
+		flag, tag := sqldata.NewBool(i%2 == 0), sqldata.NewText([]string{"Berlin", "Quito", "Paris"}[i%3])
+		if i%4 == 3 {
+			flag, tag = null, null
+		}
+		probe.MustInsert(sqldata.NewInt(int64(i+1)), sqldata.NewFloat(f), flag, tag, sqldata.NewInt(int64(i%3)<<40+int64(i%2)))
+	}
 	return db
 }
 
@@ -141,6 +168,31 @@ func FuzzPlanExec(f *testing.F) {
 		"SELECT c.name FROM customer AS c LEFT JOIN orders AS o ON c.id = o.customer_id AND o.status = 'done'",
 		"SELECT MAX(total) FROM orders JOIN customer ON orders.customer_id = customer.id WHERE customer.city = 'Atlantis'",
 		"SELECT status, COUNT(DISTINCT customer_id) FROM orders GROUP BY status ORDER BY status",
+		// Typed keys: NULL text groups, LEFT JOIN pads as group keys,
+		// composite (text, int) / (text, text) / (float, bool) keys, the
+		// FLOAT corner cases, INT-vs-FLOAT and cross-dictionary text join
+		// keys, DISTINCT text aggregates.
+		"SELECT city, COUNT(*) FROM customer GROUP BY city",
+		"SELECT o.status, COUNT(*) FROM customer AS c LEFT JOIN orders AS o ON c.id = o.customer_id GROUP BY o.status",
+		"SELECT city, id, COUNT(*) FROM customer GROUP BY city, id",
+		"SELECT city, name, SUM(credit) FROM customer GROUP BY city, name",
+		"SELECT f, flag, COUNT(*) FROM probe GROUP BY f, flag",
+		"SELECT f, COUNT(*), COUNT(DISTINCT tag) FROM probe GROUP BY f",
+		"SELECT big, MIN(f), MAX(tag) FROM probe GROUP BY big",
+		"SELECT c.name, p.pid FROM customer AS c JOIN probe AS p ON c.id = p.f",
+		"SELECT c.name, p.pid FROM probe AS p JOIN customer AS c ON p.f = c.credit",
+		"SELECT c.name, p.pid FROM customer AS c JOIN probe AS p ON c.city = p.tag",
+		"SELECT c.name, p.pid FROM probe AS p LEFT JOIN customer AS c ON p.tag = c.city AND p.pid = c.id",
+		"SELECT flag, COUNT(DISTINCT tag) FROM probe GROUP BY flag",
+		// Bounded ORDER BY: ties, LIMIT 0, LIMIT past the input, NULL keys
+		// both directions, mixed directions, and DISTINCT (full sort).
+		"SELECT pid FROM probe ORDER BY flag LIMIT 4",
+		"SELECT pid FROM probe ORDER BY f DESC, tag LIMIT 0",
+		"SELECT pid FROM probe ORDER BY tag DESC, f ASC LIMIT 50",
+		"SELECT name FROM customer ORDER BY city LIMIT 2",
+		"SELECT name FROM customer ORDER BY city DESC, credit LIMIT 3",
+		"SELECT DISTINCT tag FROM probe ORDER BY tag DESC LIMIT 2",
+		"SELECT tag, COUNT(*) AS c FROM probe GROUP BY tag ORDER BY c DESC LIMIT 1",
 	}
 	for _, s := range seeds {
 		f.Add(s)

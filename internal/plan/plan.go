@@ -49,6 +49,9 @@ type Plan struct {
 	orderDisp []string
 	distinct  bool
 	limit     int // negative = no LIMIT
+	// topk is limit when ORDER BY can be a bounded selection instead of a
+	// full sort (see boundedK), else -1.
+	topk int
 
 	subplans []*Plan // directly nested sub-queries, in bind order
 

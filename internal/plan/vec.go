@@ -66,13 +66,13 @@ type vjoinStep struct {
 	right    vscanStep
 	leftJoin bool
 	span     string
-	// buildLeft builds the hash table on the (estimated smaller) left
-	// working set and probes with right rows, buffering matches per left
-	// tuple so output order stays left-major — identical to probing left.
+	// buildLeft numbers the join keys from the (estimated smaller) left
+	// working set and looks the right rows' keys up, instead of the
+	// reverse. Candidates are counted and filled per left tuple either
+	// way, so output order stays left-major.
 	buildLeft  bool
 	lKeys      []bexpr // statement-tuple offsets
 	rKeys      []bexpr // right-table-local offsets
-	kinds      []keyKind
 	residual   []bexpr // statement-tuple offsets over the combined row
 	leftEstIdx int     // nid of the left input, for explain/debugging
 }
@@ -170,7 +170,6 @@ func compileVec(p *Plan) *vplan {
 			span:       j.span,
 			lKeys:      j.lKeys,
 			rKeys:      j.rKeys,
-			kinds:      j.kinds,
 			residual:   j.residual,
 			leftEstIdx: leftNid,
 		}

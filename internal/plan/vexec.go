@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -19,7 +21,10 @@ import (
 
 // vcol is one evaluated expression over the working set: a typed payload
 // slice plus an optional null mask. cnst marks a broadcast scalar whose
-// slices have length 1.
+// slices have length 1. A TEXT lane that is a plain column reference
+// carries the column's dictionary codes (and, gathered through a
+// selection vector, only those: texts is nil and textAt reads the
+// dictionary), so its equality key is an integer.
 type vcol struct {
 	t    sqldata.Type
 	cnst bool
@@ -29,6 +34,9 @@ type vcol struct {
 	floats []float64
 	texts  []string
 	bools  []bool
+
+	codes []int32 // TypeText column reference: index into dict
+	dict  []string
 }
 
 func (c *vcol) ix(i int) int {
@@ -40,6 +48,14 @@ func (c *vcol) ix(i int) int {
 
 func (c *vcol) nullAt(i int) bool {
 	return c.null != nil && c.null[c.ix(i)]
+}
+
+// textAt reads lane i (already through ix) of a TEXT vcol.
+func (c *vcol) textAt(i int) string {
+	if c.texts != nil {
+		return c.texts[i]
+	}
+	return c.dict[c.codes[i]]
 }
 
 // boolAt reads a three-valued boolean lane.
@@ -71,7 +87,7 @@ func (c *vcol) value(i int) sqldata.Value {
 	case sqldata.TypeFloat:
 		return sqldata.NewFloat(c.floats[i])
 	case sqldata.TypeText:
-		return sqldata.NewText(c.texts[i])
+		return sqldata.NewText(c.textAt(i))
 	case sqldata.TypeBool:
 		return sqldata.NewBool(c.bools[i])
 	case sqldata.TypeDate:
@@ -118,7 +134,7 @@ func cmpVC(a *vcol, i int, b *vcol, j int) int {
 	case a.t == sqldata.TypeFloat && b.t == sqldata.TypeFloat:
 		return cmpF64(a.floats[i], b.floats[j])
 	case a.t == sqldata.TypeText && b.t == sqldata.TypeText:
-		return strings.Compare(a.texts[i], b.texts[j])
+		return strings.Compare(a.textAt(i), b.textAt(j))
 	case a.t == sqldata.TypeBool && b.t == sqldata.TypeBool:
 		switch {
 		case !a.bools[i] && b.bools[j]:
@@ -152,77 +168,89 @@ func cmpF64(a, b float64) int {
 }
 
 // gather materializes one column of the working set. idx == nil means
-// identity (the vector itself, zero-copy); a negative index is a LEFT
-// JOIN null pad.
-func gather(cv *sqldata.ColumnVector, idx []int32, n int) vcol {
+// identity (the vector itself, zero-copy); a negative index — possible
+// only when padded — is a LEFT JOIN null pad.
+func gather(a *arena, cv *sqldata.ColumnVector, idx []int32, padded bool) vcol {
 	out := vcol{t: cv.Type}
 	if idx == nil {
-		if cv.Nulls != nil {
-			out.null = make([]bool, n)
-			for i := 0; i < n; i++ {
-				out.null[i] = cv.Nulls.Get(i)
-			}
-		}
+		out.null = cv.NullMask
 		out.ints, out.floats, out.texts, out.bools = cv.Ints, cv.Floats, cv.Texts, cv.Bools
+		out.codes, out.dict = cv.Codes, cv.Dict
 		return out
+	}
+	n := len(idx)
+	if padded || cv.NullMask != nil {
+		out.null = a.b.raw(n)
+		for i, ix := range idx {
+			out.null[i] = ix < 0 || (cv.NullMask != nil && cv.NullMask[ix])
+		}
 	}
 	switch cv.Type {
 	case sqldata.TypeInt, sqldata.TypeDate:
-		out.ints = make([]int64, n)
-	case sqldata.TypeFloat:
-		out.floats = make([]float64, n)
-	case sqldata.TypeText:
-		out.texts = make([]string, n)
-	case sqldata.TypeBool:
-		out.bools = make([]bool, n)
-	}
-	for i, ix := range idx {
-		if ix < 0 || cv.Null(int(ix)) {
-			if out.null == nil {
-				out.null = make([]bool, n)
+		out.ints = a.i64.raw(n)
+		for i, ix := range idx {
+			if ix >= 0 {
+				out.ints[i] = cv.Ints[ix]
+			} else {
+				out.ints[i] = 0
 			}
-			out.null[i] = true
-			continue
 		}
-		switch cv.Type {
-		case sqldata.TypeInt, sqldata.TypeDate:
-			out.ints[i] = cv.Ints[ix]
-		case sqldata.TypeFloat:
-			out.floats[i] = cv.Floats[ix]
-		case sqldata.TypeText:
-			out.texts[i] = cv.Texts[ix]
-		case sqldata.TypeBool:
-			out.bools[i] = cv.Bools[ix]
+	case sqldata.TypeFloat:
+		out.floats = a.f64.raw(n)
+		for i, ix := range idx {
+			if ix >= 0 {
+				out.floats[i] = cv.Floats[ix]
+			} else {
+				out.floats[i] = 0
+			}
+		}
+	case sqldata.TypeText:
+		out.codes, out.dict = a.i32.raw(n), cv.Dict
+		for i, ix := range idx {
+			if ix >= 0 {
+				out.codes[i] = cv.Codes[ix]
+			} else {
+				out.codes[i] = -1
+			}
+		}
+	case sqldata.TypeBool:
+		out.bools = a.b.raw(n)
+		for i, ix := range idx {
+			out.bools[i] = ix >= 0 && cv.Bools[ix]
 		}
 	}
 	return out
 }
 
-// vctx supplies column vectors (with per-batch caching) and alias slots
-// to the vector evaluator.
+// vctx supplies column vectors (gathered once per context) and alias
+// slots to the vector evaluator; a is the run's scratch arena.
 type vctx struct {
 	n     int
-	get   func(off int) vcol
+	a     *arena
+	raw   func(off int) vcol
+	cols  []vcol // by offset
+	have  []bool
 	slots []vcol
 }
 
-func cachedCtx(n int, raw func(off int) vcol) *vctx {
-	cache := map[int]vcol{}
-	return &vctx{n: n, get: func(off int) vcol {
-		if c, ok := cache[off]; ok {
-			return c
-		}
-		c := raw(off)
-		cache[off] = c
-		return c
-	}}
+// cachedCtx returns a context over n tuples whose columns live at
+// offsets 0..width-1.
+func cachedCtx(a *arena, n, width int, raw func(off int) vcol) *vctx {
+	return &vctx{n: n, a: a, raw: raw, cols: make([]vcol, width), have: make([]bool, width)}
+}
+
+func (ctx *vctx) get(off int) vcol {
+	if !ctx.have[off] {
+		ctx.cols[off], ctx.have[off] = ctx.raw(off), true
+	}
+	return ctx.cols[off]
 }
 
 // evalVec evaluates a statically safe bound expression over the working
 // set. Kernel dispatch follows the static types established by safeType,
 // so no lane can raise an error the row evaluator would have raised.
 func evalVec(ctx *vctx, e bexpr) vcol {
-	n := ctx.n
+	n, a := ctx.n, ctx.a
 	switch t := e.(type) {
 	case *bLit:
 		return vconst(t.v)
@@ -236,28 +264,28 @@ func evalVec(ctx *vctx, e bexpr) vcol {
 	case *bBinary:
 		if t.op == "AND" || t.op == "OR" {
 			l, r := evalVec(ctx, t.l), evalVec(ctx, t.r)
-			return evalBool3(t.op, &l, &r, n)
+			return evalBool3(a, t.op, &l, &r, n)
 		}
 		l, r := evalVec(ctx, t.l), evalVec(ctx, t.r)
 		switch t.op {
 		case "=", "!=", "<", "<=", ">", ">=":
-			return evalCmp(t.op, &l, &r, n)
+			return evalCmp(a, t.op, &l, &r, n)
 		default:
-			return evalArith(t.op, &l, &r, n)
+			return evalArith(a, t.op, &l, &r, n)
 		}
 
 	case *bUnary:
 		x := evalVec(ctx, t.x)
-		return evalUnary(t.op, &x, n)
+		return evalUnary(a, t.op, &x, n)
 
 	case *bFunc:
 		x := evalVec(ctx, t.args[0])
-		return evalFuncVec(t.name, &x, n)
+		return evalFuncVec(a, t.name, &x, n)
 
 	case *bIsNull:
 		x := evalVec(ctx, t.x)
 		m := laneCount(n, x.cnst)
-		out := vcol{t: sqldata.TypeBool, cnst: x.cnst, bools: make([]bool, m)}
+		out := vcol{t: sqldata.TypeBool, cnst: x.cnst, bools: a.b.zeros(m)}
 		for i := 0; i < m; i++ {
 			out.bools[i] = x.nullAt(i) != t.not
 		}
@@ -269,10 +297,10 @@ func evalVec(ctx *vctx, e bexpr) vcol {
 		hi := evalVec(ctx, t.hi)
 		cnst := x.cnst && lo.cnst && hi.cnst
 		m := laneCount(n, cnst)
-		out := vcol{t: sqldata.TypeBool, cnst: cnst, bools: make([]bool, m)}
+		out := vcol{t: sqldata.TypeBool, cnst: cnst, bools: a.b.zeros(m)}
 		for i := 0; i < m; i++ {
 			if x.nullAt(i) || lo.nullAt(i) || hi.nullAt(i) {
-				out.setNull(i, m)
+				out.setNull(a, i, m)
 				continue
 			}
 			cl := cmpVC(&x, x.ix(i), &lo, lo.ix(i))
@@ -290,13 +318,13 @@ func evalVec(ctx *vctx, e bexpr) vcol {
 			cnst = cnst && elems[i].cnst
 		}
 		m := laneCount(n, cnst)
-		out := vcol{t: sqldata.TypeBool, cnst: cnst, bools: make([]bool, m)}
+		out := vcol{t: sqldata.TypeBool, cnst: cnst, bools: a.b.zeros(m)}
 		for i := 0; i < m; i++ {
 			if x.nullAt(i) {
 				if len(elems) == 0 {
 					out.bools[i] = t.not // x IN () is FALSE even for NULL probe
 				} else {
-					out.setNull(i, m)
+					out.setNull(a, i, m)
 				}
 				continue
 			}
@@ -316,7 +344,7 @@ func evalVec(ctx *vctx, e bexpr) vcol {
 			case matched:
 				out.bools[i] = !t.not
 			case sawNull:
-				out.setNull(i, m)
+				out.setNull(a, i, m)
 			default:
 				out.bools[i] = t.not
 			}
@@ -326,13 +354,13 @@ func evalVec(ctx *vctx, e bexpr) vcol {
 	case *bLike:
 		x := evalVec(ctx, t.x)
 		m := laneCount(n, x.cnst)
-		out := vcol{t: sqldata.TypeBool, cnst: x.cnst, bools: make([]bool, m)}
+		out := vcol{t: sqldata.TypeBool, cnst: x.cnst, bools: a.b.zeros(m)}
 		for i := 0; i < m; i++ {
 			if x.nullAt(i) {
-				out.setNull(i, m)
+				out.setNull(a, i, m)
 				continue
 			}
-			out.bools[i] = likeMatch(t.pattern, x.texts[x.ix(i)]) != t.not
+			out.bools[i] = likeMatch(t.pattern, x.textAt(x.ix(i))) != t.not
 		}
 		return out
 	}
@@ -348,17 +376,17 @@ func laneCount(n int, cnst bool) int {
 	return n
 }
 
-func (c *vcol) setNull(i, m int) {
+func (c *vcol) setNull(a *arena, i, m int) {
 	if c.null == nil {
-		c.null = make([]bool, m)
+		c.null = a.b.zeros(m)
 	}
 	c.null[i] = true
 }
 
-func evalBool3(op string, l, r *vcol, n int) vcol {
+func evalBool3(a *arena, op string, l, r *vcol, n int) vcol {
 	cnst := l.cnst && r.cnst
 	m := laneCount(n, cnst)
-	out := vcol{t: sqldata.TypeBool, cnst: cnst, bools: make([]bool, m)}
+	out := vcol{t: sqldata.TypeBool, cnst: cnst, bools: a.b.zeros(m)}
 	and := op == "AND"
 	for i := 0; i < m; i++ {
 		lb, ln := l.boolAt(i)
@@ -368,7 +396,7 @@ func evalBool3(op string, l, r *vcol, n int) vcol {
 			case (!ln && !lb) || (!rn && !rb):
 				// false dominates
 			case ln || rn:
-				out.setNull(i, m)
+				out.setNull(a, i, m)
 			default:
 				out.bools[i] = true
 			}
@@ -377,20 +405,20 @@ func evalBool3(op string, l, r *vcol, n int) vcol {
 			case (!ln && lb) || (!rn && rb):
 				out.bools[i] = true
 			case ln || rn:
-				out.setNull(i, m)
+				out.setNull(a, i, m)
 			}
 		}
 	}
 	return out
 }
 
-func evalCmp(op string, l, r *vcol, n int) vcol {
+func evalCmp(a *arena, op string, l, r *vcol, n int) vcol {
 	cnst := l.cnst && r.cnst
 	m := laneCount(n, cnst)
-	out := vcol{t: sqldata.TypeBool, cnst: cnst, bools: make([]bool, m)}
+	out := vcol{t: sqldata.TypeBool, cnst: cnst, bools: a.b.zeros(m)}
 	for i := 0; i < m; i++ {
 		if l.nullAt(i) || r.nullAt(i) {
-			out.setNull(i, m)
+			out.setNull(a, i, m)
 			continue
 		}
 		c := cmpVC(l, l.ix(i), r, r.ix(i))
@@ -414,61 +442,61 @@ func evalCmp(op string, l, r *vcol, n int) vcol {
 	return out
 }
 
-func evalArith(op string, l, r *vcol, n int) vcol {
+func evalArith(a *arena, op string, l, r *vcol, n int) vcol {
 	cnst := l.cnst && r.cnst
 	m := laneCount(n, cnst)
 	if op != "/" && l.t == sqldata.TypeInt && r.t == sqldata.TypeInt {
-		out := vcol{t: sqldata.TypeInt, cnst: cnst, ints: make([]int64, m)}
+		out := vcol{t: sqldata.TypeInt, cnst: cnst, ints: a.i64.zeros(m)}
 		for i := 0; i < m; i++ {
 			if l.nullAt(i) || r.nullAt(i) {
-				out.setNull(i, m)
+				out.setNull(a, i, m)
 				continue
 			}
-			a, b := l.ints[l.ix(i)], r.ints[r.ix(i)]
+			x, y := l.ints[l.ix(i)], r.ints[r.ix(i)]
 			switch op {
 			case "+":
-				out.ints[i] = a + b
+				out.ints[i] = x + y
 			case "-":
-				out.ints[i] = a - b
+				out.ints[i] = x - y
 			default:
-				out.ints[i] = a * b
+				out.ints[i] = x * y
 			}
 		}
 		return out
 	}
-	out := vcol{t: sqldata.TypeFloat, cnst: cnst, floats: make([]float64, m)}
+	out := vcol{t: sqldata.TypeFloat, cnst: cnst, floats: a.f64.zeros(m)}
 	for i := 0; i < m; i++ {
 		if l.nullAt(i) || r.nullAt(i) {
-			out.setNull(i, m)
+			out.setNull(a, i, m)
 			continue
 		}
-		a, b := l.asFloat(l.ix(i)), r.asFloat(r.ix(i))
+		x, y := l.asFloat(l.ix(i)), r.asFloat(r.ix(i))
 		switch op {
 		case "+":
-			out.floats[i] = a + b
+			out.floats[i] = x + y
 		case "-":
-			out.floats[i] = a - b
+			out.floats[i] = x - y
 		case "*":
-			out.floats[i] = a * b
+			out.floats[i] = x * y
 		default:
-			if b == 0 {
-				out.setNull(i, m) // division by zero yields NULL, like the row path
+			if y == 0 {
+				out.setNull(a, i, m) // division by zero yields NULL, like the row path
 				continue
 			}
-			out.floats[i] = a / b
+			out.floats[i] = x / y
 		}
 	}
 	return out
 }
 
-func evalUnary(op string, x *vcol, n int) vcol {
+func evalUnary(a *arena, op string, x *vcol, n int) vcol {
 	m := laneCount(n, x.cnst)
 	if op == "NOT" {
-		out := vcol{t: sqldata.TypeBool, cnst: x.cnst, bools: make([]bool, m)}
+		out := vcol{t: sqldata.TypeBool, cnst: x.cnst, bools: a.b.zeros(m)}
 		for i := 0; i < m; i++ {
 			b, isNull := x.boolAt(i)
 			if isNull {
-				out.setNull(i, m)
+				out.setNull(a, i, m)
 				continue
 			}
 			out.bools[i] = !b
@@ -478,13 +506,13 @@ func evalUnary(op string, x *vcol, n int) vcol {
 	// unary minus over a statically numeric column
 	out := vcol{t: x.t, cnst: x.cnst}
 	if x.t == sqldata.TypeFloat {
-		out.floats = make([]float64, m)
+		out.floats = a.f64.zeros(m)
 	} else {
-		out.ints = make([]int64, m)
+		out.ints = a.i64.zeros(m)
 	}
 	for i := 0; i < m; i++ {
 		if x.nullAt(i) {
-			out.setNull(i, m)
+			out.setNull(a, i, m)
 			continue
 		}
 		if x.t == sqldata.TypeFloat {
@@ -496,7 +524,7 @@ func evalUnary(op string, x *vcol, n int) vcol {
 	return out
 }
 
-func evalFuncVec(name string, x *vcol, n int) vcol {
+func evalFuncVec(a *arena, name string, x *vcol, n int) vcol {
 	m := laneCount(n, x.cnst)
 	var out vcol
 	switch name {
@@ -505,26 +533,26 @@ func evalFuncVec(name string, x *vcol, n int) vcol {
 	case "ABS":
 		out = vcol{t: x.t, cnst: x.cnst}
 		if x.t == sqldata.TypeFloat {
-			out.floats = make([]float64, m)
+			out.floats = a.f64.zeros(m)
 		} else {
-			out.ints = make([]int64, m)
+			out.ints = a.i64.zeros(m)
 		}
 	case "YEAR":
-		out = vcol{t: sqldata.TypeInt, cnst: x.cnst, ints: make([]int64, m)}
+		out = vcol{t: sqldata.TypeInt, cnst: x.cnst, ints: a.i64.zeros(m)}
 	default:
 		return vcol{cnst: true, null: []bool{true}} // unreachable: gated by safeType
 	}
 	for i := 0; i < m; i++ {
 		if x.nullAt(i) {
-			out.setNull(i, m)
+			out.setNull(a, i, m)
 			continue
 		}
 		j := x.ix(i)
 		switch name {
 		case "LOWER":
-			out.texts[i] = strings.ToLower(x.texts[j])
+			out.texts[i] = strings.ToLower(x.textAt(j))
 		case "UPPER":
-			out.texts[i] = strings.ToUpper(x.texts[j])
+			out.texts[i] = strings.ToUpper(x.textAt(j))
 		case "ABS":
 			if x.t == sqldata.TypeFloat {
 				v := x.floats[j]
@@ -562,9 +590,11 @@ type vrun struct {
 	v      *vplan
 	env    *execEnv
 	st     *execState
+	a      *arena
 	cols   [][]*sqldata.ColumnVector
 	nrows  []int
 	placed []bool
+	padded []bool // table joined as the right side of a LEFT JOIN
 	ws     wset
 }
 
@@ -574,15 +604,19 @@ func (e *execEnv) setStat(nid, n int) {
 	}
 }
 
-// runVec executes the compiled vectorized plan.
+// runVec executes the compiled vectorized plan. All scratch memory comes
+// from one pooled arena, released on return: the Result is built from
+// fresh heap memory and the tables' immutable column snapshots only.
 func (p *Plan) runVec(env *execEnv) (*sqldata.Result, error) {
 	v := p.vec
 	r := &vrun{
-		p: p, v: v, env: env, st: env.st,
+		p: p, v: v, env: env, st: env.st, a: getArena(),
 		cols:   make([][]*sqldata.ColumnVector, len(p.tabs)),
 		nrows:  make([]int, len(p.tabs)),
 		placed: make([]bool, len(p.tabs)),
+		padded: make([]bool, len(p.tabs)),
 	}
+	defer r.a.release()
 	for k, tab := range p.tabs {
 		cc := tab.Columnar()
 		r.cols[k] = cc
@@ -607,9 +641,7 @@ func (p *Plan) runVec(env *execEnv) (*sqldata.Result, error) {
 	}
 
 	if v.residNid >= 0 {
-		ctx := r.wsCtx()
-		keep := r.predMask(ctx, v.resid)
-		r.compact(keep)
+		r.compact(r.predMask(r.wsCtx(), v.resid))
 		env.setStat(v.residNid, r.ws.n)
 		if err := r.st.checkCtx(); err != nil {
 			return nil, err
@@ -622,23 +654,21 @@ func (p *Plan) runVec(env *execEnv) (*sqldata.Result, error) {
 	return r.emitRows()
 }
 
-// wsCtx returns a fresh evaluation context over the current working set.
-func (r *vrun) wsCtx() *vctx {
-	ws := r.ws
-	return cachedCtx(ws.n, func(off int) vcol {
+// ctxOver returns a fresh evaluation context over a working set.
+func (r *vrun) ctxOver(ws wset) *vctx {
+	return cachedCtx(r.a, ws.n, r.p.width, func(off int) vcol {
 		k := r.p.tableAtOff(off)
-		return gather(r.cols[k][off-r.p.toffs[k]], ws.idx[k], ws.n)
+		return gather(r.a, r.cols[k][off-r.p.toffs[k]], ws.idx[k], r.padded[k])
 	})
 }
+
+func (r *vrun) wsCtx() *vctx { return r.ctxOver(r.ws) }
 
 // predMask evaluates safe conjuncts over ctx and ANDs their definite
 // truth — identical to evaluating every conjunct per row, since safe
 // conjuncts cannot error.
 func (r *vrun) predMask(ctx *vctx, conj []bexpr) []bool {
-	keep := make([]bool, ctx.n)
-	for i := range keep {
-		keep[i] = true
-	}
+	keep := r.a.trues(ctx.n)
 	for _, c := range conj {
 		v := evalVec(ctx, c)
 		for i := 0; i < ctx.n; i++ {
@@ -652,32 +682,40 @@ func (r *vrun) predMask(ctx *vctx, conj []bexpr) []bool {
 	return keep
 }
 
-// compact drops working-set tuples where keep is false.
-func (r *vrun) compact(keep []bool) {
+// selectKept returns the entries of sel (nil = identity) where keep holds,
+// at exact size.
+func (r *vrun) selectKept(sel []int32, keep []bool) []int32 {
 	kept := 0
 	for _, k := range keep {
 		if k {
 			kept++
 		}
 	}
-	out := make([][]int32, len(r.ws.idx))
-	for t := range r.ws.idx {
-		if !r.placed[t] {
+	out := r.a.i32.raw(kept)
+	o := 0
+	for i, k := range keep {
+		if !k {
 			continue
 		}
-		idx := r.ws.idx[t]
-		ni := make([]int32, 0, kept)
-		for i := 0; i < r.ws.n; i++ {
-			if !keep[i] {
-				continue
-			}
-			if idx == nil {
-				ni = append(ni, int32(i))
-			} else {
-				ni = append(ni, idx[i])
-			}
+		if sel == nil {
+			out[o] = int32(i)
+		} else {
+			out[o] = sel[i]
 		}
-		out[t] = ni
+		o++
+	}
+	return out
+}
+
+// compact drops working-set tuples where keep is false.
+func (r *vrun) compact(keep []bool) {
+	out := make([][]int32, len(r.ws.idx))
+	kept := 0
+	for t := range r.ws.idx {
+		if r.placed[t] {
+			out[t] = r.selectKept(r.ws.idx[t], keep)
+			kept = len(out[t])
+		}
 	}
 	r.ws = wset{n: kept, idx: out}
 }
@@ -703,21 +741,15 @@ func (r *vrun) scanFiltered(s *vscanStep) ([]int32, int, error) {
 	var sel []int32
 	cur := n
 	for _, f := range s.filters {
-		ctx := cachedCtx(cur, func(off int) vcol { return gather(cols[off], sel, cur) })
+		ctx := cachedCtx(r.a, cur, len(cols), func(off int) vcol { return gather(r.a, cols[off], sel, false) })
 		v := evalVec(ctx, f)
-		next := make([]int32, 0, cur)
-		for i := 0; i < cur; i++ {
+		keep := r.a.b.raw(cur)
+		for i := range keep {
 			b, isNull := v.boolAt(i)
-			if isNull || !b {
-				continue
-			}
-			if sel == nil {
-				next = append(next, int32(i))
-			} else {
-				next = append(next, sel[i])
-			}
+			keep[i] = b && !isNull
 		}
-		sel, cur = next, len(next)
+		sel = r.selectKept(sel, keep)
+		cur = len(sel)
 		if err := r.st.checkCtx(); err != nil {
 			return nil, 0, err
 		}
@@ -727,7 +759,12 @@ func (r *vrun) scanFiltered(s *vscanStep) ([]int32, int, error) {
 
 // joinStep hash-joins the working set with one scanned table, preserving
 // the row executor's left-major output order and per-row join metering.
+// Both inputs' keys are numbered in one id space (joinKeyIDs), the right
+// rows are bucketed by id in scan order, and the candidate pairs are
+// counted per left tuple, prefix-summed and filled at exact size — the
+// same code whichever side the key table was built from.
 func (r *vrun) joinStep(j *vjoinStep) error {
+	a := r.a
 	leftN := r.ws.n
 	rsel, rn, err := r.scanFiltered(&j.right)
 	if err != nil {
@@ -742,181 +779,113 @@ func (r *vrun) joinStep(j *vjoinStep) error {
 	sp.Add("right_rows", int64(rn))
 	sp.SetAttr("algo", "hash")
 
-	// Key vectors for both sides.
 	lctx := r.wsCtx()
 	lk := make([]vcol, len(j.lKeys))
 	for i, e := range j.lKeys {
 		lk[i] = evalVec(lctx, e)
 	}
-	rctx := cachedCtx(rn, func(off int) vcol { return gather(rcols[off], rsel, rn) })
+	rctx := cachedCtx(a, rn, len(rcols), func(off int) vcol { return gather(a, rcols[off], rsel, false) })
 	rk := make([]vcol, len(j.rKeys))
 	for i, e := range j.rKeys {
 		rk[i] = evalVec(rctx, e)
 	}
+	lkid, rkid, nk := r.joinKeyIDs(lk, rk, leftN, rn, j.buildLeft)
 
-	rowAt := func(pos int) int32 {
-		if rsel == nil {
-			return int32(pos)
+	// Right rows per key id, in scan order.
+	kstart := a.i32.zeros(int(nk) + 1)
+	for _, k := range rkid {
+		if k >= 0 {
+			kstart[k+1]++
 		}
-		return rsel[pos]
+	}
+	for k := int32(0); k < nk; k++ {
+		kstart[k+1] += kstart[k]
+	}
+	krows := a.i32.raw(int(kstart[nk]))
+	fill := a.i32.raw(int(nk))
+	copy(fill, kstart)
+	for pos, k := range rkid {
+		if k < 0 {
+			continue
+		}
+		if rsel == nil {
+			krows[fill[k]] = int32(pos)
+		} else {
+			krows[fill[k]] = rsel[pos]
+		}
+		fill[k]++
 	}
 
 	// Candidate pairs in left-major order (candL: working-set tuple,
-	// candR: right-table row), with per-left-tuple boundaries for LEFT
-	// JOIN padding.
-	var candL, candR []int32
-	starts := make([]int32, leftN+1)
-
-	intKey := len(j.kinds) == 1 && (j.kinds[0] == kInt || j.kinds[0] == kDate)
-	if j.buildLeft {
-		matches := make([][]int32, leftN)
-		if intKey {
-			buckets := make(map[int64][]int32, leftN)
-			for i := 0; i < leftN; i++ {
-				if !lk[0].nullAt(i) {
-					k := lk[0].ints[lk[0].ix(i)]
-					buckets[k] = append(buckets[k], int32(i))
-				}
-			}
-			for pos := 0; pos < rn; pos++ {
-				if rk[0].nullAt(pos) {
-					continue
-				}
-				for _, li := range buckets[rk[0].ints[rk[0].ix(pos)]] {
-					matches[li] = append(matches[li], rowAt(pos))
-				}
-			}
-		} else {
-			buckets := make(map[string][]int32, leftN)
-			for i := 0; i < leftN; i++ {
-				if k, ok := vKeyString(lk, j.kinds, i); ok {
-					buckets[k] = append(buckets[k], int32(i))
-				}
-			}
-			for pos := 0; pos < rn; pos++ {
-				k, ok := vKeyString(rk, j.kinds, pos)
-				if !ok {
-					continue
-				}
-				for _, li := range buckets[k] {
-					matches[li] = append(matches[li], rowAt(pos))
-				}
-			}
+	// candR: right-table row); starts bounds each left tuple's run.
+	starts := a.i32.raw(leftN + 1)
+	total, oneEach := 0, true
+	for i, k := range lkid {
+		starts[i] = int32(total)
+		c := 0
+		if k >= 0 {
+			c = int(kstart[k+1] - kstart[k])
 		}
+		oneEach = oneEach && c == 1
+		total += c
+	}
+	if total > math.MaxInt32 { // starts has wrapped; nothing has read it
+		sp.End()
+		return fmt.Errorf("sqlexec: %s matches more than %d row pairs", j.span, math.MaxInt32)
+	}
+	starts[leftN] = int32(total)
+	candL, candR := a.i32.raw(total), a.i32.raw(total)
+	for i, k := range lkid {
+		if k < 0 {
+			continue
+		}
+		c := starts[i]
+		for _, rr := range krows[kstart[k]:kstart[k+1]] {
+			candL[c], candR[c] = int32(i), rr
+			c++
+		}
+	}
+
+	// With no residual and no padding the candidates are the output. A
+	// residual filters them, and LEFT JOIN pads a left tuple none of whose
+	// candidates survive: count, then fill.
+	outL, outR := candL, candR
+	if len(j.residual) > 0 || j.leftJoin {
+		var keep []bool
+		if len(j.residual) > 0 && total > 0 {
+			keep = r.predMask(r.ctxOver(r.joined(candL, candR, rtab, false)), j.residual)
+		}
+		outN := 0
 		for i := 0; i < leftN; i++ {
-			starts[i] = int32(len(candL))
-			for _, rr := range matches[i] {
-				candL = append(candL, int32(i))
-				candR = append(candR, rr)
+			kept := 0
+			for c := starts[i]; c < starts[i+1]; c++ {
+				if keep == nil || keep[c] {
+					kept++
+				}
+			}
+			if kept == 0 && j.leftJoin {
+				kept = 1
+			}
+			outN += kept
+		}
+		outL, outR = a.i32.raw(outN), a.i32.raw(outN)
+		o := 0
+		for i := 0; i < leftN; i++ {
+			first := o
+			for c := starts[i]; c < starts[i+1]; c++ {
+				if keep == nil || keep[c] {
+					outL[o], outR[o] = int32(i), candR[c]
+					o++
+				}
+			}
+			if o == first && j.leftJoin {
+				outL[o], outR[o] = int32(i), -1
+				o++
 			}
 		}
-		starts[leftN] = int32(len(candL))
-	} else {
-		// Build right, probe left in order — the row executor's shape.
-		if intKey {
-			buckets := make(map[int64][]int32, rn)
-			for pos := 0; pos < rn; pos++ {
-				if !rk[0].nullAt(pos) {
-					k := rk[0].ints[rk[0].ix(pos)]
-					buckets[k] = append(buckets[k], rowAt(pos))
-				}
-			}
-			for i := 0; i < leftN; i++ {
-				starts[i] = int32(len(candL))
-				if lk[0].nullAt(i) {
-					continue
-				}
-				for _, rr := range buckets[lk[0].ints[lk[0].ix(i)]] {
-					candL = append(candL, int32(i))
-					candR = append(candR, rr)
-				}
-			}
-		} else {
-			buckets := make(map[string][]int32, rn)
-			for pos := 0; pos < rn; pos++ {
-				if k, ok := vKeyString(rk, j.kinds, pos); ok {
-					buckets[k] = append(buckets[k], rowAt(pos))
-				}
-			}
-			for i := 0; i < leftN; i++ {
-				starts[i] = int32(len(candL))
-				k, ok := vKeyString(lk, j.kinds, i)
-				if !ok {
-					continue
-				}
-				for _, rr := range buckets[k] {
-					candL = append(candL, int32(i))
-					candR = append(candR, rr)
-				}
-			}
-		}
-		starts[leftN] = int32(len(candL))
+		oneEach = false
 	}
-
-	// Residual conjuncts over the candidate pairs.
-	var keep []bool
-	if len(j.residual) > 0 && len(candL) > 0 {
-		cand := wset{n: len(candL), idx: make([][]int32, len(r.p.tabs))}
-		for t := range r.ws.idx {
-			if !r.placed[t] {
-				continue
-			}
-			idx := r.ws.idx[t]
-			ci := make([]int32, len(candL))
-			for c, li := range candL {
-				if idx == nil {
-					ci[c] = li
-				} else {
-					ci[c] = idx[li]
-				}
-			}
-			cand.idx[t] = ci
-		}
-		cand.idx[rtab] = candR
-		cctx := cachedCtx(cand.n, func(off int) vcol {
-			k := r.p.tableAtOff(off)
-			return gather(r.cols[k][off-r.p.toffs[k]], cand.idx[k], cand.n)
-		})
-		keep = r.predMask(cctx, j.residual)
-	}
-
-	// Emit in left-major order, padding unmatched left tuples on LEFT
-	// JOIN.
-	out := make([][]int32, len(r.p.tabs))
-	for t := range out {
-		if r.placed[t] {
-			out[t] = make([]int32, 0, len(candL))
-		}
-	}
-	var rout []int32
-	emit := func(li int32, rr int32) {
-		for t := range out {
-			if !r.placed[t] {
-				continue
-			}
-			idx := r.ws.idx[t]
-			if idx == nil {
-				out[t] = append(out[t], li)
-			} else {
-				out[t] = append(out[t], idx[li])
-			}
-		}
-		rout = append(rout, rr)
-	}
-	for i := 0; i < leftN; i++ {
-		matched := false
-		for c := int(starts[i]); c < int(starts[i+1]); c++ {
-			if keep != nil && !keep[c] {
-				continue
-			}
-			matched = true
-			emit(int32(i), candR[c])
-		}
-		if !matched && j.leftJoin {
-			emit(int32(i), -1)
-		}
-	}
-	outN := len(rout)
+	outN := len(outL)
 
 	sp.Add("out_rows", int64(outN))
 	sp.End()
@@ -925,30 +894,35 @@ func (r *vrun) joinStep(j *vjoinStep) error {
 	}
 	r.env.setStat(j.nid, outN)
 
-	out[rtab] = rout
+	r.ws = r.joined(outL, outR, rtab, oneEach)
 	r.placed[rtab] = true
-	r.ws = wset{n: outN, idx: out}
+	r.padded[rtab] = j.leftJoin
 	return r.st.checkCtx()
 }
 
-// vKeyString renders the composite hash key of lane i, using the same
-// canonical per-kind encodings as the row executor's hashOf. ok=false
-// marks a NULL key component (the lane cannot match).
-func vKeyString(keys []vcol, kinds []keyKind, i int) (string, bool) {
-	var sb strings.Builder
-	for ki := range keys {
-		v := keys[ki].value(i)
-		if v.Null {
-			return "", false
+// joined returns the working set of the join pairs (l[c]: tuple of the
+// current working set, rr[c]: row of table rtab). identity says l is
+// 0..n-1 — every left tuple matched exactly once, the foreign-key case —
+// so the placed tables' selection vectors carry over as they are.
+func (r *vrun) joined(l, rr []int32, rtab int, identity bool) wset {
+	out := wset{n: len(l), idx: make([][]int32, len(r.ws.idx))}
+	for t, idx := range r.ws.idx {
+		switch {
+		case !r.placed[t]:
+		case identity:
+			out.idx[t] = idx
+		case idx == nil:
+			out.idx[t] = l
+		default:
+			ci := r.a.i32.raw(len(l))
+			for c, li := range l {
+				ci[c] = idx[li]
+			}
+			out.idx[t] = ci
 		}
-		s, ok := hashKey(v, kinds[ki])
-		if !ok {
-			s = v.Key()
-		}
-		sb.WriteString(s)
-		sb.WriteByte(0x1f)
 	}
-	return sb.String(), true
+	out.idx[rtab] = rr
+	return out
 }
 
 // boxTuple materializes working-set tuple i as a full statement row.
@@ -987,7 +961,7 @@ func (r *vrun) emitRows() (*sqldata.Result, error) {
 				return nil, err
 			}
 		}
-		return p.finishRows(r.env, out)
+		return p.finishRows(r.env, out, len(out))
 	}
 
 	ctx := r.wsCtx()
@@ -1011,99 +985,84 @@ func (r *vrun) emitRows() (*sqldata.Result, error) {
 	if err := st.addRows(n); err != nil {
 		return nil, err
 	}
-	out := make([]outRow, n)
-	for i := 0; i < n; i++ {
-		proj := make(sqldata.Row, len(slots))
+
+	// Only the tuples the tail can return are boxed: the k a stable sort
+	// puts first when ORDER BY is bounded (selected on the typed key
+	// lanes), the first LIMIT when nothing reorders or dedups, else all.
+	var pick []int32 // nil = 0..m-1
+	m := n
+	switch {
+	case p.topk >= 0 && p.topk < n:
+		pick = topK(n, p.topk, func(i, j int32) int { return p.cmpLanes(keys, int(i), int(j)) })
+		m = len(pick)
+	case len(p.orderBy) == 0 && !p.distinct && p.limit >= 0 && p.limit < n:
+		m = p.limit
+	}
+	out := make([]outRow, m)
+	vals := make([]sqldata.Value, m*len(slots))
+	kvals := make([]sqldata.Value, m*len(keys))
+	for o := range out {
+		i := o
+		if pick != nil {
+			i = int(pick[o])
+		}
+		proj := vals[o*len(slots) : (o+1)*len(slots) : (o+1)*len(slots)]
 		for s := range slots {
 			proj[s] = slots[s].value(i)
 		}
-		var ks []sqldata.Value
-		if len(keys) > 0 {
-			ks = make([]sqldata.Value, len(keys))
-			for k := range keys {
-				ks[k] = keys[k].value(i)
-			}
+		ks := kvals[o*len(keys) : (o+1)*len(keys) : (o+1)*len(keys)]
+		for k := range keys {
+			ks[k] = keys[k].value(i)
 		}
-		out[i] = outRow{proj: proj, keys: ks}
+		out[o] = outRow{proj: proj, keys: ks}
 	}
-	return p.finishRows(r.env, out)
+	return p.finishRows(r.env, out, n)
 }
 
-// runGrouped hash-aggregates the working set: group ids in first-
+// cmpLanes is cmpKeys over unboxed key lanes: the ORDER BY comparison of
+// tuples i and j.
+func (p *Plan) cmpLanes(keys []vcol, i, j int) int {
+	for k, o := range p.orderBy {
+		c := &keys[k]
+		in, jn := c.nullAt(i), c.nullAt(j)
+		if in || jn {
+			if in && jn {
+				continue
+			}
+			return o.nullOrder(in)
+		}
+		if x := cmpVC(c, c.ix(i), c, c.ix(j)); x != 0 {
+			return o.directed(x)
+		}
+	}
+	return 0
+}
+
+// runGrouped hash-aggregates the working set: typed group ids in first-
 // appearance order, vectorized per-group aggregate accumulation, then
 // the ordinary boxed evaluator for HAVING/projection over one frame per
 // group with the precomputed aggregates attached.
 func (r *vrun) runGrouped() (*sqldata.Result, error) {
 	p, st := r.p, r.st
 	n := r.ws.n
+	ctx := r.wsCtx()
 
-	var gids []int32
-	var repIdx []int32
-	ngroups := 0
+	var gids, rep []int32
+	ngroups := 1
 	if len(p.groupKeys) == 0 {
-		ngroups = 1
-		gids = make([]int32, n)
+		gids = r.a.i32.zeros(n)
 		if n > 0 {
-			repIdx = []int32{0}
+			rep = []int32{0}
 		}
 		r.env.setStat(p.nidGroup, 1)
 	} else {
 		gsp := r.env.span.Child("group")
-		ctx := r.wsCtx()
 		kcols := make([]vcol, len(p.groupKeys))
 		for i, k := range p.groupKeys {
 			kcols[i] = evalVec(ctx, k)
 		}
-		gids = make([]int32, n)
-		if len(kcols) == 1 && !kcols[0].cnst &&
-			(kcols[0].t == sqldata.TypeInt || kcols[0].t == sqldata.TypeDate) && kcols[0].ints != nil {
-			// Single integer-typed key: group on the raw int64.
-			m := make(map[int64]int32, 64)
-			nullGid := int32(-1)
-			kc := &kcols[0]
-			for i := 0; i < n; i++ {
-				var gid int32
-				if kc.nullAt(i) {
-					if nullGid < 0 {
-						nullGid = int32(ngroups)
-						ngroups++
-						repIdx = append(repIdx, int32(i))
-					}
-					gid = nullGid
-				} else {
-					k := kc.ints[i]
-					g, ok := m[k]
-					if !ok {
-						g = int32(ngroups)
-						ngroups++
-						repIdx = append(repIdx, int32(i))
-						m[k] = g
-					}
-					gid = g
-				}
-				gids[i] = gid
-			}
-		} else {
-			// General path: the row executor's canonical string keys.
-			m := make(map[string]int32, 64)
-			var sb strings.Builder
-			for i := 0; i < n; i++ {
-				sb.Reset()
-				for ki := range kcols {
-					sb.WriteString(kcols[ki].value(i).Key())
-					sb.WriteByte(0x1f)
-				}
-				k := sb.String()
-				g, ok := m[k]
-				if !ok {
-					g = int32(ngroups)
-					ngroups++
-					repIdx = append(repIdx, int32(i))
-					m[k] = g
-				}
-				gids[i] = g
-			}
-		}
+		gids, rep = r.groupIDs(kcols, n)
+		ngroups = len(rep)
 		gsp.Add("in_rows", int64(n))
 		gsp.Add("groups", int64(ngroups))
 		gsp.End()
@@ -1116,9 +1075,8 @@ func (r *vrun) runGrouped() (*sqldata.Result, error) {
 	// Vectorized aggregate accumulation, in tuple order so order-
 	// sensitive float sums accumulate exactly like the row path.
 	aggVals := make([][]sqldata.Value, len(r.v.aggs))
-	actx := r.wsCtx()
 	for ai, a := range r.v.aggs {
-		aggVals[ai] = r.aggregateVec(actx, a, gids, ngroups)
+		aggVals[ai] = r.aggregateVec(ctx, a, gids, ngroups)
 	}
 	if err := st.checkCtx(); err != nil {
 		return nil, err
@@ -1126,11 +1084,11 @@ func (r *vrun) runGrouped() (*sqldata.Result, error) {
 
 	var out []outRow
 	for gid := 0; gid < ngroups; gid++ {
-		var rep sqldata.Row
-		if gid < len(repIdx) {
-			rep = r.boxTuple(int(repIdx[gid]))
+		var row sqldata.Row
+		if gid < len(rep) {
+			row = r.boxTuple(int(rep[gid]))
 		} else {
-			rep = nullRow(p.width) // empty global group
+			row = nullRow(p.width) // empty global group
 		}
 		var am map[*bAgg]sqldata.Value
 		if len(r.v.aggs) > 0 {
@@ -1139,7 +1097,7 @@ func (r *vrun) runGrouped() (*sqldata.Result, error) {
 				am[a] = aggVals[ai][gid]
 			}
 		}
-		fr := &frame{row: rep, parent: r.env.parent, aggVals: am}
+		fr := &frame{row: row, parent: r.env.parent, aggVals: am}
 		if p.having != nil {
 			ok, err := evalPredicate(st, fr, p.having)
 			if err != nil {
@@ -1153,21 +1111,21 @@ func (r *vrun) runGrouped() (*sqldata.Result, error) {
 			return nil, err
 		}
 	}
-	return p.finishRows(r.env, out)
+	return p.finishRows(r.env, out, len(out))
 }
 
 // aggregateVec computes one aggregate for every group. Accumulation
 // visits tuples in working-set order; integer SUM uses the same 128-bit
 // accumulator as the row path, so overflow promotes to float
-// identically.
+// identically. Accumulators are one scratch array per field, indexed by
+// group id.
 func (r *vrun) aggregateVec(ctx *vctx, a *bAgg, gids []int32, ngroups int) []sqldata.Value {
-	n := len(gids)
 	out := make([]sqldata.Value, ngroups)
 
 	if a.star { // COUNT(*)
-		counts := make([]int64, ngroups)
-		for i := 0; i < n; i++ {
-			counts[gids[i]]++
+		counts := r.a.i64.zeros(ngroups)
+		for _, g := range gids {
+			counts[g]++
 		}
 		for g := range out {
 			out[g] = sqldata.NewInt(counts[g])
@@ -1176,96 +1134,81 @@ func (r *vrun) aggregateVec(ctx *vctx, a *bAgg, gids []int32, ngroups int) []sql
 	}
 
 	arg := evalVec(ctx, a.arg)
-	var seen []map[string]bool
+	var fresh []bool
 	if a.distinct {
-		seen = make([]map[string]bool, ngroups)
+		fresh = r.freshMask(&arg, gids, ngroups)
 	}
-	dup := func(g int32, i int) bool {
-		if seen == nil {
-			return false
-		}
-		if seen[g] == nil {
-			seen[g] = make(map[string]bool, 8)
-		}
-		k := arg.value(i).Key()
-		if seen[g][k] {
-			return true
-		}
-		seen[g][k] = true
-		return false
+	// skip: aggregates ignore NULLs, and DISTINCT all but the first tuple
+	// of each (group, value).
+	skip := func(i int) bool {
+		return arg.nullAt(i) || (fresh != nil && !fresh[i])
 	}
 
 	switch a.name {
 	case "COUNT":
-		counts := make([]int64, ngroups)
-		for i := 0; i < n; i++ {
-			if arg.nullAt(i) || dup(gids[i], i) {
-				continue
+		counts := r.a.i64.zeros(ngroups)
+		for i, g := range gids {
+			if !skip(i) {
+				counts[g]++
 			}
-			counts[gids[i]]++
 		}
 		for g := range out {
 			out[g] = sqldata.NewInt(counts[g])
 		}
 
 	case "SUM", "AVG":
-		type acc struct {
-			hi, lo uint64 // 128-bit integer accumulator
-			fsum   float64
-			cnt    int64
-		}
-		accs := make([]acc, ngroups)
+		hi, lo := r.a.i64.zeros(ngroups), r.a.i64.zeros(ngroups) // 128-bit integer accumulator
+		fsum, cnt := r.a.f64.zeros(ngroups), r.a.i64.zeros(ngroups)
 		allInt := arg.t == sqldata.TypeInt // vectors are single-typed
-		for i := 0; i < n; i++ {
-			if arg.nullAt(i) || dup(gids[i], i) {
+		for i, g := range gids {
+			if skip(i) {
 				continue
 			}
-			ac := &accs[gids[i]]
 			if allInt {
 				v := arg.ints[arg.ix(i)]
-				ac.hi, ac.lo = add128(ac.hi, ac.lo, v)
-				ac.fsum += float64(v)
+				h, l := add128(uint64(hi[g]), uint64(lo[g]), v)
+				hi[g], lo[g] = int64(h), int64(l)
+				fsum[g] += float64(v)
 			} else {
-				ac.fsum += arg.asFloat(arg.ix(i))
+				fsum[g] += arg.asFloat(arg.ix(i))
 			}
-			ac.cnt++
+			cnt[g]++
 		}
 		for g := range out {
-			ac := &accs[g]
 			switch {
-			case ac.cnt == 0:
+			case cnt[g] == 0:
 				out[g] = sqldata.NullValue()
 			case a.name == "AVG":
-				out[g] = sqldata.NewFloat(ac.fsum / float64(ac.cnt))
+				out[g] = sqldata.NewFloat(fsum[g] / float64(cnt[g]))
 			case allInt:
-				out[g] = int128Value(ac.hi, ac.lo)
+				out[g] = int128Value(uint64(hi[g]), uint64(lo[g]))
 			default:
-				out[g] = sqldata.NewFloat(ac.fsum)
+				out[g] = sqldata.NewFloat(fsum[g])
 			}
 		}
 
-	default: // MIN, MAX
-		best := make([]sqldata.Value, ngroups)
-		has := make([]bool, ngroups)
+	default: // MIN, MAX: the best tuple per group, compared on the lanes
+		best := r.a.i32.raw(ngroups)
+		for g := range best {
+			best[g] = -1
+		}
 		max := a.name == "MAX"
-		for i := 0; i < n; i++ {
-			if arg.nullAt(i) || dup(gids[i], i) {
+		for i, g := range gids {
+			if skip(i) {
 				continue
 			}
-			g := gids[i]
-			v := arg.value(i)
-			if !has[g] {
-				best[g], has[g] = v, true
+			if best[g] < 0 {
+				best[g] = int32(i)
 				continue
 			}
-			// Same static type on both sides: Compare cannot error.
-			if c, err := sqldata.Compare(v, best[g]); err == nil && ((max && c > 0) || (!max && c < 0)) {
-				best[g] = v
+			// Same static type on both sides, like Compare on the boxed values.
+			if c := cmpVC(&arg, arg.ix(i), &arg, arg.ix(int(best[g]))); (max && c > 0) || (!max && c < 0) {
+				best[g] = int32(i)
 			}
 		}
 		for g := range out {
-			if has[g] {
-				out[g] = best[g]
+			if best[g] >= 0 {
+				out[g] = arg.value(int(best[g]))
 			} else {
 				out[g] = sqldata.NullValue()
 			}

@@ -1,5 +1,7 @@
 package sqldata
 
+import "math/bits"
+
 // Columnar access to a Table: typed column vectors (one Go slice per
 // column, plus a null bitmap) rebuilt lazily from the row store. The
 // row store stays authoritative — Insert and every existing caller keep
@@ -34,34 +36,36 @@ func (b *Bitmap) Len() int { return b.n }
 func (b *Bitmap) Count() int {
 	total := 0
 	for _, w := range b.bits {
-		total += popcount(w)
+		total += bits.OnesCount64(w)
 	}
 	return total
-}
-
-func popcount(w uint64) int {
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
-	}
-	return n
 }
 
 // ColumnVector is one column of a table decomposed into a typed slice.
 // Exactly one payload slice is populated, chosen by Type (TypeInt and
 // TypeDate both use Ints — dates are days since the epoch). Nulls is
 // nil when the column has no NULLs, which lets tight loops skip the
-// bitmap test entirely.
+// bitmap test entirely; NullMask is the same set expanded to one bool
+// per slot, for consumers that index lanes rather than test bits.
+//
+// A TEXT column is also dictionary-coded: Dict lists its distinct
+// non-NULL values in first-appearance order and Codes[i] indexes it
+// (-1 in a NULL slot), so equality on the column is equality of small
+// integers. The dictionary belongs to the snapshot: an Insert invalidates
+// it with everything else here.
 type ColumnVector struct {
-	Type  Type
-	Len   int
-	Nulls *Bitmap // nil ⇒ no NULLs
+	Type     Type
+	Len      int
+	Nulls    *Bitmap // nil ⇒ no NULLs
+	NullMask []bool  // nil ⇒ no NULLs
 
 	Ints   []int64   // TypeInt, TypeDate
 	Floats []float64 // TypeFloat
 	Texts  []string  // TypeText
 	Bools  []bool    // TypeBool
+
+	Codes []int32  // TypeText: index into Dict, -1 when NULL
+	Dict  []string // TypeText: distinct values, first-appearance order
 }
 
 // Null reports whether slot i is NULL.
@@ -134,19 +138,26 @@ func buildColumns(t *Table) []*ColumnVector {
 			cv.Floats = make([]float64, n)
 		case TypeText:
 			cv.Texts = make([]string, n)
+			cv.Codes = make([]int32, n)
 		case TypeBool:
 			cv.Bools = make([]bool, n)
 		}
 		cols[j] = cv
 	}
+	dicts := make([]map[string]int32, len(cols)) // text columns only
 	for i, r := range t.Rows {
 		for j, v := range r {
 			cv := cols[j]
 			if v.Null {
 				if cv.Nulls == nil {
 					cv.Nulls = NewBitmap(n)
+					cv.NullMask = make([]bool, n)
 				}
 				cv.Nulls.Set(i)
+				cv.NullMask[i] = true
+				if cv.Codes != nil {
+					cv.Codes[i] = -1
+				}
 				continue
 			}
 			switch cv.Type {
@@ -156,6 +167,16 @@ func buildColumns(t *Table) []*ColumnVector {
 				cv.Floats[i] = v.f
 			case TypeText:
 				cv.Texts[i] = v.s
+				code, ok := dicts[j][v.s]
+				if !ok {
+					if dicts[j] == nil {
+						dicts[j] = map[string]int32{}
+					}
+					code = int32(len(cv.Dict))
+					dicts[j][v.s] = code
+					cv.Dict = append(cv.Dict, v.s)
+				}
+				cv.Codes[i] = code
 			case TypeBool:
 				cv.Bools[i] = v.b
 			case TypeDate:

@@ -437,10 +437,19 @@ func FloatKey(f float64) string {
 	if math.IsNaN(f) {
 		return "\x00fNaN"
 	}
-	if f == math.Trunc(f) && f >= -maxInt64Float && f < maxInt64Float {
-		return "\x00i" + strconv.FormatInt(int64(f), 10)
+	if i, ok := FloatAsInt(f); ok {
+		return "\x00i" + strconv.FormatInt(i, 10)
 	}
 	return "\x00f" + strconv.FormatFloat(f, 'b', -1, 64)
+}
+
+// FloatAsInt returns the int64 equal to f, if there is one: f is integral
+// (either zero counts) and inside the int64 range.
+func FloatAsInt(f float64) (int64, bool) {
+	if f == math.Trunc(f) && f >= -maxInt64Float && f < maxInt64Float {
+		return int64(f), true
+	}
+	return 0, false
 }
 
 // Row is a tuple of values.

@@ -124,3 +124,69 @@ func TestExplainAnalyzeRowCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestExplainNamesWhatRuns: a bounded ORDER BY says topk=<k> on its Sort
+// line (a DISTINCT one does not: it sorts everything), and a vectorized
+// plan's group and join lines name the word each key is hashed as.
+func TestExplainNamesWhatRuns(t *testing.T) {
+	eng := New(corpDB(t))
+	cases := []struct {
+		sql      string
+		want     []string
+		wantNone []string
+	}{
+		{
+			sql:  "SELECT name, COUNT(*) FROM employee GROUP BY name ORDER BY COUNT(*) DESC LIMIT 3",
+			want: []string{"Sort [COUNT(*) DESC] topk=3", "HashGroupBy [name] keys=code"},
+		},
+		{
+			sql:  "SELECT d.name, e.salary, COUNT(*) FROM employee AS e JOIN department AS d ON e.dept_id = d.id GROUP BY d.name, e.salary",
+			want: []string{"HashGroupBy [d.name, e.salary] keys=fold(code,float)", "HashJoin (e.dept_id = d.id) keys=int"},
+		},
+		{
+			sql:  "SELECT e.name FROM employee AS e JOIN department AS d ON e.salary = d.id ORDER BY e.name",
+			want: []string{"HashJoin (e.salary = d.id) keys=int", "Sort [e.name ASC]"},
+			// No LIMIT: a full sort.
+			wantNone: []string{"topk="},
+		},
+		{
+			sql:      "SELECT DISTINCT dept_id FROM employee ORDER BY dept_id LIMIT 2",
+			want:     []string{"Sort [dept_id ASC]"},
+			wantNone: []string{"topk="},
+		},
+		{
+			// A sub-query keeps the statement on the row executor, whose
+			// keys are strings: no representation is claimed.
+			sql:      "SELECT dept_id, COUNT(*) FROM employee WHERE salary > (SELECT AVG(salary) FROM employee) GROUP BY dept_id",
+			want:     []string{"HashGroupBy [dept_id]"},
+			wantNone: []string{"keys="},
+		},
+	}
+	for _, tc := range cases {
+		plan, err := eng.Explain(sqlparse.MustParse(tc.sql))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frag := range tc.want {
+			if !strings.Contains(plan, frag) {
+				t.Errorf("%s\nplan missing %q:\n%s", tc.sql, frag, plan)
+			}
+		}
+		for _, frag := range tc.wantNone {
+			if strings.Contains(plan, frag) {
+				t.Errorf("%s\nplan must not contain %q:\n%s", tc.sql, frag, plan)
+			}
+		}
+	}
+	// EXPLAIN ANALYZE keeps rows= after the representation.
+	plan, _, err := eng.ExplainAnalyze(context.Background(),
+		sqlparse.MustParse("SELECT name FROM employee ORDER BY salary DESC LIMIT 2"), DefaultBudget())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, frag := range []string{"Limit 2 rows=2", "topk=2", "Project [name] rows=7"} {
+		if !strings.Contains(plan, frag) {
+			t.Errorf("analyze output missing %q:\n%s", frag, plan)
+		}
+	}
+}

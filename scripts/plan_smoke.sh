@@ -34,6 +34,10 @@ if ! grep -q 'HashJoin' "$TMP/out.log"; then
     echo "plan-smoke: plan shows no HashJoin node for an equi-join" >&2
     status=1
 fi
+if ! grep -q 'HashJoin .*keys=int' "$TMP/out.log"; then
+    echo "plan-smoke: HashJoin line does not name its typed key representation" >&2
+    status=1
+fi
 if grep -q 'NestedLoopJoin' "$TMP/out.log"; then
     echo "plan-smoke: equi-join fell back to a nested loop" >&2
     status=1
