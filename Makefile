@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test short race vet staticcheck chaos proc-chaos fuzz check bench-check tables-check metrics-smoke cache-smoke plan-smoke overload-smoke trace-smoke session-smoke bench-cache bench-plan bench-columnar bench-overload bench-shard bench-obs bench-session bench-remote-shard
+.PHONY: build test short race vet staticcheck chaos proc-chaos fuzz check bench-check bench-vec tables-check metrics-smoke cache-smoke plan-smoke overload-smoke trace-smoke session-smoke bench-cache bench-plan bench-columnar bench-overload bench-shard bench-obs bench-session bench-remote-shard
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,12 @@ fuzz:
 bench-check:
 	cd bench && GOFLAGS=-buildvcs=false GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) vet ./...
 	cd bench && GOFLAGS=-buildvcs=false GOTOOLCHAIN=local GOPROXY=off GOWORK=off $(GO) test ./...
+
+# `go test` never runs a benchmark, so the executor's inner-loop benchmark
+# (internal/plan BenchmarkVecScanAgg) would rot unseen: run every shape of
+# it once. A few seconds, most of them building the 200k-row table.
+bench-vec:
+	$(GO) test -run '^$$' -bench VecScanAgg -benchtime 1x ./internal/plan
 
 # The paper-reproduction tables (T1–T11, A1–A2, seed 1) must stay
 # byte-identical to internal/experiments/testdata/tables_seed1.golden.
@@ -166,4 +172,4 @@ bench-remote-shard: build
 bench-session: build
 	$(GO) run -race ./cmd/nlidb-bench -session BENCH_session.json
 
-check: build vet test race bench-check tables-check proc-chaos overload-smoke
+check: build vet test race bench-check bench-vec tables-check proc-chaos overload-smoke

@@ -14,7 +14,11 @@ import (
 // Sort that only keeps the LIMIT rows says topk=<k>, and under the
 // vectorized executor the group and hash-join lines name the machine
 // word each key lane is hashed as (keys=code: a text dictionary code,
-// int, float: canonical bits, bool; fold(...) for a composite).
+// int, float: canonical bits, bool; fold(...) for a composite) and a
+// filtered scan says how many of its conjuncts are compiled to kernels
+// rather than left to the generic evaluator (kernel=<n>/<m>; a run hands a
+// dictionary kernel back to the evaluator while its input is shorter than
+// the dictionary).
 
 // Explain renders the plan as an indented operator tree.
 func (p *Plan) Explain() string {
@@ -31,14 +35,14 @@ type renderer struct {
 	sb    strings.Builder
 	stats *Stats
 	est   []int64
-	vec   bool // the plan runs vectorized: key representations are typed
+	vec   *vplan // non-nil: the plan runs vectorized, with typed keys and compiled scan filters
 }
 
 // keysSuffix names how the vectorized executor hashes an operator's key
 // lanes, from their static types. A join passes the other side's keys
 // too: a FLOAT lane paired with an INT one is hashed as the equal integer.
 func (r *renderer) keysSuffix(keys, other []bexpr) string {
-	if !r.vec || len(keys) == 0 {
+	if r.vec == nil || len(keys) == 0 {
 		return ""
 	}
 	names := make([]string, len(keys))
@@ -85,7 +89,7 @@ func (r *renderer) statLine(depth, nid int, format string, args ...any) {
 }
 
 func (p *Plan) render(s *Stats) string {
-	r := &renderer{stats: s, est: p.est, vec: p.vec != nil}
+	r := &renderer{stats: s, est: p.est, vec: p.vec}
 	p.renderTo(r, 0)
 	return strings.TrimRight(r.sb.String(), "\n")
 }
@@ -135,6 +139,13 @@ func renderNode(r *renderer, n node, depth int) {
 		suffix := ""
 		if len(t.filterDisp) > 0 {
 			suffix = fmt.Sprintf(" [filter: %s]", strings.Join(t.filterDisp, " AND "))
+			if step := r.vec.scanStep(t.nid); step != nil {
+				kernels := 0
+				for _, f := range step.filters {
+					kernels += b2i(f.kernel != nil)
+				}
+				suffix += fmt.Sprintf(" kernel=%d/%d", kernels, len(step.filters))
+			}
 		}
 		r.statLine(depth, t.nid, "Scan %s (%d rows)%s", t.disp, len(t.tab.Rows), suffix)
 

@@ -165,6 +165,10 @@ func FuzzPlanExec(f *testing.F) {
 		// NULL-key joins, aliases, empty-join aggregates.
 		"SELECT c.name, o.total FROM customer AS c JOIN orders AS o ON c.id = o.customer_id WHERE c.city = 'Berlin' AND o.total > 100",
 		"SELECT c.name FROM customer AS c JOIN orders AS o ON c.credit > o.total",
+		// Keys numbered from the left (two Berlin customers), one holding
+		// two of the right side's rows and one none.
+		"SELECT c.name, o.total FROM customer AS c JOIN orders AS o ON c.id = o.customer_id WHERE c.city = 'Berlin'",
+		"SELECT c.name, o.total FROM customer AS c LEFT JOIN orders AS o ON c.id = o.customer_id WHERE c.city = 'Berlin'",
 		"SELECT c.name FROM customer AS c LEFT JOIN orders AS o ON c.id = o.customer_id AND o.status = 'done'",
 		"SELECT MAX(total) FROM orders JOIN customer ON orders.customer_id = customer.id WHERE customer.city = 'Atlantis'",
 		"SELECT status, COUNT(DISTINCT customer_id) FROM orders GROUP BY status ORDER BY status",
@@ -193,6 +197,33 @@ func FuzzPlanExec(f *testing.F) {
 		"SELECT name FROM customer ORDER BY city DESC, credit LIMIT 3",
 		"SELECT DISTINCT tag FROM probe ORDER BY tag DESC LIMIT 2",
 		"SELECT tag, COUNT(*) AS c FROM probe GROUP BY tag ORDER BY c DESC LIMIT 1",
+		// Scan kernels: every column type against INT, FLOAT, negated and
+		// NULL literals in either operand order, thresholds at 2^53 and
+		// between integers, NULL-bearing IN lists (the parser has no empty
+		// one), LIKE over a dictionary, several conjuncts per scan and on
+		// both sides of a join, and conjuncts that stay generic beside them.
+		"SELECT pid FROM probe WHERE f > 1.5",
+		"SELECT pid FROM probe WHERE f <= 2 AND big >= 1099511627776",
+		"SELECT pid FROM probe WHERE f != 0 AND flag = TRUE",
+		"SELECT pid FROM probe WHERE big > 0.5 AND pid < 9007199254740993",
+		"SELECT pid FROM probe WHERE pid >= 2.5 AND f < 9007199254740993",
+		"SELECT pid FROM probe WHERE f BETWEEN -0.0 AND 2 AND flag != FALSE",
+		"SELECT pid FROM probe WHERE f NOT BETWEEN 1 AND 4609434218613702656",
+		"SELECT pid FROM probe WHERE pid BETWEEN 1.5 AND 7.5 AND big NOT BETWEEN -1 AND 1",
+		"SELECT pid FROM probe WHERE 1.5 < f AND 'Paris' >= tag AND -3 < pid",
+		"SELECT pid FROM probe WHERE tag IN (NULL)",
+		"SELECT pid FROM probe WHERE tag NOT IN ('Paris', NULL)",
+		"SELECT pid FROM probe WHERE pid NOT IN (1, 2.0, NULL) OR pid IN (3, 4.5)",
+		"SELECT pid FROM probe WHERE pid NOT IN (1, 2.0, 7) AND f IN (2, 1.5, 1200, NULL)",
+		"SELECT pid FROM probe WHERE tag LIKE 'P%' AND tag NOT LIKE '_a%'",
+		"SELECT pid FROM probe WHERE tag LIKE '%i_' OR tag IS NULL",
+		"SELECT pid FROM probe WHERE flag IS NULL AND tag IS NULL AND f IS NOT NULL",
+		"SELECT pid FROM probe WHERE f = NULL OR big != NULL",
+		"SELECT pid FROM probe WHERE pid = 3 AND tag LIKE '%'",
+		"SELECT pid FROM probe WHERE f + 1 > 2 AND big <= 2199023255552 AND flag",
+		"SELECT p.pid, c.name FROM probe AS p JOIN customer AS c ON p.tag = c.city WHERE p.f >= 0 AND c.credit > -5",
+		"SELECT tag, COUNT(*), SUM(f) FROM probe WHERE big < 2199023255553 GROUP BY tag",
+		"SELECT name FROM customer WHERE credit < 100.25 ORDER BY id DESC LIMIT 2",
 	}
 	for _, s := range seeds {
 		f.Add(s)

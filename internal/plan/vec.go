@@ -57,7 +57,33 @@ type vscanStep struct {
 	tabIdx  int
 	span    string
 	charge  bool
-	filters []bexpr // table-local offsets
+	filters []vfilter
+}
+
+// vfilter is one pushed-down conjunct (table-local offsets), the kernel it
+// compiled to — nil leaves it to evalVec — and the share of rows it is
+// estimated to keep.
+type vfilter struct {
+	expr   bexpr
+	kernel *scanKernel
+	sel    float64
+}
+
+// scanStep returns the compiled step of the scan with stat slot nid, or nil
+// (also for a nil plan).
+func (v *vplan) scanStep(nid int) *vscanStep {
+	if v == nil {
+		return nil
+	}
+	if v.scan0.nid == nid {
+		return &v.scan0
+	}
+	for k := range v.joins {
+		if v.joins[k].right.nid == nid {
+			return &v.joins[k].right
+		}
+	}
+	return nil
 }
 
 // vjoinStep hash-joins the accumulated working set with one base table.
@@ -239,10 +265,11 @@ func compileVec(p *Plan) *vplan {
 	return v
 }
 
-// compileScan lowers one scanNode, ordering its pushed-down filters most
-// selective first (a pure reordering: pushed conjuncts are statically
-// safe and the row executor's short-circuit makes their order
-// unobservable). The scanNode itself — and so EXPLAIN — is not mutated.
+// compileScan lowers one scanNode, compiling each pushed-down filter of a
+// kernel shape (vkernel.go) and ordering them most selective first (a pure
+// reordering: pushed conjuncts are statically safe and the row executor's
+// short-circuit makes their order unobservable). The scanNode itself — and
+// so EXPLAIN — is not mutated.
 func compileScan(cc *costCtx, s *scanNode, tabIdx int) (vscanStep, bool) {
 	for _, f := range s.filter {
 		if !vecPred(f) {
@@ -251,12 +278,10 @@ func compileScan(cc *costCtx, s *scanNode, tabIdx int) (vscanStep, bool) {
 	}
 	step := vscanStep{nid: s.nid, tabIdx: tabIdx, span: s.span, charge: s.charge}
 	if len(s.filter) > 0 {
-		step.filters = append([]bexpr(nil), s.filter...)
-		sel := make([]float64, len(step.filters))
-		for i, f := range step.filters {
-			sel[i] = cc.sel(f, tabIdx)
+		for _, f := range s.filter {
+			step.filters = append(step.filters, vfilter{expr: f, kernel: compileKernel(f), sel: cc.sel(f, tabIdx)})
 		}
-		sort.SliceStable(step.filters, func(i, j int) bool { return sel[i] < sel[j] })
+		sort.SliceStable(step.filters, func(i, j int) bool { return step.filters[i].sel < step.filters[j].sel })
 	}
 	return step, true
 }

@@ -23,6 +23,7 @@ type slab[T any] struct {
 	buf   []T
 	off   int
 	spill int
+	last  *T // first element of the latest raw result: what shrink may cut back
 }
 
 // maxSlabElems bounds what one slab keeps between runs; a run that
@@ -32,12 +33,18 @@ const maxSlabElems = 8 << 20
 // raw returns n elements with arbitrary contents: for outputs whose every
 // element is written before it is read.
 func (s *slab[T]) raw(n int) []T {
+	var out []T
 	if s.off+n > len(s.buf) {
 		s.spill += n
-		return make([]T, n)
+		out = make([]T, n)
+	} else {
+		out = s.buf[s.off : s.off+n : s.off+n]
+		s.off += n
 	}
-	out := s.buf[s.off : s.off+n : s.off+n]
-	s.off += n
+	s.last = nil
+	if n > 0 {
+		s.last = &out[0]
+	}
 	return out
 }
 
@@ -48,12 +55,27 @@ func (s *slab[T]) zeros(n int) []T {
 	return out
 }
 
+// shrink keeps the first keep elements of buf and, when buf is the latest
+// raw result, gives the rest back: an output written at its upper bound
+// costs the run, and the next run's buffer, only what it came to hold. A
+// buffer that something was allocated after is cut but not given back.
+func (s *slab[T]) shrink(buf []T, keep int) []T {
+	if n := len(buf); n > 0 && &buf[0] == s.last {
+		if s.off >= n && &s.buf[s.off-n] == s.last {
+			s.off -= n - keep
+		} else {
+			s.spill -= n - keep // it was served from the heap
+		}
+	}
+	return buf[:keep:keep]
+}
+
 func (s *slab[T]) reset() {
 	if s.spill > 0 {
 		need := s.off + s.spill
 		s.buf = make([]T, min(need+need/4, maxSlabElems))
 	}
-	s.off, s.spill = 0, 0
+	s.off, s.spill, s.last = 0, 0, nil
 }
 
 // arena is one run's scratch memory. Nothing reachable from a returned
@@ -106,9 +128,9 @@ func (in *interner) id(s string) int32 {
 // quiet NaN, which no other float reduces to.
 var nanWord = int64(math.Float64bits(math.NaN()))
 
-// keyWords reduces lane c to one int64 per tuple plus a mask of the
+// keyWords reduces lane l to one int64 per tuple plus a mask of the
 // tuples that have no key (NULL; nil when there are none). Two keyed
-// lanes — of this vcol, or of the other side of a join pair reduced with
+// tuples — of this lane, or of the other side of a join pair reduced with
 // the same interner — get equal words exactly when Value.Key, and for a
 // join hashKey, call their values equal: a text lane reduces to its
 // dictionary code (through the interner when in is non-nil or the lane
@@ -118,15 +140,15 @@ var nanWord = int64(math.Float64bits(math.NaN()))
 // reduces to the equal integer, and a lane that equals no int64 — a
 // fraction, NaN, out of range — loses its key: no INT can match it, so
 // an integral float and the bits of a fractional one never share a word.
-func (r *vrun) keyWords(c *vcol, n int, intOnly bool, in *interner) ([]int64, []bool) {
-	a := r.a
+func (r *vrun) keyWords(l *lane, n int, intOnly bool, in *interner) ([]int64, []bool) {
+	a, c, sel := r.a, &l.c, l.sel
 	if c.cnst {
 		words := a.i64.zeros(n)
 		if c.nullAt(0) {
 			return words, a.trues(n)
 		}
-		one := *c
-		one.cnst = false
+		one := lane{c: *c}
+		one.c.cnst = false
 		w, null := r.keyWords(&one, 1, intOnly, in)
 		if null != nil && null[0] {
 			return words, a.trues(n)
@@ -136,24 +158,42 @@ func (r *vrun) keyWords(c *vcol, n int, intOnly bool, in *interner) ([]int64, []
 		}
 		return words, nil
 	}
+	at := func(i int) int { // l.at for a lane known not to be constant
+		if sel != nil {
+			return int(sel[i])
+		}
+		return i
+	}
 	null := c.null
+	if sel != nil && null != nil { // the column's mask, by row: bring it to tuple order
+		null = a.b.raw(n)
+		for i, row := range sel[:n] {
+			null[i] = c.null[row]
+		}
+	}
 	switch c.t {
 	case sqldata.TypeInt, sqldata.TypeDate:
-		return c.ints[:n], null
+		if sel == nil {
+			return c.ints[:n], null
+		}
+		words := a.i64.raw(n)
+		for i, row := range sel[:n] {
+			words[i] = c.ints[row]
+		}
+		return words, null
 
 	case sqldata.TypeBool:
-		words := a.i64.zeros(n)
-		for i, b := range c.bools[:n] {
-			if b {
-				words[i] = 1
-			}
+		words := a.i64.raw(n)
+		for i := range words {
+			words[i] = int64(b2i(c.bools[at(i)]))
 		}
 		return words, null
 
 	case sqldata.TypeFloat:
 		words := a.i64.raw(n)
-		owned := false // null is shared with the lane until a key is dropped
-		for i, f := range c.floats[:n] {
+		owned := sel != nil && null != nil // else null is shared with the lane until a key is dropped
+		for i := range words {
+			f := c.floats[at(i)]
 			switch {
 			case intOnly:
 				var ok bool
@@ -180,8 +220,8 @@ func (r *vrun) keyWords(c *vcol, n int, intOnly bool, in *interner) ([]int64, []
 		words := a.i64.raw(n)
 		switch {
 		case c.codes != nil && in == nil:
-			for i, code := range c.codes[:n] {
-				words[i] = int64(code)
+			for i := range words {
+				words[i] = int64(c.codes[at(i)])
 			}
 		case c.codes != nil:
 			// Once per dictionary entry, never per row.
@@ -189,8 +229,8 @@ func (r *vrun) keyWords(c *vcol, n int, intOnly bool, in *interner) ([]int64, []
 			for d, s := range c.dict {
 				xlat[d] = in.id(s)
 			}
-			for i, code := range c.codes[:n] {
-				if code >= 0 {
+			for i := range words {
+				if code := c.codes[at(i)]; code >= 0 {
 					words[i] = int64(xlat[code])
 				} else {
 					words[i] = 0
@@ -339,7 +379,7 @@ func (r *vrun) pairWords(a, b []int32, card int32) ([]int64, []bool) {
 // exactly when every key lane's Value.Key is equal, ids in first-
 // appearance order, NULL a key value like any other. rep[g] is the first
 // tuple of group g.
-func (r *vrun) groupIDs(kcols []vcol, n int) (gids, rep []int32) {
+func (r *vrun) groupIDs(kcols []lane, n int) (gids, rep []int32) {
 	gids = r.a.i32.raw(n)
 	var card int32
 	for k := range kcols {
@@ -390,8 +430,8 @@ func (r *vrun) joinKeyIDs(lk, rk []vcol, leftN, rn int, buildLeft bool) (lkid, r
 		if lk[k].t == sqldata.TypeText {
 			in = &interner{}
 		}
-		lw, lnull := r.keyWords(&lk[k], leftN, lk[k].t == sqldata.TypeFloat && rk[k].t == sqldata.TypeInt, in)
-		rw, rnull := r.keyWords(&rk[k], rn, rk[k].t == sqldata.TypeFloat && lk[k].t == sqldata.TypeInt, in)
+		lw, lnull := r.keyWords(&lane{c: lk[k]}, leftN, lk[k].t == sqldata.TypeFloat && rk[k].t == sqldata.TypeInt, in)
+		rw, rnull := r.keyWords(&lane{c: rk[k]}, rn, rk[k].t == sqldata.TypeFloat && lk[k].t == sqldata.TypeInt, in)
 		bw, bnull, pw, pnull := rw, rnull, lw, lnull
 		if buildLeft {
 			bw, bnull, pw, pnull = lw, lnull, rw, rnull
@@ -419,7 +459,7 @@ func (r *vrun) joinKeyIDs(lk, rk []vcol, leftN, rn int, buildLeft bool) (lkid, r
 // freshMask marks, in tuple order, the first tuple of every distinct
 // (group, argument value) pair: what an aggregate's DISTINCT keeps. NULL
 // arguments are never fresh.
-func (r *vrun) freshMask(arg *vcol, gids []int32, ngroups int) []bool {
+func (r *vrun) freshMask(arg *lane, gids []int32, ngroups int) []bool {
 	n := len(gids)
 	words, null := r.keyWords(arg, n, false, nil)
 	t := r.newKeyTable(words, null)

@@ -42,17 +42,19 @@ func (b *Bitmap) Count() int {
 }
 
 // ColumnVector is one column of a table decomposed into a typed slice.
-// Exactly one payload slice is populated, chosen by Type (TypeInt and
-// TypeDate both use Ints — dates are days since the epoch). Nulls is
+// Exactly one payload is populated, chosen by Type (TypeInt and TypeDate
+// both use Ints — dates are days since the epoch; TypeText uses
+// Codes+Dict). Nulls is
 // nil when the column has no NULLs, which lets tight loops skip the
 // bitmap test entirely; NullMask is the same set expanded to one bool
 // per slot, for consumers that index lanes rather than test bits.
 //
-// A TEXT column is also dictionary-coded: Dict lists its distinct
-// non-NULL values in first-appearance order and Codes[i] indexes it
-// (-1 in a NULL slot), so equality on the column is equality of small
-// integers. The dictionary belongs to the snapshot: an Insert invalidates
-// it with everything else here.
+// A TEXT column's payload is dictionary-coded, and that is its only copy:
+// Dict lists its distinct non-NULL values in first-appearance order and
+// Codes[i] indexes it (-1 in a NULL slot), so equality on the column is
+// equality of small integers and a predicate on it need only be decided
+// once per Dict entry. The dictionary belongs to the snapshot: an Insert
+// invalidates it with everything else here.
 type ColumnVector struct {
 	Type     Type
 	Len      int
@@ -61,7 +63,6 @@ type ColumnVector struct {
 
 	Ints   []int64   // TypeInt, TypeDate
 	Floats []float64 // TypeFloat
-	Texts  []string  // TypeText
 	Bools  []bool    // TypeBool
 
 	Codes []int32  // TypeText: index into Dict, -1 when NULL
@@ -84,7 +85,7 @@ func (cv *ColumnVector) Value(i int) Value {
 	case TypeFloat:
 		return NewFloat(cv.Floats[i])
 	case TypeText:
-		return NewText(cv.Texts[i])
+		return NewText(cv.Dict[cv.Codes[i]])
 	case TypeBool:
 		return NewBool(cv.Bools[i])
 	case TypeDate:
@@ -137,7 +138,6 @@ func buildColumns(t *Table) []*ColumnVector {
 		case TypeFloat:
 			cv.Floats = make([]float64, n)
 		case TypeText:
-			cv.Texts = make([]string, n)
 			cv.Codes = make([]int32, n)
 		case TypeBool:
 			cv.Bools = make([]bool, n)
@@ -166,7 +166,6 @@ func buildColumns(t *Table) []*ColumnVector {
 			case TypeFloat:
 				cv.Floats[i] = v.f
 			case TypeText:
-				cv.Texts[i] = v.s
 				code, ok := dicts[j][v.s]
 				if !ok {
 					if dicts[j] == nil {

@@ -254,7 +254,7 @@ func ndvHash(cv *ColumnVector, i int) uint64 {
 	case TypeText:
 		const offset64, prime64 = 14695981039346656037, 1099511628211
 		h := uint64(offset64)
-		s := cv.Texts[i]
+		s := cv.Dict[cv.Codes[i]]
 		for j := 0; j < len(s); j++ {
 			h ^= uint64(s[j])
 			h *= prime64

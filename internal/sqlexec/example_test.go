@@ -62,5 +62,5 @@ func ExampleEngine_Explain() {
 	// Output:
 	// Limit 2
 	//   Project [b]
-	//     Scan t (0 rows) [filter: a > 3]
+	//     Scan t (0 rows) [filter: a > 3] kernel=1/1
 }

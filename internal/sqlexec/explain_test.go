@@ -126,8 +126,9 @@ func TestExplainAnalyzeRowCounts(t *testing.T) {
 }
 
 // TestExplainNamesWhatRuns: a bounded ORDER BY says topk=<k> on its Sort
-// line (a DISTINCT one does not: it sorts everything), and a vectorized
-// plan's group and join lines name the word each key is hashed as.
+// line (a DISTINCT one does not: it sorts everything), a vectorized
+// plan's group and join lines name the word each key is hashed as, and
+// its filtered scans say how many conjuncts are compiled kernels.
 func TestExplainNamesWhatRuns(t *testing.T) {
 	eng := New(corpDB(t))
 	cases := []struct {
@@ -155,11 +156,22 @@ func TestExplainNamesWhatRuns(t *testing.T) {
 			wantNone: []string{"topk="},
 		},
 		{
+			// Column-vs-literal conjuncts of every shape are kernels, on
+			// either side of a join; arithmetic on the column is not.
+			sql: "SELECT e.name FROM employee AS e JOIN department AS d ON e.dept_id = d.id " +
+				"WHERE 100 < e.salary AND e.name LIKE 'a%' AND e.dept_id IN (1, 2) AND e.salary + 1 > 5 AND d.name != 'hr' AND d.budget IS NOT NULL",
+			want: []string{
+				"[filter: 100 < e.salary AND e.name LIKE 'a%' AND e.dept_id IN (1, 2) AND (e.salary + 1) > 5] kernel=3/4",
+				"[filter: d.name != 'hr' AND d.budget IS NOT NULL] kernel=2/2",
+			},
+		},
+		{
 			// A sub-query keeps the statement on the row executor, whose
-			// keys are strings: no representation is claimed.
-			sql:      "SELECT dept_id, COUNT(*) FROM employee WHERE salary > (SELECT AVG(salary) FROM employee) GROUP BY dept_id",
-			want:     []string{"HashGroupBy [dept_id]"},
-			wantNone: []string{"keys="},
+			// keys are strings and whose filters are interpreted: neither
+			// is claimed.
+			sql:      "SELECT dept_id, COUNT(*) FROM employee WHERE dept_id > 1 AND salary > (SELECT AVG(salary) FROM employee) GROUP BY dept_id",
+			want:     []string{"HashGroupBy [dept_id]", "[filter: dept_id > 1]"},
+			wantNone: []string{"keys=", "kernel="},
 		},
 	}
 	for _, tc := range cases {
