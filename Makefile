@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test short race vet staticcheck chaos proc-chaos fuzz check bench-check bench-vec tables-check metrics-smoke cache-smoke plan-smoke overload-smoke trace-smoke session-smoke bench-cache bench-plan bench-columnar bench-overload bench-shard bench-obs bench-session bench-remote-shard
+.PHONY: build test short race vet fmt-check staticcheck chaos proc-chaos fuzz check bench-check bench-vec tables-check metrics-smoke cache-smoke plan-smoke overload-smoke trace-smoke session-smoke bench-cache bench-plan bench-columnar bench-overload bench-shard bench-obs bench-session bench-remote-shard
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file as gofmt writes it: fails listing the files that are not.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # staticcheck when the toolchain has it; a no-op (with a note) otherwise,
 # so `make test` works on bare containers without network access.
@@ -98,7 +102,9 @@ cache-smoke: build
 
 # End-to-end planner check: serve a two-table equi-join question through
 # cmd/nlidb and assert the -explain trace shows a HashJoin plan node and
-# a plan-cache hit on the repeat.
+# a plan-cache hit on the repeat; then serve a per-host question over a
+# small dataset of the benchmark's ops shape and assert its join ran
+# fused (agg=fused).
 plan-smoke: build
 	./scripts/plan_smoke.sh
 
@@ -172,4 +178,4 @@ bench-remote-shard: build
 bench-session: build
 	$(GO) run -race ./cmd/nlidb-bench -session BENCH_session.json
 
-check: build vet test race bench-check bench-vec tables-check proc-chaos overload-smoke
+check: build vet fmt-check test race bench-check bench-vec tables-check proc-chaos overload-smoke

@@ -10,8 +10,8 @@ import (
 	"nlidb/internal/dialogue"
 	"nlidb/internal/keywordnl"
 	"nlidb/internal/lexicon"
-	"nlidb/internal/resilient"
 	"nlidb/internal/nlq"
+	"nlidb/internal/resilient"
 	"nlidb/internal/sqlparse"
 )
 

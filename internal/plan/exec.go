@@ -20,18 +20,21 @@ import (
 // meter, the enclosing statement frame (for correlated sub-plans), the span
 // operator child-spans hang off (nil for sub-plans — a correlated sub-query
 // re-runs per outer row, and a span per run would bloat the trace), and the
-// per-operator row-count slots (nil outside RunStats).
+// per-operator row-count slots and fused-join marks (nil outside RunStats).
 type execEnv struct {
 	st     *execState
 	parent *frame
 	span   *obs.Span
 	stats  []int64
+	fused  []bool
 }
 
 // Stats holds per-operator output row counts from one RunStats execution,
-// indexed by the node ids assigned at plan time.
+// indexed by the node ids assigned at plan time, and which joins aggregated
+// as they probed.
 type Stats struct {
-	rows []int64
+	rows  []int64
+	fused []bool
 }
 
 // Run executes the plan under ctx and budget b. Usage is reported for
@@ -46,15 +49,19 @@ func (p *Plan) Run(ctx context.Context, b Budget) (*sqldata.Result, Usage, error
 
 // RunStats is Run plus per-operator row counts for EXPLAIN ANALYZE.
 func (p *Plan) RunStats(ctx context.Context, b Budget) (*sqldata.Result, Usage, *Stats, error) {
-	return p.exec(ctx, b, make([]int64, p.nstats))
+	return p.exec(ctx, b, &Stats{rows: make([]int64, p.nstats), fused: make([]bool, p.nstats)})
 }
 
-func (p *Plan) exec(ctx context.Context, b Budget, stats []int64) (*sqldata.Result, Usage, *Stats, error) {
+func (p *Plan) exec(ctx context.Context, b Budget, stats *Stats) (*sqldata.Result, Usage, *Stats, error) {
 	st := &execState{ctx: ctx, budget: b, span: obs.FromContext(ctx)}
 	if err := st.checkCtx(); err != nil {
 		return nil, Usage{}, nil, err
 	}
-	res, err := p.run(&execEnv{st: st, span: st.span, stats: stats})
+	env := &execEnv{st: st, span: st.span}
+	if stats != nil {
+		env.stats, env.fused = stats.rows, stats.fused
+	}
+	res, err := p.run(env)
 	u := Usage{Rows: st.rows, JoinRows: st.joinRows, Subqueries: st.subqueries}
 	if st.span != nil {
 		st.span.Add("rows_scanned", int64(u.Rows))
@@ -65,11 +72,7 @@ func (p *Plan) exec(ctx context.Context, b Budget, stats []int64) (*sqldata.Resu
 		}
 		st.span.SetAttr("budget", u.Against(b))
 	}
-	var sp *Stats
-	if stats != nil {
-		sp = &Stats{rows: stats}
-	}
-	return res, u, sp, err
+	return res, u, stats, err
 }
 
 // runSub evaluates a sub-plan against the enclosing statement's execution

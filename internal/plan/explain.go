@@ -18,7 +18,8 @@ import (
 // filtered scan says how many of its conjuncts are compiled to kernels
 // rather than left to the generic evaluator (kernel=<n>/<m>; a run hands a
 // dictionary kernel back to the evaluator while its input is shorter than
-// the dictionary).
+// the dictionary). Under EXPLAIN ANALYZE a join that aggregated as it
+// probed, never materializing its output, says agg=fused.
 
 // Explain renders the plan as an indented operator tree.
 func (p *Plan) Explain() string {
@@ -154,7 +155,11 @@ func renderNode(r *renderer, n node, depth int) {
 		renderNode(r, t.child, depth+1)
 
 	case *joinNode:
-		r.statLine(depth, t.nid, "%s (%s)%s", joinName(t), t.onDisp, r.keysSuffix(t.lKeys, t.rKeys))
+		fused := ""
+		if r.stats != nil && r.stats.fused[t.nid] {
+			fused = " agg=fused"
+		}
+		r.statLine(depth, t.nid, "%s (%s)%s%s", joinName(t), t.onDisp, r.keysSuffix(t.lKeys, t.rKeys), fused)
 		renderNode(r, t.left, depth+1)
 		renderNode(r, t.right, depth+1)
 	}

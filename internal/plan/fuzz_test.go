@@ -224,6 +224,22 @@ func FuzzPlanExec(f *testing.F) {
 		"SELECT p.pid, c.name FROM probe AS p JOIN customer AS c ON p.tag = c.city WHERE p.f >= 0 AND c.credit > -5",
 		"SELECT tag, COUNT(*), SUM(f) FROM probe WHERE big < 2199023255553 GROUP BY tag",
 		"SELECT name FROM customer WHERE credit < 100.25 ORDER BY id DESC LIMIT 2",
+		// Grouped joins that aggregate as they probe: the dimension first
+		// (customer 4 and 5 have no orders, order 14 no customer) and last,
+		// injective and shared groups, NULL group keys and arguments, a
+		// global aggregate, HAVING, a three-table chain, duplicate keys on
+		// the dimension side (two Berlin customers), and a float sum over a
+		// group of several keys, which must take the general path.
+		"SELECT c.name, COUNT(*), SUM(o.total), MIN(o.total), MAX(o.placed), MIN(o.status) FROM customer AS c JOIN orders AS o ON c.id = o.customer_id GROUP BY c.name",
+		"SELECT c.city, COUNT(*), COUNT(o.total), MAX(o.total), MIN(o.id) FROM customer AS c JOIN orders AS o ON c.id = o.customer_id GROUP BY c.city",
+		"SELECT c.city, AVG(o.total), SUM(o.total) FROM customer AS c JOIN orders AS o ON c.id = o.customer_id GROUP BY c.city",
+		"SELECT c.name, AVG(o.total) FROM orders AS o JOIN customer AS c ON o.customer_id = c.id WHERE o.total > 10 GROUP BY c.name HAVING COUNT(*) > 1",
+		"SELECT COUNT(*), SUM(o.id), MAX(o.status) FROM customer AS c JOIN orders AS o ON c.id = o.customer_id",
+		"SELECT cat.name, COUNT(*), MIN(p.name) FROM category AS cat JOIN product AS p ON cat.id = p.category_id GROUP BY cat.name",
+		"SELECT c.credit, COUNT(*), MAX(p.f) FROM customer AS c JOIN probe AS p ON c.city = p.tag GROUP BY c.credit",
+		"SELECT c.city, COUNT(*), SUM(p.f) FROM probe AS p JOIN customer AS c ON p.tag = c.city GROUP BY c.city",
+		"SELECT cat.name, COUNT(*) FROM category AS cat JOIN product AS p ON cat.id = p.category_id JOIN orders AS o ON p.id = o.id GROUP BY cat.name",
+		"SELECT c.city IS NULL, SUM(o.total), MAX(o.total) FROM customer AS c JOIN orders AS o ON c.id = o.customer_id GROUP BY c.city IS NULL",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -99,8 +99,8 @@ func TestOrderByLimit(t *testing.T) {
 			name: "order by aggregate with limit",
 			// Counts tie at 2 for ranks NULL, 1, and 2; rank ASC puts the
 			// NULL group first.
-			sql:  "SELECT rank, COUNT(*) FROM entry GROUP BY rank ORDER BY COUNT(*) DESC, rank ASC LIMIT 2",
-			ids:  []string{"NULL", "1"},
+			sql: "SELECT rank, COUNT(*) FROM entry GROUP BY rank ORDER BY COUNT(*) DESC, rank ASC LIMIT 2",
+			ids: []string{"NULL", "1"},
 		},
 	}
 	for _, tc := range cases {

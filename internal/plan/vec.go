@@ -48,6 +48,23 @@ type vplan struct {
 	// aggs lists every aggregate node reachable from the select items,
 	// HAVING, and ORDER BY of a grouped plan, in collection order.
 	aggs []*bAgg
+
+	// fuse is set when the grouped plan's last join (in order) may
+	// aggregate as it probes instead of materializing its output.
+	fuse *vfuse
+}
+
+// vfuse says on which side of a grouped plan's last join the group keys
+// and aggregate arguments lie. The join is a single-key INNER equi-join
+// with no join or WHERE residual and no DISTINCT aggregate; whether it
+// fuses is decided per run, by counting each key's tuples on the group
+// keys' side (aggregateThrough).
+type vfuse struct {
+	dimLeft  bool // group keys read only the left input, aggregate arguments only the right table
+	dimRight bool // group keys read only the right table, aggregate arguments only the left input
+	// merge says every aggregate can be combined from per-key partials (no
+	// float sum), so a group may own several left keys under dimLeft.
+	merge bool
 }
 
 // vscanStep scans one FROM table, applying its pushed-down predicates as
@@ -262,7 +279,52 @@ func compileVec(p *Plan) *vplan {
 	if len(v.joins) >= 2 && reorderable(p, v) {
 		v.order = greedyJoinOrder(p, v)
 	}
+	v.fuse = compileFuse(p, v)
 	return v
+}
+
+// compileFuse decides whether the grouped plan's last join may aggregate
+// as it probes (see vfuse), or returns nil.
+func compileFuse(p *Plan, v *vplan) *vfuse {
+	if !p.grouped || len(v.joins) == 0 || v.residNid >= 0 {
+		return nil
+	}
+	j := &v.joins[v.order[len(v.order)-1]]
+	if j.leftJoin || len(j.lKeys) != 1 || len(j.residual) > 0 {
+		return nil
+	}
+	// side reports whether the columns e reads lie only in the right table
+	// (right) and only outside it (left); a constant does both.
+	side := func(e bexpr) (left, right bool) {
+		var info exprInfo
+		inspect(e, &info)
+		left, right = true, true
+		for _, off := range info.offs {
+			inRight := p.tableAtOff(off) == j.right.tabIdx
+			left, right = left && !inRight, right && inRight
+		}
+		return left, right
+	}
+	f := &vfuse{dimLeft: true, dimRight: true, merge: true}
+	for _, k := range p.groupKeys {
+		l, r := side(k)
+		f.dimLeft, f.dimRight = f.dimLeft && l, f.dimRight && r
+	}
+	for _, a := range v.aggs {
+		if a.distinct {
+			return nil
+		}
+		if a.star {
+			continue
+		}
+		l, r := side(a.arg)
+		f.dimLeft, f.dimRight = f.dimLeft && r, f.dimRight && l
+		f.merge = f.merge && (a.name == "MIN" || a.name == "MAX" || exactAgg(a))
+	}
+	if !f.dimLeft && !f.dimRight {
+		return nil
+	}
+	return f
 }
 
 // compileScan lowers one scanNode, compiling each pushed-down filter of a

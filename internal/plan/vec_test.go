@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -207,6 +208,9 @@ func TestVecBudgetParity(t *testing.T) {
 	}{
 		{"SELECT name FROM customer", Budget{MaxRows: 3}},
 		{"SELECT c.name, o.total FROM customer AS c JOIN orders AS o ON c.id = o.customer_id", Budget{MaxRows: 1 << 20, MaxJoinRows: 2}},
+		// fused joins charge their rows before aggregating, in either orientation
+		{"SELECT c.name, COUNT(*) FROM customer AS c JOIN orders AS o ON c.id = o.customer_id GROUP BY c.name", Budget{MaxRows: 1 << 20, MaxJoinRows: 2}},
+		{"SELECT c.name, SUM(o.total) FROM orders AS o JOIN customer AS c ON o.customer_id = c.id GROUP BY c.name", Budget{MaxRows: 1 << 20, MaxJoinRows: 2}},
 	}
 	for _, tc := range cases {
 		vp := mustPrepare(t, db, tc.sql, Options{})
@@ -398,11 +402,29 @@ func diffThreeWays(t *testing.T, db *sqldata.Database, sql string) *Plan {
 	}
 	if !sameResult(vRes, rRes) {
 		t.Errorf("%q: vectorized differs from row executor:\nrow: %v\nvec: %v", sql, rRes.Rows, vRes.Rows)
+	} else if diff := floatBitsDiff(rRes, vRes); diff != "" {
+		t.Errorf("%q: vectorized float differs from row executor's in its bits: %s", sql, diff)
 	}
 	if vu != ru {
 		t.Errorf("%q: usage differs: row %+v vec %+v", sql, ru, vu)
 	}
 	return vp
+}
+
+// floatBitsDiff names the first FLOAT cell of two results that sameResult
+// calls equal whose bits differ (-0 against 0), or "". NaNs are not told
+// apart: the compiler may evaluate a sum's x + y as y + x, which keeps the
+// other operand's NaN, so a NaN's sign and payload differ between builds.
+func floatBitsDiff(a, b *sqldata.Result) string {
+	for i := range a.Rows {
+		for j, v := range a.Rows[i] {
+			w := b.Rows[i][j]
+			if v.T == sqldata.TypeFloat && !v.Null && !math.IsNaN(v.Float()) && math.Float64bits(v.Float()) != math.Float64bits(w.Float()) {
+				return fmt.Sprintf("row %d column %d: %#x against %#x", i, j, math.Float64bits(v.Float()), math.Float64bits(w.Float()))
+			}
+		}
+	}
+	return ""
 }
 
 // typedKeyQueries exercise every key shape of the typed-key paths:
@@ -461,6 +483,182 @@ func TestTypedKeysDifferential(t *testing.T) {
 	db := keysDB()
 	for _, sql := range typedKeyQueries {
 		diffThreeWays(t, db, sql)
+	}
+	fdb := fusedDB()
+	for _, tc := range fusedQueries {
+		p := diffThreeWays(t, fdb, tc.sql)
+		_, _, stats, err := p.RunStats(context.Background(), DefaultBudget())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fused := slices.Contains(stats.fused, true); fused != tc.fused {
+			t.Errorf("%q: ran fused %v, want %v", tc.sql, fused, tc.fused)
+		}
+	}
+}
+
+// fusedDB is the aggregate-through-join fixture: a host dimension whose
+// first row and one other no metric references, with one NULL name and
+// zones shared by several hosts; a zone table over it for a three-table
+// chain; twin, whose ids repeat; none, which is empty; and a metric fact
+// table with NULL and dangling foreign keys, NULL, -0, 0 and NaN measures,
+// float measures whose sums depend on their order, and integers whose sum
+// per zone leaves the int64 range.
+func fusedDB() *sqldata.Database {
+	r := rand.New(rand.NewSource(11))
+	db := sqldata.NewDatabase("fused")
+	null := sqldata.NullValue()
+	mk := func(name string, cols ...sqldata.Column) *sqldata.Table {
+		tab, err := db.CreateTable(&sqldata.Schema{Name: name, Columns: cols})
+		if err != nil {
+			panic(err)
+		}
+		return tab
+	}
+	intCol := func(n string) sqldata.Column { return sqldata.Column{Name: n, Type: sqldata.TypeInt} }
+	textCol := func(n string) sqldata.Column { return sqldata.Column{Name: n, Type: sqldata.TypeText} }
+	host := mk("host", intCol("id"), textCol("name"), textCol("zone"), intCol("cores"))
+	zones := []string{"eu", "us", "ap"}
+	for i, id := range []int64{99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
+		name := sqldata.NewText(fmt.Sprintf("h%02d", id))
+		if id == 7 {
+			name = null
+		}
+		host.MustInsert(sqldata.NewInt(id), name, sqldata.NewText(zones[i%3]), sqldata.NewInt(int64(2<<(i%4))))
+	}
+	zone := mk("zone", textCol("code"), textCol("region"))
+	for _, z := range [][2]string{{"eu", "europe"}, {"us", "america"}, {"ap", "asia"}} {
+		zone.MustInsert(sqldata.NewText(z[0]), sqldata.NewText(z[1]))
+	}
+	twin := mk("twin", intCol("id"), textCol("label"))
+	for _, tw := range []struct {
+		id    int64
+		label string
+	}{{1, "a"}, {2, "b"}, {2, "c"}, {3, "d"}} {
+		twin.MustInsert(sqldata.NewInt(tw.id), sqldata.NewText(tw.label))
+	}
+	mk("none", intCol("id"), textCol("label"))
+	metric := mk("metric", intCol("id"), intCol("host_id"), textCol("kind"),
+		sqldata.Column{Name: "cpu", Type: sqldata.TypeFloat}, intCol("rss"))
+	kinds := []string{"cpu", "disk", "net", "mem"}
+	for i := 0; i < 400; i++ {
+		hostID := sqldata.NewInt(int64(1 + r.Intn(10)))
+		switch {
+		case hostID.Int() == 5: // host 5, like 99, is never referenced
+			hostID = sqldata.NewInt(42)
+		case i%37 == 0:
+			hostID = null
+		}
+		cpu := sqldata.NewFloat(r.Float64() * 100)
+		switch i % 23 {
+		case 3:
+			cpu = null
+		case 5:
+			cpu = sqldata.NewFloat(math.Copysign(0, -1))
+		case 7:
+			cpu = sqldata.NewFloat(0)
+		case 11: // one host's: the other zones' float sums stay finite
+			if !hostID.Null && hostID.Int() == 3 {
+				cpu = sqldata.NewFloat(math.NaN())
+			}
+		}
+		rss := sqldata.NewInt(int64(r.Intn(1 << 20)))
+		switch {
+		case i%19 == 4:
+			rss = null
+		case i%53 == 8:
+			rss = sqldata.NewInt(math.MaxInt64 / 3)
+		}
+		metric.MustInsert(sqldata.NewInt(int64(i+1)), hostID, sqldata.NewText(kinds[r.Intn(len(kinds))]), cpu, rss)
+	}
+	return db
+}
+
+// fusedQueries are grouped joins over fusedDB and whether their last join
+// aggregates as it probes: both orientations of the foreign-key join, an
+// injective group (host.name) and a non-injective one (host.zone), every
+// aggregate over INT, FLOAT and TEXT, and the shapes that must take the
+// general path.
+var fusedQueries = func() []struct {
+	sql   string
+	fused bool
+} {
+	const (
+		dimFirst  = "FROM host JOIN metric ON host.id = metric.host_id"
+		factFirst = "FROM metric JOIN host ON metric.host_id = host.id"
+		exact     = "COUNT(*), COUNT(metric.cpu), SUM(metric.rss), MIN(metric.rss), MAX(metric.rss), MIN(metric.cpu), MAX(metric.cpu), MIN(metric.kind), MAX(metric.kind)"
+		sums      = "SUM(metric.cpu), AVG(metric.cpu), AVG(metric.rss)"
+	)
+	var qs []struct {
+		sql   string
+		fused bool
+	}
+	add := func(fused bool, sql string) {
+		qs = append(qs, struct {
+			sql   string
+			fused bool
+		}{sql, fused})
+	}
+	for _, from := range []string{dimFirst, factFirst} {
+		for _, g := range []string{"host.name", "host.zone", "host.cores", "LOWER(host.name)"} {
+			add(true, fmt.Sprintf("SELECT %s, %s %s GROUP BY %s", g, exact, from, g))
+		}
+		add(true, fmt.Sprintf("SELECT host.name, %s %s GROUP BY host.name", sums, from))
+		add(true, fmt.Sprintf("SELECT %s %s", exact, from))
+		add(true, fmt.Sprintf("SELECT host.name, metric.kind, metric.id, COUNT(*), SUM(NULL), MAX(NULL) %s GROUP BY host.name", from))
+		add(true, fmt.Sprintf("SELECT host.zone, SUM(metric.rss) %s WHERE metric.cpu > 20 GROUP BY host.zone HAVING COUNT(*) > 10 ORDER BY SUM(metric.rss) DESC", from))
+		// general path: a DISTINCT aggregate, group keys on both sides, a
+		// residual across the two tables, LEFT JOIN
+		add(false, fmt.Sprintf("SELECT host.name, COUNT(DISTINCT metric.kind) %s GROUP BY host.name", from))
+		add(false, fmt.Sprintf("SELECT host.name, metric.kind, COUNT(*) %s GROUP BY host.name, metric.kind", from))
+		add(false, fmt.Sprintf("SELECT host.name, COUNT(*) %s WHERE host.cores * 1000 > metric.rss GROUP BY host.name", from))
+	}
+	// A float sum over a group of several keys adds up in tuple order only
+	// on the general path; fact first, every group is accumulated in order.
+	add(false, "SELECT host.zone, "+sums+" "+dimFirst+" GROUP BY host.zone")
+	add(false, "SELECT "+sums+" "+dimFirst)
+	add(true, "SELECT host.zone, "+sums+" "+factFirst+" GROUP BY host.zone")
+	add(true, "SELECT "+sums+" "+factFirst)
+	add(false, "SELECT host.name, COUNT(*), SUM(metric.cpu) FROM host LEFT JOIN metric ON host.id = metric.host_id GROUP BY host.name")
+	// duplicate keys on the side the group keys read
+	add(false, "SELECT twin.label, COUNT(*), SUM(metric.cpu) FROM twin JOIN metric ON twin.id = metric.host_id GROUP BY twin.label")
+	add(false, "SELECT twin.label, COUNT(*), SUM(metric.cpu) FROM metric JOIN twin ON metric.host_id = twin.id GROUP BY twin.label")
+	add(false, "SELECT COUNT(*), MAX(metric.rss) FROM twin JOIN metric ON twin.id = metric.host_id")
+	// three-table chains: the last join fuses
+	add(true, "SELECT zone.region, COUNT(*), SUM(metric.cpu) FROM metric JOIN host ON metric.host_id = host.id JOIN zone ON host.zone = zone.code GROUP BY zone.region")
+	add(true, "SELECT zone.region, COUNT(*), MIN(metric.cpu) FROM zone JOIN host ON zone.code = host.zone JOIN metric ON host.id = metric.host_id GROUP BY zone.region")
+	add(false, "SELECT zone.region, SUM(metric.cpu) FROM zone JOIN host ON zone.code = host.zone JOIN metric ON host.id = metric.host_id GROUP BY zone.region")
+	// an empty side
+	add(true, "SELECT host.name, COUNT(*), MAX(none.label) FROM host JOIN none ON host.id = none.id GROUP BY host.name")
+	add(true, "SELECT none.label, COUNT(*), AVG(metric.cpu) FROM metric JOIN none ON metric.host_id = none.id GROUP BY none.label")
+	return qs
+}()
+
+// TestFusedEmptyGlobalGroup: a global aggregate over a fused join that
+// matches nothing still has its one group, of COUNT 0 and NULLs, in either
+// orientation. (The naive evaluator fails on a global aggregate over an
+// empty join, so only the two executors are compared.)
+func TestFusedEmptyGlobalGroup(t *testing.T) {
+	db := fusedDB()
+	ctx := context.Background()
+	for _, sql := range []string{
+		"SELECT COUNT(*), MIN(none.label), SUM(none.id) FROM host JOIN none ON host.id = none.id",
+		"SELECT COUNT(*), AVG(metric.cpu), MAX(metric.kind) FROM metric JOIN none ON metric.host_id = none.id",
+	} {
+		vRes, vu, stats, vErr := mustPrepare(t, db, sql, Options{}).RunStats(ctx, DefaultBudget())
+		rRes, ru, rErr := mustPrepare(t, db, sql, Options{NoVector: true}).Run(ctx, DefaultBudget())
+		if vErr != nil || rErr != nil {
+			t.Fatalf("%q: vec err=%v row err=%v", sql, vErr, rErr)
+		}
+		if !sameResult(vRes, rRes) || vu != ru {
+			t.Errorf("%q:\nrow: %v %+v\nvec: %v %+v", sql, rRes.Rows, ru, vRes.Rows, vu)
+		}
+		if got := fmt.Sprint(vRes.Rows); got != "[[0 NULL NULL]]" {
+			t.Errorf("%q = %s, want [[0 NULL NULL]]", sql, got)
+		}
+		if !slices.Contains(stats.fused, true) {
+			t.Errorf("%q: did not run fused", sql)
+		}
 	}
 }
 

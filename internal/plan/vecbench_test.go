@@ -62,18 +62,26 @@ func opsDB(n int) *sqldata.Database {
 }
 
 // scanShapes are the statement shapes of the benchmark's scan_agg workload
-// (the first four; %s is a filter that keeps most of the fact table, a
-// tenth of it for top_k), the ones its shard_scatter workload adds — a
-// global aggregate, and a text equality on the dimension under the join —
-// three that only differ in the scan filter: a text equality and a text
-// IN on the fact table, and two conjuncts on one scan — and a text filter
-// over a dictionary as long as the table, behind a conjunct that leaves it
-// 64 rows.
+// (the first four are its gold statements; %s is a filter that keeps most
+// of the fact table, a tenth of it for top_k); the statements the serving
+// chain actually emits for its per-host questions — the dimension first,
+// `host JOIN metric` — and one with a dimension filter that leaves one
+// host, so that most fact rows match nothing; the other unjoined grouped
+// form; the ones its shard_scatter workload adds — a global aggregate, and
+// a text equality on the dimension under the join; three that only differ
+// in the scan filter: a text equality and a text IN on the fact table, and
+// two conjuncts on one scan; and a text filter over a dictionary as long
+// as the table, behind a conjunct that leaves it 64 rows.
 var scanShapes = []struct{ name, sql, cond string }{
 	{"grouped", "SELECT kind, AVG(rss) FROM metric WHERE %s GROUP BY kind", "cpu > 20.5"},
 	{"per_host", "SELECT host.name, COUNT(*) FROM metric JOIN host ON metric.host_id = host.id WHERE metric.%s GROUP BY host.name", "cpu > 20.5"},
 	{"per_host_agg", "SELECT host.name, SUM(metric.cpu) FROM metric JOIN host ON metric.host_id = host.id WHERE metric.%s GROUP BY host.name", "rss < 800000"},
 	{"top_k", "SELECT status FROM metric WHERE %s ORDER BY rss DESC LIMIT 5", "cpu < 10.25"},
+	{"served_count", "SELECT host.name, COUNT(*) FROM host JOIN metric ON host.id = metric.host_id WHERE metric.%s GROUP BY host.name", "rss < 915516"},
+	{"served_avg", "SELECT host.name, AVG(metric.rss) FROM host JOIN metric ON host.id = metric.host_id WHERE metric.%s GROUP BY host.name", "cpu > 20.5"},
+	{"served_sum", "SELECT host.name, SUM(metric.cpu) FROM host JOIN metric ON host.id = metric.host_id WHERE metric.%s GROUP BY host.name", "rss < 800000"},
+	{"served_one", "SELECT host.name, SUM(metric.cpu), MAX(metric.rss) FROM host JOIN metric ON host.id = metric.host_id WHERE host.%s GROUP BY host.name", "name = 'host-07'"},
+	{"grouped_sum", "SELECT status, SUM(rss) FROM metric WHERE %s GROUP BY status", "cpu > 20.5"},
 	{"aggregate", "SELECT MAX(rss), MIN(rss), SUM(cpu) FROM metric WHERE %s", "cpu > 20.5"},
 	{"of_host", "SELECT COUNT(*) FROM metric JOIN host ON metric.host_id = host.id WHERE host.name = 'host-07' AND metric.%s", "cpu > 40.5"},
 	{"in_zone", "SELECT COUNT(*) FROM metric JOIN host ON metric.host_id = host.id WHERE host.zone = 'eu' AND metric.%s", "rss < 800000"},

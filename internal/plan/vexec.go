@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -228,22 +229,26 @@ type vctx struct {
 	n     int
 	a     *arena
 	raw   func(off int) vcol
-	cols  []vcol // by offset
-	have  []bool
+	cols  []cachedCol // by offset
 	slots []vcol
+}
+
+type cachedCol struct {
+	c    vcol
+	have bool
 }
 
 // cachedCtx returns a context over n tuples whose columns live at
 // offsets 0..width-1.
 func cachedCtx(a *arena, n, width int, raw func(off int) vcol) *vctx {
-	return &vctx{n: n, a: a, raw: raw, cols: make([]vcol, width), have: make([]bool, width)}
+	return &vctx{n: n, a: a, raw: raw, cols: make([]cachedCol, width)}
 }
 
 func (ctx *vctx) get(off int) vcol {
-	if !ctx.have[off] {
-		ctx.cols[off], ctx.have[off] = ctx.raw(off), true
+	if cc := &ctx.cols[off]; !cc.have {
+		cc.c, cc.have = ctx.raw(off), true
 	}
-	return ctx.cols[off]
+	return ctx.cols[off].c
 }
 
 // evalVec evaluates a statically safe bound expression over the working
@@ -596,11 +601,18 @@ type vrun struct {
 	placed []bool
 	padded []bool // table joined as the right side of a LEFT JOIN
 	ws     wset
+	groups grouping // a grouped plan's, once aggregated
 }
 
 func (e *execEnv) setStat(nid, n int) {
 	if e.stats != nil {
 		e.stats[nid] = int64(n)
+	}
+}
+
+func (e *execEnv) setFused(nid int) {
+	if e.fused != nil {
+		e.fused[nid] = true
 	}
 }
 
@@ -634,10 +646,14 @@ func (p *Plan) runVec(env *execEnv) (*sqldata.Result, error) {
 	r.ws.idx[v.scan0.tabIdx] = sel
 	r.placed[v.scan0.tabIdx] = true
 
-	for _, k := range v.order {
-		if err := r.joinStep(&v.joins[k]); err != nil {
+	fused := false // the last join aggregated as it probed
+	for i, k := range v.order {
+		if fused, err = r.joinStep(&v.joins[k], v.fuse != nil && i == len(v.order)-1); err != nil {
 			return nil, err
 		}
+	}
+	if fused {
+		return r.emitGroups()
 	}
 
 	if v.residNid >= 0 {
@@ -648,10 +664,13 @@ func (p *Plan) runVec(env *execEnv) (*sqldata.Result, error) {
 		}
 	}
 
-	if p.grouped {
-		return r.runGrouped()
+	if !p.grouped {
+		return r.emitRows()
 	}
-	return r.emitRows()
+	if err := r.runGrouped(); err != nil {
+		return nil, err
+	}
+	return r.emitGroups()
 }
 
 // ctxOver returns a fresh evaluation context over a working set.
@@ -664,9 +683,9 @@ func (r *vrun) ctxOver(ws wset) *vctx {
 
 func (r *vrun) wsCtx() *vctx { return r.ctxOver(r.ws) }
 
-// lane is a group key or aggregate argument as keyWords and aggregateVec
-// take it, reading each tuple once: tuple i is element at(i) of c, which
-// is an evaluated vcol or — sel non-nil — a table's column vectors
+// lane is a group key or aggregate argument as keyWords and the aggregate
+// loops take it, reading each tuple once: tuple i is element at(i) of c,
+// which is an evaluated vcol or — sel non-nil — a table's column vectors
 // themselves behind that table's selection vector.
 type lane struct {
 	c   vcol
@@ -680,13 +699,14 @@ func (l *lane) at(i int) int {
 	return l.c.ix(i)
 }
 
-// colLane hands a plain column reference over in place instead of
-// gathering it into a copy first. Everything else, and a column that LEFT
-// JOIN padding has put NULLs into, goes through evalVec.
-func (r *vrun) colLane(ctx *vctx, e bexpr) lane {
+// colLane evaluates e over the tuples of ws (ctx is over ws), handing a
+// plain column reference over in place instead of gathering it into a copy
+// first. Everything else, and a column that LEFT JOIN padding has put NULLs
+// into, goes through evalVec.
+func (r *vrun) colLane(ctx *vctx, ws wset, e bexpr) lane {
 	if c, ok := e.(*bCol); ok && c.level == 0 {
-		if k := r.p.tableAtOff(c.off); r.ws.idx[k] != nil && !r.padded[k] {
-			return lane{c: gather(r.a, r.cols[k][c.off-r.p.toffs[k]], nil, false), sel: r.ws.idx[k]}
+		if k := r.p.tableAtOff(c.off); ws.idx[k] != nil && !r.padded[k] {
+			return lane{c: gather(r.a, r.cols[k][c.off-r.p.toffs[k]], nil, false), sel: ws.idx[k]}
 		}
 	}
 	return lane{c: evalVec(ctx, e)}
@@ -819,13 +839,15 @@ func (r *vrun) filterGeneric(cols []*sqldata.ColumnVector, e bexpr, sel []int32,
 // Both inputs' keys are numbered in one id space (joinKeyIDs), the right
 // rows are bucketed by id in scan order, and the candidate pairs are
 // counted per left tuple, prefix-summed and filled at exact size — the
-// same code whichever side the key table was built from.
-func (r *vrun) joinStep(j *vjoinStep) error {
+// same code whichever side the key table was built from. When fuse is set
+// the join may instead aggregate as it probes (aggregateThrough), and says
+// so.
+func (r *vrun) joinStep(j *vjoinStep, fuse bool) (bool, error) {
 	a := r.a
 	leftN := r.ws.n
 	rsel, rn, err := r.scanFiltered(&j.right)
 	if err != nil {
-		return err
+		return false, err
 	}
 	r.env.setStat(j.right.nid, rn)
 	rtab := j.right.tabIdx
@@ -836,17 +858,28 @@ func (r *vrun) joinStep(j *vjoinStep) error {
 	sp.Add("right_rows", int64(rn))
 	sp.SetAttr("algo", "hash")
 
+	// Key lanes; a plain column is read in place (rKeys are right-table-
+	// local, so the right side's is built here rather than by colLane).
 	lctx := r.wsCtx()
-	lk := make([]vcol, len(j.lKeys))
+	lk := make([]lane, len(j.lKeys))
 	for i, e := range j.lKeys {
-		lk[i] = evalVec(lctx, e)
+		lk[i] = r.colLane(lctx, r.ws, e)
 	}
 	rctx := cachedCtx(a, rn, len(rcols), func(off int) vcol { return gather(a, rcols[off], rsel, false) })
-	rk := make([]vcol, len(j.rKeys))
+	rk := make([]lane, len(j.rKeys))
 	for i, e := range j.rKeys {
-		rk[i] = evalVec(rctx, e)
+		if c, ok := e.(*bCol); ok && c.level == 0 && rsel != nil {
+			rk[i] = lane{c: gather(a, rcols[c.off], nil, false), sel: rsel}
+		} else {
+			rk[i] = lane{c: evalVec(rctx, e)}
+		}
 	}
 	lkid, rkid, nk := r.joinKeyIDs(lk, rk, leftN, rn, j.buildLeft)
+	if fuse {
+		if ok, err := r.aggregateThrough(j, sp, lctx, rsel, rn, lkid, rkid, nk); ok || err != nil {
+			return ok, err
+		}
+	}
 
 	// Right rows per key id, in scan order.
 	kstart := a.i32.zeros(int(nk) + 1)
@@ -890,7 +923,7 @@ func (r *vrun) joinStep(j *vjoinStep) error {
 	}
 	if total > math.MaxInt32 { // starts has wrapped; nothing has read it
 		sp.End()
-		return fmt.Errorf("sqlexec: %s matches more than %d row pairs", j.span, math.MaxInt32)
+		return false, fmt.Errorf("sqlexec: %s matches more than %d row pairs", j.span, math.MaxInt32)
 	}
 	starts[leftN] = int32(total)
 	candL, candR := a.i32.raw(total), a.i32.raw(total)
@@ -960,14 +993,14 @@ func (r *vrun) joinStep(j *vjoinStep) error {
 	sp.Add("out_rows", int64(outN))
 	sp.End()
 	if err := r.st.addJoinRows(outN); err != nil {
-		return err
+		return false, err
 	}
 	r.env.setStat(j.nid, outN)
 
 	r.ws = r.joined(outL, outR, rtab, oneEach)
 	r.placed[rtab] = true
 	r.padded[rtab] = j.leftJoin
-	return r.st.checkCtx()
+	return false, r.st.checkCtx()
 }
 
 // joined returns the working set of the join pairs (l[c]: tuple of the
@@ -975,12 +1008,21 @@ func (r *vrun) joinStep(j *vjoinStep) error {
 // 0..n-1 — every left tuple matched exactly once, the foreign-key case —
 // so the placed tables' selection vectors carry over as they are.
 func (r *vrun) joined(l, rr []int32, rtab int, identity bool) wset {
+	out := wset{n: len(l), idx: slices.Clone(r.ws.idx)}
+	if !identity {
+		out = r.restrict(l)
+	}
+	out.idx[rtab] = rr
+	return out
+}
+
+// restrict returns the tuples l of the working set, in that order, as a
+// working set over the placed tables.
+func (r *vrun) restrict(l []int32) wset {
 	out := wset{n: len(l), idx: make([][]int32, len(r.ws.idx))}
 	for t, idx := range r.ws.idx {
 		switch {
 		case !r.placed[t]:
-		case identity:
-			out.idx[t] = idx
 		case idx == nil:
 			out.idx[t] = l
 		default:
@@ -991,7 +1033,6 @@ func (r *vrun) joined(l, rr []int32, rtab int, identity bool) wset {
 			out.idx[t] = ci
 		}
 	}
-	out.idx[rtab] = rr
 	return out
 }
 
@@ -1106,183 +1147,4 @@ func (p *Plan) cmpLanes(keys []vcol, i, j int) int {
 		}
 	}
 	return 0
-}
-
-// runGrouped hash-aggregates the working set: typed group ids in first-
-// appearance order, vectorized per-group aggregate accumulation, then
-// the ordinary boxed evaluator for HAVING/projection over one frame per
-// group with the precomputed aggregates attached.
-func (r *vrun) runGrouped() (*sqldata.Result, error) {
-	p, st := r.p, r.st
-	n := r.ws.n
-	ctx := r.wsCtx()
-
-	var gids, rep []int32
-	ngroups := 1
-	if len(p.groupKeys) == 0 {
-		gids = r.a.i32.zeros(n)
-		if n > 0 {
-			rep = []int32{0}
-		}
-		r.env.setStat(p.nidGroup, 1)
-	} else {
-		gsp := r.env.span.Child("group")
-		kcols := make([]lane, len(p.groupKeys))
-		for i, k := range p.groupKeys {
-			kcols[i] = r.colLane(ctx, k)
-		}
-		gids, rep = r.groupIDs(kcols, n)
-		ngroups = len(rep)
-		gsp.Add("in_rows", int64(n))
-		gsp.Add("groups", int64(ngroups))
-		gsp.End()
-		r.env.setStat(p.nidGroup, ngroups)
-		if err := st.checkCtx(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Vectorized aggregate accumulation, in tuple order so order-
-	// sensitive float sums accumulate exactly like the row path.
-	aggVals := make([][]sqldata.Value, len(r.v.aggs))
-	for ai, a := range r.v.aggs {
-		aggVals[ai] = r.aggregateVec(ctx, a, gids, ngroups)
-	}
-	if err := st.checkCtx(); err != nil {
-		return nil, err
-	}
-
-	var out []outRow
-	for gid := 0; gid < ngroups; gid++ {
-		var row sqldata.Row
-		if gid < len(rep) {
-			row = r.boxTuple(int(rep[gid]))
-		} else {
-			row = nullRow(p.width) // empty global group
-		}
-		var am map[*bAgg]sqldata.Value
-		if len(r.v.aggs) > 0 {
-			am = make(map[*bAgg]sqldata.Value, len(r.v.aggs))
-			for ai, a := range r.v.aggs {
-				am[a] = aggVals[ai][gid]
-			}
-		}
-		fr := &frame{row: row, parent: r.env.parent, aggVals: am}
-		if p.having != nil {
-			ok, err := evalPredicate(st, fr, p.having)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		if err := p.emitFrame(st, fr, &out); err != nil {
-			return nil, err
-		}
-	}
-	return p.finishRows(r.env, out, len(out))
-}
-
-// aggregateVec computes one aggregate for every group. Accumulation
-// visits tuples in working-set order; integer SUM uses the same 128-bit
-// accumulator as the row path, so overflow promotes to float
-// identically. Accumulators are one scratch array per field, indexed by
-// group id.
-func (r *vrun) aggregateVec(ctx *vctx, a *bAgg, gids []int32, ngroups int) []sqldata.Value {
-	out := make([]sqldata.Value, ngroups)
-
-	if a.star { // COUNT(*)
-		counts := r.a.i64.zeros(ngroups)
-		for _, g := range gids {
-			counts[g]++
-		}
-		for g := range out {
-			out[g] = sqldata.NewInt(counts[g])
-		}
-		return out
-	}
-
-	arg := r.colLane(ctx, a.arg)
-	var fresh []bool
-	if a.distinct {
-		fresh = r.freshMask(&arg, gids, ngroups)
-	}
-	// skip: aggregates ignore NULLs, and DISTINCT all but the first tuple
-	// of each (group, value).
-	skip := func(i int) bool {
-		return arg.c.nullAt(arg.at(i)) || (fresh != nil && !fresh[i])
-	}
-
-	switch a.name {
-	case "COUNT":
-		counts := r.a.i64.zeros(ngroups)
-		for i, g := range gids {
-			if !skip(i) {
-				counts[g]++
-			}
-		}
-		for g := range out {
-			out[g] = sqldata.NewInt(counts[g])
-		}
-
-	case "SUM", "AVG":
-		hi, lo := r.a.i64.zeros(ngroups), r.a.i64.zeros(ngroups) // 128-bit integer accumulator
-		fsum, cnt := r.a.f64.zeros(ngroups), r.a.i64.zeros(ngroups)
-		allInt := arg.c.t == sqldata.TypeInt // vectors are single-typed
-		for i, g := range gids {
-			if skip(i) {
-				continue
-			}
-			if allInt {
-				v := arg.c.ints[arg.at(i)]
-				h, l := add128(uint64(hi[g]), uint64(lo[g]), v)
-				hi[g], lo[g] = int64(h), int64(l)
-				fsum[g] += float64(v)
-			} else {
-				fsum[g] += arg.c.asFloat(arg.at(i))
-			}
-			cnt[g]++
-		}
-		for g := range out {
-			switch {
-			case cnt[g] == 0:
-				out[g] = sqldata.NullValue()
-			case a.name == "AVG":
-				out[g] = sqldata.NewFloat(fsum[g] / float64(cnt[g]))
-			case allInt:
-				out[g] = int128Value(uint64(hi[g]), uint64(lo[g]))
-			default:
-				out[g] = sqldata.NewFloat(fsum[g])
-			}
-		}
-
-	default: // MIN, MAX: the best tuple per group, compared on the lanes
-		best := r.a.i32.raw(ngroups)
-		for g := range best {
-			best[g] = -1
-		}
-		max := a.name == "MAX"
-		for i, g := range gids {
-			if skip(i) {
-				continue
-			}
-			if best[g] < 0 {
-				best[g] = int32(i)
-				continue
-			}
-			// Same static type on both sides, like Compare on the boxed values.
-			if c := cmpVC(&arg.c, arg.at(i), &arg.c, arg.at(int(best[g]))); (max && c > 0) || (!max && c < 0) {
-				best[g] = int32(i)
-			}
-		}
-		for g := range out {
-			if best[g] >= 0 {
-				out[g] = arg.c.value(arg.at(int(best[g])))
-			} else {
-				out[g] = sqldata.NullValue()
-			}
-		}
-	}
-	return out
 }

@@ -55,6 +55,15 @@ func (s *slab[T]) zeros(n int) []T {
 	return out
 }
 
+// fill returns n elements set to v.
+func (s *slab[T]) fill(n int, v T) []T {
+	out := s.raw(n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
 // shrink keeps the first keep elements of buf and, when buf is the latest
 // raw result, gives the rest back: an output written at its upper bound
 // costs the run, and the next run's buffer, only what it came to hold. A
@@ -99,14 +108,6 @@ func (a *arena) release() {
 	arenaPool.Put(a)
 }
 
-func (a *arena) trues(n int) []bool {
-	out := a.b.raw(n)
-	for i := range out {
-		out[i] = true
-	}
-	return out
-}
-
 // interner numbers distinct strings densely in first-appearance order. The
 // two sides of a text join key share one, which is what makes a code from
 // one table's dictionary comparable with a code from another's.
@@ -145,13 +146,13 @@ func (r *vrun) keyWords(l *lane, n int, intOnly bool, in *interner) ([]int64, []
 	if c.cnst {
 		words := a.i64.zeros(n)
 		if c.nullAt(0) {
-			return words, a.trues(n)
+			return words, a.b.fill(n, true)
 		}
 		one := lane{c: *c}
 		one.c.cnst = false
 		w, null := r.keyWords(&one, 1, intOnly, in)
 		if null != nil && null[0] {
-			return words, a.trues(n)
+			return words, a.b.fill(n, true)
 		}
 		for i := range words {
 			words[i] = w[0]
@@ -333,6 +334,24 @@ func (t *keyTable) assign(words []int64, null []bool, ids []int32, groupNulls bo
 	}
 }
 
+// lookupInts is lookup over an INT or DATE lane without NULLs, read in
+// place — its values are its words — through a direct table: the
+// foreign-key probe, without copying the key column.
+func (t *keyTable) lookupInts(l *lane, ids []int32) {
+	vals, sel, dense, lo := l.c.ints, l.sel, t.dense, uint64(t.lo)
+	for i := range ids {
+		p := i
+		if sel != nil {
+			p = int(sel[i])
+		}
+		id := int32(-1)
+		if off := uint64(vals[p]) - lo; off < uint64(len(dense)) {
+			id = dense[off] - 1
+		}
+		ids[i] = id
+	}
+}
+
 // lookup writes the id assign gave each tuple's word, or -1.
 func (t *keyTable) lookup(words []int64, null []bool, ids []int32) {
 	for i, w := range words {
@@ -375,11 +394,15 @@ func (r *vrun) pairWords(a, b []int32, card int32) ([]int64, []bool) {
 	return words, null
 }
 
-// groupIDs numbers the n working-set tuples by their group key: equal ids
-// exactly when every key lane's Value.Key is equal, ids in first-
-// appearance order, NULL a key value like any other. rep[g] is the first
-// tuple of group g.
-func (r *vrun) groupIDs(kcols []lane, n int) (gids, rep []int32) {
+// keyGroupIDs numbers n tuples by their key lanes: equal ids exactly when
+// every lane's Value.Key is equal, ids in first-appearance order, NULL a
+// key value like any other. rep[g] is the first tuple of group g.
+func (r *vrun) keyGroupIDs(kcols []lane, n int) (gids, rep []int32) {
+	if len(kcols) == 1 {
+		if gids, rep, ok := r.denseGroupIDs(&kcols[0], n); ok {
+			return gids, rep
+		}
+	}
 	gids = r.a.i32.raw(n)
 	var card int32
 	for k := range kcols {
@@ -398,6 +421,72 @@ func (r *vrun) groupIDs(kcols []lane, n int) (gids, rep []int32) {
 		card = pt.n
 	}
 	return gids, firstOf(r.a, gids, card)
+}
+
+// denseGroupIDs is keyGroupIDs for one key whose values index a small table
+// directly — a dictionary code, or an INT/DATE whose range is comparable to
+// the tuple count — numbering groups and recording first tuples in the same
+// pass. Slot 0 is NULL's (a code is -1 exactly when NULL). ok is false for
+// any other key.
+func (r *vrun) denseGroupIDs(l *lane, n int) (gids, rep []int32, ok bool) {
+	c, sel := &l.c, l.sel
+	if c.cnst {
+		return nil, nil, false
+	}
+	codes, ints, null := c.codes, c.ints, c.null
+	var lo int64 // slot of an INT value v: v - lo; of a code: code + 1
+	size := 0
+	switch {
+	case c.t == sqldata.TypeText && c.texts == nil:
+		size = len(c.dict) + 1
+	case c.t == sqldata.TypeInt || c.t == sqldata.TypeDate:
+		mn, mx, any := int64(0), int64(0), false
+		for i := 0; i < n; i++ {
+			p := i
+			if sel != nil {
+				p = int(sel[i])
+			}
+			if null != nil && null[p] {
+				continue
+			}
+			if v := ints[p]; !any {
+				mn, mx, any = v, v, true
+			} else {
+				mn, mx = min(mn, v), max(mx, v)
+			}
+		}
+		span := uint64(mx) - uint64(mn)
+		if span >= uint64(2*n+1024) {
+			return nil, nil, false
+		}
+		lo, size = mn-1, int(span)+2
+	default:
+		return nil, nil, false
+	}
+	slot := r.a.i32.zeros(size) // group id + 1; 0 = unseen
+	gids, rep = r.a.i32.raw(n), r.a.i32.raw(min(n, size))
+	ng := int32(0)
+	for i := range gids {
+		p := i
+		if sel != nil {
+			p = int(sel[i])
+		}
+		var s int32
+		switch {
+		case codes != nil:
+			s = codes[p] + 1
+		case null == nil || !null[p]:
+			s = int32(uint64(ints[p]) - uint64(lo))
+		}
+		id := slot[s]
+		if id == 0 {
+			rep[ng] = int32(i)
+			ng++
+			id, slot[s] = ng, ng
+		}
+		gids[i] = id - 1
+	}
+	return gids, r.a.i32.shrink(rep, int(ng)), true
 }
 
 // firstOf returns, for ids numbered in first-appearance order, the first
@@ -419,30 +508,33 @@ func firstOf(a *arena, ids []int32, card int32) []int32 {
 // position pos agree on every key pair under hashKey; -1 marks a tuple
 // that can match nothing (a NULL component, or a key the build side never
 // produced). Ids come from the build side; nk is how many there are.
-func (r *vrun) joinKeyIDs(lk, rk []vcol, leftN, rn int, buildLeft bool) (lkid, rkid []int32, nk int32) {
+func (r *vrun) joinKeyIDs(lk, rk []lane, leftN, rn int, buildLeft bool) (lkid, rkid []int32, nk int32) {
 	lkid, rkid = r.a.i32.raw(leftN), r.a.i32.raw(rn)
 	bid, pid := rkid, lkid
+	bk, pk, bn, pn := rk, lk, rn, leftN
 	if buildLeft {
 		bid, pid = lkid, rkid
+		bk, pk, bn, pn = lk, rk, leftN, rn
 	}
 	for k := range lk {
 		var in *interner
-		if lk[k].t == sqldata.TypeText {
+		if lk[k].c.t == sqldata.TypeText {
 			in = &interner{}
 		}
-		lw, lnull := r.keyWords(&lane{c: lk[k]}, leftN, lk[k].t == sqldata.TypeFloat && rk[k].t == sqldata.TypeInt, in)
-		rw, rnull := r.keyWords(&lane{c: rk[k]}, rn, rk[k].t == sqldata.TypeFloat && lk[k].t == sqldata.TypeInt, in)
-		bw, bnull, pw, pnull := rw, rnull, lw, lnull
-		if buildLeft {
-			bw, bnull, pw, pnull = lw, lnull, rw, rnull
-		}
+		bw, bnull := r.keyWords(&bk[k], bn, bk[k].c.t == sqldata.TypeFloat && pk[k].c.t == sqldata.TypeInt, in)
 		t := r.newKeyTable(bw, bnull)
 		if k == 0 {
 			t.assign(bw, bnull, bid, false)
-			t.lookup(pw, pnull, pid)
 			nk = t.n
+			if p := &pk[k]; len(lk) == 1 && t.dense != nil && !p.c.cnst && p.c.null == nil && (p.c.t == sqldata.TypeInt || p.c.t == sqldata.TypeDate) {
+				t.lookupInts(p, pid)
+				continue
+			}
+			pw, pnull := r.keyWords(&pk[k], pn, pk[k].c.t == sqldata.TypeFloat && bk[k].c.t == sqldata.TypeInt, in)
+			t.lookup(pw, pnull, pid)
 			continue
 		}
+		pw, pnull := r.keyWords(&pk[k], pn, pk[k].c.t == sqldata.TypeFloat && bk[k].c.t == sqldata.TypeInt, in)
 		blane, plane := r.a.i32.raw(len(bw)), r.a.i32.raw(len(pw))
 		t.assign(bw, bnull, blane, false)
 		t.lookup(pw, pnull, plane)

@@ -19,9 +19,9 @@ func TestAskSQLMatchesUnsharded(t *testing.T) {
 
 	ctx := context.Background()
 	for _, sql := range []string{
-		"SELECT * FROM customers WHERE id = 7",                     // pruned to one shard
-		"SELECT name FROM customers WHERE city = 'Berlin'",         // scatter scan
-		"SELECT COUNT(*) FROM customers",                           // scatter aggregate
+		"SELECT * FROM customers WHERE id = 7",             // pruned to one shard
+		"SELECT name FROM customers WHERE city = 'Berlin'", // scatter scan
+		"SELECT COUNT(*) FROM customers",                   // scatter aggregate
 		"SELECT city, COUNT(*), AVG(credit) FROM customers GROUP BY city",
 		"SELECT name FROM customers ORDER BY name LIMIT 5",
 	} {

@@ -127,8 +127,9 @@ func TestExplainAnalyzeRowCounts(t *testing.T) {
 
 // TestExplainNamesWhatRuns: a bounded ORDER BY says topk=<k> on its Sort
 // line (a DISTINCT one does not: it sorts everything), a vectorized
-// plan's group and join lines name the word each key is hashed as, and
-// its filtered scans say how many conjuncts are compiled kernels.
+// plan's group and join lines name the word each key is hashed as, its
+// filtered scans say how many conjuncts are compiled kernels, and EXPLAIN
+// ANALYZE says agg=fused on a join that aggregated as it probed.
 func TestExplainNamesWhatRuns(t *testing.T) {
 	eng := New(corpDB(t))
 	cases := []struct {
@@ -199,6 +200,33 @@ func TestExplainNamesWhatRuns(t *testing.T) {
 	for _, frag := range []string{"Limit 2 rows=2", "topk=2", "Project [name] rows=7"} {
 		if !strings.Contains(plan, frag) {
 			t.Errorf("analyze output missing %q:\n%s", frag, plan)
+		}
+	}
+	// EXPLAIN ANALYZE marks a join that aggregated as it probed, in either
+	// orientation; a LEFT JOIN never does, and plain EXPLAIN, which ran
+	// nothing, claims it for none.
+	for _, tc := range []struct {
+		sql, want string
+	}{
+		{"SELECT d.name, COUNT(*), AVG(e.salary) FROM department AS d JOIN employee AS e ON d.id = e.dept_id GROUP BY d.name",
+			"HashJoin (d.id = e.dept_id) keys=int agg=fused rows=6"},
+		{"SELECT d.name, MAX(e.hired) FROM employee AS e JOIN department AS d ON e.dept_id = d.id GROUP BY d.name",
+			"HashJoin (e.dept_id = d.id) keys=int agg=fused rows=6"},
+		{"SELECT d.name, COUNT(e.id) FROM department AS d LEFT JOIN employee AS e ON d.id = e.dept_id GROUP BY d.name", ""},
+	} {
+		stmt := sqlparse.MustParse(tc.sql)
+		plan, _, err := eng.ExplainAnalyze(context.Background(), stmt, DefaultBudget())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.want != "" && !strings.Contains(plan, tc.want) {
+			t.Errorf("%s\nanalyze output missing %q:\n%s", tc.sql, tc.want, plan)
+		}
+		if tc.want == "" && strings.Contains(plan, "agg=") {
+			t.Errorf("%s\nanalyze output claims a fused join:\n%s", tc.sql, plan)
+		}
+		if plain, err := eng.Explain(stmt); err != nil || strings.Contains(plain, "agg=") {
+			t.Errorf("%s\nplain EXPLAIN claims a fused join (err %v):\n%s", tc.sql, err, plain)
 		}
 	}
 }
