@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test short race vet fmt-check staticcheck chaos proc-chaos fuzz check bench-check bench-vec tables-check metrics-smoke cache-smoke plan-smoke overload-smoke trace-smoke session-smoke bench-cache bench-plan bench-columnar bench-overload bench-shard bench-obs bench-session bench-remote-shard
+.PHONY: build test short race vet fmt-check staticcheck chaos proc-chaos fuzz check bench-check bench-vec tables-check metrics-smoke cache-smoke plan-smoke overload-smoke trace-smoke session-smoke loc
 
 build:
 	$(GO) build ./...
@@ -127,55 +127,15 @@ trace-smoke: build
 session-smoke: build
 	./scripts/session_smoke.sh
 
-# Answer-cache benchmark: cold/warm latency percentiles and serial-vs-
-# parallel throughput, written to BENCH_cache.json.
-bench-cache: build
-	$(GO) run ./cmd/nlidb-bench -cache BENCH_cache.json
-
-# Planner benchmark: nested-loop vs hash-join latency per query class on
-# a 10k-row star schema, written to BENCH_plan.json. The nested-loop
-# baseline sweeps 100M candidate pairs per class — expect a few minutes.
-bench-plan: build
-	$(GO) run ./cmd/nlidb-bench -plan BENCH_plan.json
-
-# Columnar-execution benchmark: the row-at-a-time executor vs the
-# vectorized columnar executor per query class on a 200k-row metrics
-# table, results cross-checked row-for-row, written to
-# BENCH_columnar.json.
-bench-columnar: build
-	$(GO) run ./cmd/nlidb-bench -columnar BENCH_columnar.json
-
-# Overload benchmark: goodput and admitted-latency percentiles at 1×–10×
-# offered load, with and without admission control, written to
-# BENCH_overload.json. Expect a few minutes (3 reps per cell).
-bench-overload: build
-	$(GO) run ./cmd/nlidb-bench -overload BENCH_overload.json
-
-# Sharding benchmark: N-shard scaling curve plus kill/restore goodput
-# timelines on a 3×2 cluster, written to BENCH_shard.json.
-bench-shard: build
-	$(GO) run ./cmd/nlidb-bench -shard BENCH_shard.json
-
-# Observability benchmark: per-engine latency percentiles plus the
-# baseline-vs-instrumented overhead comparison, for the single gateway and
-# for a 4-shard cluster with the full fleet stack on, written to
-# BENCH_obs.json.
-bench-obs: build
-	$(GO) run ./cmd/nlidb-bench -obs BENCH_obs.json -shards 4
-
-# Remote-shard benchmark: the closed-loop workload served by in-process
-# clusters vs supervisor-launched fleets of real cmd/nlidb processes
-# (the socket+wire tax per cluster width), plus SIGKILL/restore goodput
-# timelines against real children, written to BENCH_remote_shard.json.
-bench-remote-shard: build
-	$(GO) run ./cmd/nlidb-bench -remote-shard BENCH_remote_shard.json
-
-# Conversational-serving benchmark, run under the race detector on
-# purpose: thousands of interleaved three-turn conversations served
-# through the session store vs the stateless replay baseline, with
-# warm-vs-cold follow-up percentiles and a zero-context-bleed assertion,
-# written to BENCH_session.json.
-bench-session: build
-	$(GO) run -race ./cmd/nlidb-bench -session BENCH_session.json
+# Go lines per top-level directory of the tracked tree, non-test and test
+# apart, then the totals: run it on both sides of a change to report its
+# net lines.
+loc:
+	@git ls-files '*.go' | xargs wc -l | awk '$$2 != "total" { \
+		d = $$2 ~ /\// ? $$2 : "./"; sub(/\/.*/, "", d); k = $$2 ~ /_test\.go$$/ ? "test" : "code"; \
+		n[d, k] += $$1; n["total", k] += $$1; dirs[d] } \
+		END { printf "%-10s %7s %7s\n", "dir", "code", "test"; \
+		for (d in dirs) printf "%-10s %7d %7d\n", d, n[d, "code"], n[d, "test"] | "sort"; close("sort"); \
+		printf "%-10s %7d %7d\n", "total", n["total", "code"], n["total", "test"] }'
 
 check: build vet fmt-check test race bench-check bench-vec tables-check proc-chaos overload-smoke

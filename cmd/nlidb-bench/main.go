@@ -1,66 +1,12 @@
 // Command nlidb-bench runs the reproduction study: every experiment table
 // derived from the survey's claims (see DESIGN.md for the mapping and
-// EXPERIMENTS.md for recorded outcomes).
+// EXPERIMENTS.md for recorded outcomes), printed in order. The tables are
+// seeded and deterministic; scripts/tables_check.sh diffs the seed-1 run
+// against its golden file.
 //
 // Usage:
 //
-//	nlidb-bench [-seed N] [-only T1,T5,A1] [-obs BENCH_obs.json]
-//	            [-cache BENCH_cache.json] [-plan BENCH_plan.json]
-//	            [-overload BENCH_overload.json] [-shard BENCH_shard.json]
-//
-// With -obs the experiment tables are skipped; instead the observability
-// benchmark replays a WikiSQL-style workload through each engine twice
-// (baseline vs instrumented) and writes per-engine latency percentiles
-// plus the measured instrumentation overhead to the given JSON file. It
-// then repeats the comparison on a sharded cluster (-shards wide, 2
-// replicas): untraced serving versus the full fleet-observability stack —
-// coordinator tracing, per-shard rollups, SLO accounting, tail-sampled
-// trace retention — reported as shard_overhead.
-//
-// With -cache the answer-cache benchmark runs instead: a repetition-heavy
-// WikiSQL-style workload is served serially and through the 8-worker
-// pool, cached and uncached, and cold-vs-warm latency percentiles plus
-// the four throughput figures are written to the given JSON file.
-//
-// With -plan the planner benchmark runs instead: join-heavy query classes
-// over a 10k×10k star schema are executed with the seed strategy
-// (nested-loop join, no predicate pushdown) and with the physical planner
-// (hash join + pushdown), and the per-class latencies, speedups, and plan
-// shapes are written to the given JSON file.
-//
-// With -overload the serving-layer benchmark runs instead: the HTTP
-// server is driven open-loop at 1×, 2×, 5×, and 10× its measured
-// capacity, behind the admission controller and with admission disabled,
-// and per-run goodput, shed counts, and admitted-latency percentiles are
-// written to the given JSON file. The acceptance claim: goodput and
-// admitted p99 stay flat (within 2×) across the sweep with admission,
-// and collapse without it.
-//
-// With -shard the fault-tolerance benchmark runs instead: one workload is
-// served by clusters of 1–8 shards for the scaling curve, then a 3-shard
-// 2-replica cluster runs a seeded kill/restore schedule (one replica,
-// then a whole shard) while goodput is bucketed over time — complete,
-// partial, and failed answers per 100ms — and the recovery point after
-// restore is recorded.
-//
-// With -remote-shard the out-of-process variant runs instead: the same
-// closed-loop workload is served by in-process clusters and by
-// supervisor-launched fleets of real cmd/nlidb child processes speaking
-// the HTTP shard protocol, pricing the socket+wire hop per cluster
-// width; then a 2×2 fleet of real processes runs SIGKILL/restore
-// timelines (one replica, then a whole shard) with goodput bucketed
-// over time. Requires the go toolchain (the child binary is built on
-// the fly) or a prebuilt binary via NLIDB_BIN.
-//
-// With -session the conversational-serving benchmark runs instead:
-// thousands of three-turn conversations (query → refine → aggregate) are
-// interleaved turn-by-turn across a worker pool, served through the
-// session store and — as the baseline — statelessly, where every turn
-// replays its whole history through a fresh dialogue context. Goodput and
-// per-turn latency percentiles for both modes, warm-vs-cold follow-up
-// p50, and the cross-session context-bleed count (must be zero) are
-// written to the given JSON file. Run it under the race detector
-// (`make bench-session`) — the interleaving doubles as a race harness.
+//	nlidb-bench [-seed N] [-only T1,T5,A1]
 package main
 
 import (
@@ -76,73 +22,7 @@ import (
 func main() {
 	seed := flag.Int64("seed", 1, "random seed for data generation and training")
 	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
-	obsPath := flag.String("obs", "", "write the observability benchmark (per-engine latency percentiles, overhead) to this JSON file and exit")
-	obsShards := flag.Int("shards", 4, "cluster width for the -obs sharded-overhead section")
-	cachePath := flag.String("cache", "", "write the answer-cache benchmark (cold/warm percentiles, serial-vs-parallel throughput) to this JSON file and exit")
-	planPath := flag.String("plan", "", "write the planner benchmark (nested-loop vs hash-join latency per query class) to this JSON file and exit")
-	columnarPath := flag.String("columnar", "", "write the columnar benchmark (row vs vectorized executor latency per query class) to this JSON file and exit")
-	overloadPath := flag.String("overload", "", "write the overload benchmark (goodput and admitted p99 at 1×–10× offered load, with and without admission control) to this JSON file and exit")
-	shardPath := flag.String("shard", "", "write the sharding benchmark (N-shard scaling curve, kill/restore goodput timelines) to this JSON file and exit")
-	remoteShardPath := flag.String("remote-shard", "", "write the remote-shard benchmark (in-process vs out-of-process scaling, real-process SIGKILL timelines) to this JSON file and exit")
-	sessionPath := flag.String("session", "", "write the conversational-serving benchmark (interleaved sessions vs stateless replay, warm vs cold follow-ups) to this JSON file and exit")
 	flag.Parse()
-
-	if *obsPath != "" {
-		if err := runObsBench(*obsPath, *seed, *obsShards); err != nil {
-			fmt.Fprintf(os.Stderr, "nlidb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cachePath != "" {
-		if err := runCacheBench(*cachePath, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "nlidb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *planPath != "" {
-		if err := runPlanBench(*planPath, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "nlidb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *columnarPath != "" {
-		if err := runColumnarBench(*columnarPath, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "nlidb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *overloadPath != "" {
-		if err := runOverloadBench(*overloadPath, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "nlidb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shardPath != "" {
-		if err := runShardBench(*shardPath, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "nlidb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *remoteShardPath != "" {
-		if err := runRemoteShardBench(*remoteShardPath, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "nlidb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *sessionPath != "" {
-		if err := runSessionBench(*sessionPath, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "nlidb-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	want := map[string]bool{}
 	if *only != "" {

@@ -110,7 +110,9 @@ type Config struct {
 	// MaxInFlight is the admit-limit ceiling and its starting value
 	// (default 2×GOMAXPROCS). The adaptive limit never exceeds it.
 	MaxInFlight int
-	// MinInFlight is the adaptive floor (default 1).
+	// MinInFlight is the adaptive floor (default 1). Equal to MaxInFlight,
+	// it freezes the admit limit; the queue, the deadline check, and the
+	// priorities keep working.
 	MinInFlight int
 	// MaxQueue bounds the interactive wait queue (default 4×MaxInFlight).
 	MaxQueue int
@@ -123,9 +125,6 @@ type Config struct {
 	TargetDelay time.Duration
 	// Window is the adaptation interval (default 100ms).
 	Window time.Duration
-	// NoAdapt freezes the admit limit at MaxInFlight — the queue, the
-	// deadline check, and the priorities keep working.
-	NoAdapt bool
 	// Now is the clock, injectable for tests (default time.Now).
 	Now func() time.Time
 	// Metrics, when non-nil, receives the controller's gauges, counters,
@@ -451,9 +450,6 @@ func (c *Controller) popLocked() *waiter {
 // delay stayed above target, a standing queue exists — decrease the limit
 // multiplicatively; otherwise probe upward additively toward the ceiling.
 func (c *Controller) adaptLocked(now time.Time) {
-	if c.cfg.NoAdapt {
-		return
-	}
 	if c.windowStart.IsZero() {
 		c.windowStart = now
 		return

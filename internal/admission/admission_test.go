@@ -30,7 +30,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 func TestAcquireReleaseImmediate(t *testing.T) {
-	c := New(Config{MaxInFlight: 2, NoAdapt: true})
+	c := New(Config{MaxInFlight: 2, MinInFlight: 2})
 	rel1, err := c.Acquire(context.Background(), Interactive)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestAcquireReleaseImmediate(t *testing.T) {
 }
 
 func TestQueueFIFOAndHandoff(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 8, NoAdapt: true})
+	c := New(Config{MaxInFlight: 1, MinInFlight: 1, MaxQueue: 8})
 	rel, err := c.Acquire(context.Background(), Interactive)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestQueueFIFOAndHandoff(t *testing.T) {
 }
 
 func TestQueueFullSheds(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 1, NoAdapt: true})
+	c := New(Config{MaxInFlight: 1, MinInFlight: 1, MaxQueue: 1})
 	rel, _ := c.Acquire(context.Background(), Interactive)
 	defer rel()
 	queued := make(chan struct{})
@@ -111,7 +111,7 @@ func TestQueueFullSheds(t *testing.T) {
 // predicted queue delay is rejected at the door, not queued to die.
 func TestDeadlineDoomedRejectedImmediately(t *testing.T) {
 	clock := newFakeClock()
-	c := New(Config{MaxInFlight: 1, MaxQueue: 64, NoAdapt: true, Now: clock.Now})
+	c := New(Config{MaxInFlight: 1, MinInFlight: 1, MaxQueue: 64, Now: clock.Now})
 
 	// Teach the controller its service time: one 100ms request.
 	rel, err := c.Acquire(context.Background(), Interactive)
@@ -174,7 +174,7 @@ func TestDeadlineDoomedRejectedImmediately(t *testing.T) {
 }
 
 func TestCanceledWhileQueued(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 4, NoAdapt: true})
+	c := New(Config{MaxInFlight: 1, MinInFlight: 1, MaxQueue: 4})
 	rel, _ := c.Acquire(context.Background(), Interactive)
 	defer rel()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -197,7 +197,7 @@ func TestCanceledWhileQueued(t *testing.T) {
 // the smaller queue, and interactive waiters dequeue first even when the
 // batch waiter arrived earlier.
 func TestInteractiveOutlivesBatch(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 8, BatchQueue: 1, NoAdapt: true})
+	c := New(Config{MaxInFlight: 1, MinInFlight: 1, MaxQueue: 8, BatchQueue: 1})
 	rel, _ := c.Acquire(context.Background(), Interactive)
 
 	var order []string
@@ -292,8 +292,35 @@ func TestAIMDDecreasesUnderStandingQueueAndRecovers(t *testing.T) {
 	}
 }
 
+// TestMinEqualMaxPinsLimit: with the floor at the ceiling, a window that
+// would cut the limit leaves it where it is.
+func TestMinEqualMaxPinsLimit(t *testing.T) {
+	clock := newFakeClock()
+	c := New(Config{
+		MaxInFlight: 2, MinInFlight: 2,
+		TargetDelay: time.Millisecond, Window: 10 * time.Millisecond, Now: clock.Now,
+	})
+	r1, _ := c.Acquire(context.Background(), Interactive)
+	r2, _ := c.Acquire(context.Background(), Interactive)
+	granted := make(chan struct{})
+	go func() {
+		if r, err := c.Acquire(context.Background(), Interactive); err == nil {
+			r()
+		}
+		close(granted)
+	}()
+	waitFor(t, func() bool { return c.Stats().Queued[Interactive] == 1 })
+	clock.Advance(20 * time.Millisecond)
+	r1()
+	<-granted
+	if got := c.Limit(); got != 2 {
+		t.Fatalf("limit after standing-queue window %d, want 2", got)
+	}
+	r2()
+}
+
 func TestStartDrainRejectsAndFlushes(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 4, NoAdapt: true})
+	c := New(Config{MaxInFlight: 1, MinInFlight: 1, MaxQueue: 4})
 	rel, _ := c.Acquire(context.Background(), Interactive)
 	errCh := make(chan error, 1)
 	go func() {
@@ -319,7 +346,7 @@ func TestStartDrainRejectsAndFlushes(t *testing.T) {
 // goroutines (run under -race by `make test`) and asserts the limit is a
 // hard bound.
 func TestAcquireConcurrentNeverExceedsLimit(t *testing.T) {
-	c := New(Config{MaxInFlight: 4, MaxQueue: 256, NoAdapt: true})
+	c := New(Config{MaxInFlight: 4, MinInFlight: 4, MaxQueue: 256})
 	var inflight, peak atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 64; i++ {

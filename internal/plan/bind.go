@@ -121,7 +121,6 @@ func (env *bindEnv) noAlias() *bindEnv {
 // statement's directly nested sub-plans in bind order.
 type binder struct {
 	db   *sqldata.Database
-	opts Options
 	subs []*Plan
 	nid  int // next per-operator stats slot, shared across sub-plans
 }

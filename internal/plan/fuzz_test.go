@@ -276,11 +276,7 @@ func FuzzPlanExec(f *testing.F) {
 					reordered = true
 				}
 			}
-			rp, rpErr := PrepareOpts(db, stmt, Options{NoVector: true})
-			if rpErr != nil {
-				t.Fatalf("NoVector prepare diverged for %q: %v", sql, rpErr)
-			}
-			rRes, ru, rErr := rp.Run(ctx, fuzzBudget())
+			rRes, ru, rErr := mustPrepareRow(t, db, sql).Run(ctx, fuzzBudget())
 			if rErr != nil {
 				if reordered {
 					return // e.g. the syntactic order tripped a budget the chosen order avoids

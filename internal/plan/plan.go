@@ -1,3 +1,13 @@
+// Package plan is the middle layer of the bind/plan/execute pipeline: it
+// lowers a bound SELECT into a physical operator tree (scan → filter →
+// hash-join or nested-loop fallback → hash-aggregate → sort → project →
+// limit). Planning applies two optimizations the tree-walking interpreter
+// could not: predicate push-down into base-table scans, and hash joins for
+// equi-join conditions. Both are gated on static safety analysis
+// (analyze.go) so they never add, remove, or reorder the runtime errors
+// the naive evaluation order would produce. Plans run on the vectorized
+// columnar executor (vec.go, vexec.go), and on the row-at-a-time executor
+// (exec.go) only when compileVec refuses the plan.
 package plan
 
 import (
@@ -7,27 +17,6 @@ import (
 	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlparse"
 )
-
-// Package plan is the middle layer of the bind/plan/execute pipeline: it
-// lowers a bound SELECT into a physical operator tree (scan → filter →
-// hash-join or nested-loop fallback → hash-aggregate → sort → project →
-// limit). Planning applies two optimizations the tree-walking interpreter
-// could not: predicate push-down into base-table scans, and hash joins for
-// equi-join conditions. Both are gated on static safety analysis
-// (analyze.go) so they never add, remove, or reorder the runtime errors
-// the naive evaluation order would produce.
-
-// Options disables individual optimizations, mainly so benchmarks can
-// measure the naive strategies through the same pipeline.
-type Options struct {
-	// NoHashJoin forces nested-loop evaluation for every join.
-	NoHashJoin bool
-	// NoPushdown keeps all WHERE conjuncts in a filter above the joins.
-	NoPushdown bool
-	// NoVector forces the row-at-a-time executor even for plans the
-	// vectorized engine could run.
-	NoVector bool
-}
 
 // Plan is a fully bound and planned statement, ready to execute. Plans are
 // immutable after Prepare, so a cached Plan may run concurrently.
@@ -149,24 +138,17 @@ type joinNode struct {
 
 // Prepare binds and plans stmt against db.
 func Prepare(db *sqldata.Database, stmt *sqlparse.SelectStmt) (*Plan, error) {
-	return PrepareOpts(db, stmt, Options{})
-}
-
-// PrepareOpts is Prepare with optimizations selectively disabled.
-func PrepareOpts(db *sqldata.Database, stmt *sqlparse.SelectStmt, opts Options) (*Plan, error) {
 	if stmt == nil {
 		return nil, fmt.Errorf("sqlexec: nil statement")
 	}
-	b := &binder{db: db, opts: opts}
+	b := &binder{db: db}
 	p, err := b.bindStmt(stmt, nil)
 	if err != nil {
 		return nil, err
 	}
 	p.nstats = b.nid
 	annotatePlan(p)
-	if !opts.NoVector {
-		p.vec = compileVec(p)
-	}
+	p.vec = compileVec(p)
 	return p, nil
 }
 
@@ -248,7 +230,7 @@ func (b *binder) planFrom(p *Plan, stmt *sqlparse.SelectStmt, sc *scope, tabs []
 
 // pushTarget returns the table a WHERE conjunct can be pushed into, if any.
 func (b *binder) pushTarget(c conjunct, sc *scope, stmt *sqlparse.SelectStmt) (int, bool) {
-	if b.opts.NoPushdown || !c.safe {
+	if !c.safe {
 		return 0, false
 	}
 	if len(c.info.offs) == 0 {
@@ -286,9 +268,6 @@ func (s *scope) tableAt(off int) int {
 // pairs entirely, so no skipped conjunct may be one that could error).
 // On success it fills lKeys/rKeys/kinds/residual and returns true.
 func (b *binder) planHashJoin(jn *joinNode, ons []conjunct, rightOff int) bool {
-	if b.opts.NoHashJoin {
-		return false
-	}
 	for _, c := range ons {
 		if !c.safe {
 			return false

@@ -15,16 +15,25 @@ import (
 	"nlidb/internal/sqlparse"
 )
 
-func mustPrepare(t testing.TB, db *sqldata.Database, sql string, opts Options) *Plan {
+func mustPrepare(t testing.TB, db *sqldata.Database, sql string) *Plan {
 	t.Helper()
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
 		t.Fatalf("parse %q: %v", sql, err)
 	}
-	p, err := PrepareOpts(db, stmt, opts)
+	p, err := Prepare(db, stmt)
 	if err != nil {
 		t.Fatalf("prepare %q: %v", sql, err)
 	}
+	return p
+}
+
+// mustPrepareRow is mustPrepare without the compiled vectorized form: the
+// plan runs on the row-at-a-time executor.
+func mustPrepareRow(t testing.TB, db *sqldata.Database, sql string) *Plan {
+	t.Helper()
+	p := mustPrepare(t, db, sql)
+	p.vec = nil
 	return p
 }
 
@@ -43,11 +52,8 @@ func TestVectorizedEligibility(t *testing.T) {
 		"SELECT status, COUNT(DISTINCT customer_id) FROM orders GROUP BY status ORDER BY status",
 	}
 	for _, sql := range vectorized {
-		if p := mustPrepare(t, db, sql, Options{}); !p.Vectorized() {
+		if p := mustPrepare(t, db, sql); !p.Vectorized() {
 			t.Errorf("expected vectorized plan for %q", sql)
-		}
-		if p := mustPrepare(t, db, sql, Options{NoVector: true}); p.Vectorized() {
-			t.Errorf("NoVector must disable vectorization for %q", sql)
 		}
 	}
 	fallback := []string{
@@ -58,7 +64,7 @@ func TestVectorizedEligibility(t *testing.T) {
 		"SELECT c.name FROM customer AS c JOIN orders AS o ON c.credit > o.total",
 	}
 	for _, sql := range fallback {
-		if p := mustPrepare(t, db, sql, Options{}); p.Vectorized() {
+		if p := mustPrepare(t, db, sql); p.Vectorized() {
 			t.Errorf("expected row-executor fallback for %q", sql)
 		}
 	}
@@ -87,8 +93,8 @@ func TestVectorizedDifferential(t *testing.T) {
 		"SELECT name FROM customer WHERE name LIKE '%a%' ORDER BY name",
 	}
 	for _, sql := range queries {
-		vp := mustPrepare(t, db, sql, Options{})
-		rp := mustPrepare(t, db, sql, Options{NoVector: true})
+		vp := mustPrepare(t, db, sql)
+		rp := mustPrepareRow(t, db, sql)
 		if !vp.Vectorized() {
 			t.Errorf("expected vectorized plan for %q", sql)
 			continue
@@ -140,7 +146,7 @@ func TestVecSumOverflowPromotes(t *testing.T) {
 
 	ctx := context.Background()
 	sql := "SELECT g, SUM(x) FROM t GROUP BY g ORDER BY g"
-	vp := mustPrepare(t, db, sql, Options{})
+	vp := mustPrepare(t, db, sql)
 	if !vp.Vectorized() {
 		t.Fatalf("expected vectorized plan for %q", sql)
 	}
@@ -148,7 +154,7 @@ func TestVecSumOverflowPromotes(t *testing.T) {
 	if vErr != nil {
 		t.Fatal(vErr)
 	}
-	rp := mustPrepare(t, db, sql, Options{NoVector: true})
+	rp := mustPrepareRow(t, db, sql)
 	rRes, _, rErr := rp.Run(ctx, DefaultBudget())
 	if rErr != nil {
 		t.Fatal(rErr)
@@ -178,7 +184,7 @@ func TestVecSumOverflowPromotes(t *testing.T) {
 func TestVecExplainAnalyze(t *testing.T) {
 	db := fuzzDB()
 	sql := "SELECT city, COUNT(*) FROM customer WHERE credit > 0 GROUP BY city"
-	p := mustPrepare(t, db, sql, Options{})
+	p := mustPrepare(t, db, sql)
 	_, _, stats, err := p.RunStats(context.Background(), DefaultBudget())
 	if err != nil {
 		t.Fatal(err)
@@ -213,12 +219,12 @@ func TestVecBudgetParity(t *testing.T) {
 		{"SELECT c.name, SUM(o.total) FROM orders AS o JOIN customer AS c ON o.customer_id = c.id GROUP BY c.name", Budget{MaxRows: 1 << 20, MaxJoinRows: 2}},
 	}
 	for _, tc := range cases {
-		vp := mustPrepare(t, db, tc.sql, Options{})
+		vp := mustPrepare(t, db, tc.sql)
 		if !vp.Vectorized() {
 			t.Fatalf("expected vectorized plan for %q", tc.sql)
 		}
 		_, _, vErr := vp.Run(ctx, tc.b)
-		rp := mustPrepare(t, db, tc.sql, Options{NoVector: true})
+		rp := mustPrepareRow(t, db, tc.sql)
 		_, _, rErr := rp.Run(ctx, tc.b)
 		vb, vOK := vErr.(*BudgetError)
 		rb, rOK := rErr.(*BudgetError)
@@ -266,7 +272,7 @@ func TestVecStatsDrivenChoices(t *testing.T) {
 	// fact is on the left: with the dim side tiny, the planner should
 	// keep building on the right (the default), not on the 1000-row
 	// probe side.
-	p := mustPrepare(t, db, "SELECT SUM(fact.v) FROM fact JOIN dim ON fact.k = dim.k", Options{})
+	p := mustPrepare(t, db, "SELECT SUM(fact.v) FROM fact JOIN dim ON fact.k = dim.k")
 	if !p.Vectorized() {
 		t.Fatal("expected vectorized plan")
 	}
@@ -274,7 +280,7 @@ func TestVecStatsDrivenChoices(t *testing.T) {
 		t.Error("build side should stay on the small right table")
 	}
 	// dim on the left: now the left side is the cheap build side.
-	p2 := mustPrepare(t, db, "SELECT SUM(fact.v) FROM dim JOIN fact ON dim.k = fact.k", Options{})
+	p2 := mustPrepare(t, db, "SELECT SUM(fact.v) FROM dim JOIN fact ON dim.k = fact.k")
 	if !p2.Vectorized() {
 		t.Fatal("expected vectorized plan")
 	}
@@ -383,8 +389,8 @@ func keysDB() *sqldata.Database {
 func diffThreeWays(t *testing.T, db *sqldata.Database, sql string) *Plan {
 	t.Helper()
 	ctx := context.Background()
-	vp := mustPrepare(t, db, sql, Options{})
-	rp := mustPrepare(t, db, sql, Options{NoVector: true})
+	vp := mustPrepare(t, db, sql)
+	rp := mustPrepareRow(t, db, sql)
 	if !vp.Vectorized() {
 		t.Fatalf("expected a vectorized plan for %q", sql)
 	}
@@ -645,8 +651,8 @@ func TestFusedEmptyGlobalGroup(t *testing.T) {
 		"SELECT COUNT(*), MIN(none.label), SUM(none.id) FROM host JOIN none ON host.id = none.id",
 		"SELECT COUNT(*), AVG(metric.cpu), MAX(metric.kind) FROM metric JOIN none ON metric.host_id = none.id",
 	} {
-		vRes, vu, stats, vErr := mustPrepare(t, db, sql, Options{}).RunStats(ctx, DefaultBudget())
-		rRes, ru, rErr := mustPrepare(t, db, sql, Options{NoVector: true}).Run(ctx, DefaultBudget())
+		vRes, vu, stats, vErr := mustPrepare(t, db, sql).RunStats(ctx, DefaultBudget())
+		rRes, ru, rErr := mustPrepareRow(t, db, sql).Run(ctx, DefaultBudget())
 		if vErr != nil || rErr != nil {
 			t.Fatalf("%q: vec err=%v row err=%v", sql, vErr, rErr)
 		}
@@ -926,8 +932,8 @@ func TestPooledScratchNotAliased(t *testing.T) {
 	plans := make([]*Plan, len(sqls))
 	want := make([]string, len(sqls))
 	for i, sql := range sqls {
-		plans[i] = mustPrepare(t, db, sql, Options{})
-		res, _, err := mustPrepare(t, db, sql, Options{NoVector: true}).Run(ctx, DefaultBudget())
+		plans[i] = mustPrepare(t, db, sql)
+		res, _, err := mustPrepareRow(t, db, sql).Run(ctx, DefaultBudget())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -971,7 +977,7 @@ func TestVecAllocsIndependentOfInput(t *testing.T) {
 	db := opsDB(20_000)
 	ctx := context.Background()
 	for _, sh := range scanShapes {
-		p := mustPrepare(t, db, fmt.Sprintf(sh.sql, sh.cond), Options{})
+		p := mustPrepare(t, db, fmt.Sprintf(sh.sql, sh.cond))
 		if !p.Vectorized() {
 			t.Fatalf("%s: expected a vectorized plan", sh.name)
 		}

@@ -95,19 +95,36 @@ var benchSink *sqldata.Result
 
 // BenchmarkVecScanAgg runs one plan of each shape over a 200,000-row fact
 // table: the executor's ten-second inner loop (`make bench-vec` runs each
-// once, so that it keeps compiling and running).
+// once, so that it keeps compiling and running). Before timing, each shape
+// also runs once on the row executor, whose rows, float bits and Usage the
+// vectorized run must equal: a divergence at this scale fails the benchmark.
 //
 //	go test -run '^$' -bench VecScanAgg -benchtime 20x -cpu 1 ./internal/plan
 func BenchmarkVecScanAgg(b *testing.B) {
 	db := opsDB(200_000)
 	ctx := context.Background()
 	for _, sh := range scanShapes {
-		p := mustPrepare(b, db, fmt.Sprintf(sh.sql, sh.cond), Options{})
+		sql := fmt.Sprintf(sh.sql, sh.cond)
+		p := mustPrepare(b, db, sql)
 		if !p.Vectorized() {
 			b.Fatalf("%s: expected a vectorized plan", sh.name)
 		}
-		if _, _, err := p.Run(ctx, DefaultBudget()); err != nil { // builds the column snapshot
+		vRes, vu, err := p.Run(ctx, DefaultBudget()) // also builds the column snapshot
+		if err != nil {
 			b.Fatal(err)
+		}
+		rRes, ru, err := mustPrepareRow(b, db, sql).Run(ctx, DefaultBudget())
+		if err != nil {
+			b.Fatalf("%s: row executor: %v", sh.name, err)
+		}
+		if !sameResult(rRes, vRes) {
+			b.Fatalf("%s: vectorized differs from row executor:\nrow: %v\nvec: %v", sh.name, rRes.Rows, vRes.Rows)
+		}
+		if diff := floatBitsDiff(rRes, vRes); diff != "" {
+			b.Fatalf("%s: vectorized float differs from row executor's in its bits: %s", sh.name, diff)
+		}
+		if vu != ru {
+			b.Fatalf("%s: usage differs: row %+v vec %+v", sh.name, ru, vu)
 		}
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -230,7 +230,7 @@ func parkedServer(t *testing.T, extra Config) (*Server, chan struct{}, chan stru
 	cfg.Backend = gw
 	if cfg.Admission == nil {
 		cfg.Admission = admission.New(admission.Config{
-			MaxInFlight: 1, MaxQueue: 1, BatchQueue: 1, NoAdapt: true, Metrics: cfg.Metrics,
+			MaxInFlight: 1, MinInFlight: 1, MaxQueue: 1, BatchQueue: 1, Metrics: cfg.Metrics,
 		})
 	}
 	return New(cfg), started, release
@@ -447,7 +447,7 @@ func TestBatchEndToEndAndShedMarking(t *testing.T) {
 func TestBatchDefaultsToBatchPriority(t *testing.T) {
 	db := testDB(t)
 	gw := resilient.New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")}, resilient.Config{})
-	ctrl := admission.New(admission.Config{MaxInFlight: 4, NoAdapt: true})
+	ctrl := admission.New(admission.Config{MaxInFlight: 4, MinInFlight: 4})
 	s := New(Config{Backend: gw, Admission: ctrl})
 	if rec := post(s, "/batch", `{"questions": ["customers"]}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("batch status %d (body %s)", rec.Code, rec.Body)
