@@ -75,10 +75,10 @@ func BenchmarkA2TypeFeatures(b *testing.B)      { benchExperiment(b, "A2") }
 
 // benchInterpret measures one family's end-to-end interpretation latency
 // over a fixed question mix.
-func benchInterpret(b *testing.B, mk func(d *benchdata.Domain, lex *lexicon.Lexicon) nlq.Interpreter) {
+func benchInterpret(b *testing.B, mk func(d *benchdata.Domain, ix *invindex.Index, lex *lexicon.Lexicon) nlq.Interpreter) {
 	d := benchdata.Sales(1)
 	lex := lexicon.New()
-	in := mk(d, lex)
+	in := mk(d, invindex.Build(d.DB, lex), lex)
 	questions := []string{
 		"customers with city Berlin",
 		"how many products are there",
@@ -93,26 +93,26 @@ func benchInterpret(b *testing.B, mk func(d *benchdata.Domain, lex *lexicon.Lexi
 }
 
 func BenchmarkInterpretKeyword(b *testing.B) {
-	benchInterpret(b, func(d *benchdata.Domain, lex *lexicon.Lexicon) nlq.Interpreter {
-		return keywordnl.New(d.DB, lex)
+	benchInterpret(b, func(d *benchdata.Domain, ix *invindex.Index, lex *lexicon.Lexicon) nlq.Interpreter {
+		return keywordnl.New(d.DB, ix)
 	})
 }
 
 func BenchmarkInterpretPattern(b *testing.B) {
-	benchInterpret(b, func(d *benchdata.Domain, lex *lexicon.Lexicon) nlq.Interpreter {
-		return patternnl.New(d.DB, lex)
+	benchInterpret(b, func(d *benchdata.Domain, ix *invindex.Index, lex *lexicon.Lexicon) nlq.Interpreter {
+		return patternnl.New(d.DB, ix)
 	})
 }
 
 func BenchmarkInterpretParse(b *testing.B) {
-	benchInterpret(b, func(d *benchdata.Domain, lex *lexicon.Lexicon) nlq.Interpreter {
-		return parsenl.New(d.DB, lex)
+	benchInterpret(b, func(d *benchdata.Domain, ix *invindex.Index, lex *lexicon.Lexicon) nlq.Interpreter {
+		return parsenl.New(d.DB, ix)
 	})
 }
 
 func BenchmarkInterpretAthena(b *testing.B) {
-	benchInterpret(b, func(d *benchdata.Domain, lex *lexicon.Lexicon) nlq.Interpreter {
-		return athena.New(d.DB, lex)
+	benchInterpret(b, func(d *benchdata.Domain, ix *invindex.Index, lex *lexicon.Lexicon) nlq.Interpreter {
+		return athena.New(d.DB, ix, lex)
 	})
 }
 

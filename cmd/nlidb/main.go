@@ -358,7 +358,7 @@ func main() {
 				onEvict = func(id, _ string) { sessionRL.Forget(id) }
 			}
 			sessions, err = session.New(session.Config{
-				Responder:    dialogue.NewAgentWithIndex(d.DB, primary, ix, sessExec),
+				Responder:    dialogue.NewAgent(d.DB, primary, ix, sessExec),
 				DB:           d.DB,
 				TTL:          *sessionTTL,
 				MaxSessions:  *sessionMax,
@@ -437,13 +437,13 @@ func main() {
 	}
 	fmt.Println(`type a question ("exit" to quit; "? <prefix>" for completions; "slowlog" for slow queries; "explain [analyze] <question>" for plans):`)
 
-	completer := autocomplete.NewWithIndex(d.DB, ontology.FromDatabase(d.DB), ix)
+	completer := autocomplete.New(d.DB, ontology.FromDatabase(d.DB), ix)
 	eng := sqlexec.New(d.DB)
 	var agent *dialogue.Agent
 	if *chat {
 		// The chat agent executes through the same gateway as one-shot and
 		// serve modes: plan cache, budgets, breakers, traces.
-		agent = dialogue.NewAgentWithIndex(d.DB, primary, ix, gw)
+		agent = dialogue.NewAgent(d.DB, primary, ix, gw)
 	}
 
 	sc := bufio.NewScanner(os.Stdin)

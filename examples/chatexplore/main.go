@@ -12,6 +12,7 @@ import (
 	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
 	"nlidb/internal/dialogue"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/ontology"
 	"nlidb/internal/resilient"
@@ -20,7 +21,8 @@ import (
 func main() {
 	d := benchdata.Hospital(11)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
+	ix := invindex.Build(d.DB, lex)
+	interp := athena.New(d.DB, ix, lex)
 
 	// Bootstrap the conversation artifacts from the ontology (Quamar et
 	// al.): intents, training utterances, and entity value lists — no
@@ -56,8 +58,8 @@ func main() {
 	exec := resilient.New(d.DB, nil, resilient.Config{NoTrace: true})
 	managers := []dialogue.Manager{
 		dialogue.NewFiniteState(interp, exec),
-		dialogue.NewFrame(d.DB, interp, lex, exec),
-		dialogue.NewAgent(d.DB, interp, lex, exec),
+		dialogue.NewFrame(d.DB, interp, ix, exec),
+		dialogue.NewAgent(d.DB, interp, ix, exec),
 	}
 
 	for _, mgr := range managers {

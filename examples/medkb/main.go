@@ -10,6 +10,7 @@ import (
 
 	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqlexec"
@@ -31,8 +32,9 @@ func main() {
 		"drugs for the condition hypertension",
 	}
 
+	ix := invindex.Build(d.DB, lex)
 	for _, relax := range []bool{false, true} {
-		in := athena.New(d.DB, lex)
+		in := athena.New(d.DB, ix, lex)
 		in.Relax = relax
 		fmt.Printf("— relaxation %v —\n", relax)
 		for _, q := range questions {

@@ -7,6 +7,7 @@ import (
 	"log"
 
 	"nlidb/internal/athena"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
@@ -32,8 +33,10 @@ func main() {
 	emp.MustInsert(sqldata.NewInt(2), sqldata.NewText("bob"), sqldata.NewFloat(72000), sqldata.NewText("Munich"))
 	emp.MustInsert(sqldata.NewInt(3), sqldata.NewText("cyd"), sqldata.NewFloat(88000), sqldata.NewText("Berlin"))
 
-	// 2. Build an interpreter (ontology auto-generated from the schema).
-	interp := athena.New(db, lexicon.New())
+	// 2. Index the database's vocabulary once, then build an interpreter
+	// over that index (ontology auto-generated from the schema).
+	lex := lexicon.New()
+	interp := athena.New(db, invindex.Build(db, lex), lex)
 	eng := sqlexec.New(db)
 
 	// 3. Ask questions.

@@ -10,6 +10,7 @@ import (
 
 	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
+	"nlidb/internal/invindex"
 	"nlidb/internal/ir"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
@@ -22,7 +23,7 @@ import (
 func main() {
 	d := benchdata.Sales(7)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
+	interp := athena.New(d.DB, invindex.Build(d.DB, lex), lex)
 	eng := sqlexec.New(d.DB)
 
 	fmt.Println("— Nested BI questions in English —")

@@ -44,24 +44,11 @@ type Interpreter struct {
 	Relax bool
 }
 
-// New builds the interpreter with an ontology auto-generated from the
-// database (the Jammi et al. tooling path).
-func New(db *sqldata.Database, lex *lexicon.Lexicon) *Interpreter {
-	return NewWithIndex(db, invindex.Build(db, lex), lex)
-}
-
-// NewWithIndex is New over an index already built for db with lex, so the
-// engines of one fallback chain can share it.
-func NewWithIndex(db *sqldata.Database, ix *invindex.Index, lex *lexicon.Lexicon) *Interpreter {
-	return newInterpreter(db, ontology.FromDatabase(db), ix, lex)
-}
-
-// NewWithOntology uses a hand-curated ontology instead.
-func NewWithOntology(db *sqldata.Database, ont *ontology.Ontology, lex *lexicon.Lexicon) *Interpreter {
-	return newInterpreter(db, ont, invindex.Build(db, lex), lex)
-}
-
-func newInterpreter(db *sqldata.Database, ont *ontology.Ontology, ix *invindex.Index, lex *lexicon.Lexicon) *Interpreter {
+// New builds the interpreter over ix, the index the caller built for db
+// with lex, and an ontology auto-generated from the database (the Jammi et
+// al. tooling path). lex also drives query relaxation.
+func New(db *sqldata.Database, ix *invindex.Index, lex *lexicon.Lexicon) *Interpreter {
+	ont := ontology.FromDatabase(db)
 	return &Interpreter{
 		db:       db,
 		ont:      ont,
@@ -311,7 +298,7 @@ func (at *Interpreter) buildIR(a *nlq.Analysis) (*ir.Query, []string, error) {
 				continue
 			}
 		}
-		val := numLiteral(cmp.Value)
+		val := nlq.NumLiteral(cmp.Value)
 		q.Conditions = append(q.Conditions, ir.Condition{Prop: prop, Op: cmp.Op, Operand: ir.Operand{Value: &val}})
 		filterProps[prop.String()] = true
 		expl = append(expl, fmt.Sprintf("%s %s %v", prop, cmp.Op, cmp.Value))
@@ -356,7 +343,7 @@ func (at *Interpreter) buildIR(a *nlq.Analysis) (*ir.Query, []string, error) {
 			aggCues = append(aggCues, nlq.AggCue{Func: f, TokenPos: topk.TokenPos})
 			topk = nil
 		} else if !explicitTop {
-			topk.K = leadingK(a, topk.TokenPos)
+			topk.K = nlq.LeadingK(a, topk.TokenPos)
 		}
 	}
 
@@ -634,25 +621,4 @@ func orLinked(toks []nlp.Token, a, b int) bool {
 		}
 	}
 	return false
-}
-
-func leadingK(a *nlq.Analysis, supPos int) int {
-	used := map[int]bool{}
-	for _, c := range a.Comparisons {
-		used[c.TokenPos] = true
-	}
-	for i := supPos - 1; i >= 0; i-- {
-		t := a.Tokens[i]
-		if t.Kind == nlp.KindNumber && !used[i] {
-			return int(t.Num)
-		}
-	}
-	return 1
-}
-
-func numLiteral(v float64) sqldata.Value {
-	if v == float64(int64(v)) {
-		return sqldata.NewInt(int64(v))
-	}
-	return sqldata.NewFloat(v)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
@@ -50,9 +51,15 @@ func corpDB(t testing.TB) *sqldata.Database {
 	return db
 }
 
+// newInterp builds the interpreter over its own index of db.
+func newInterp(db *sqldata.Database) *Interpreter {
+	lex := lexicon.New()
+	return New(db, invindex.Build(db, lex), lex)
+}
+
 func run(t *testing.T, db *sqldata.Database, q string) (*sqldata.Result, *nlq.Interpretation) {
 	t.Helper()
-	in := New(db, lexicon.New())
+	in := newInterp(db)
 	ins, err := in.Interpret(q)
 	if err != nil {
 		t.Fatalf("Interpret(%q): %v", q, err)
@@ -138,7 +145,7 @@ func TestCountQuery(t *testing.T) {
 
 func TestRelaxation(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := newInterp(db)
 	// "wage" is not a column; lexicon links it to salary.
 	ins, err := in.Interpret("employees with wage over 100")
 	if err != nil {
@@ -156,7 +163,7 @@ func TestRelaxation(t *testing.T) {
 
 func TestRelaxationOffFails(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := newInterp(db)
 	in.Relax = false
 	ins, err := in.Interpret("staff with wage over 100")
 	if err == nil {
@@ -190,7 +197,7 @@ func TestMaxAggregation(t *testing.T) {
 
 func TestCustomOntologySynonyms(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := newInterp(db)
 	// Enrich the auto-generated ontology with a domain synonym.
 	c := in.Ontology().Concept("employee")
 	if c == nil {
@@ -207,7 +214,7 @@ func TestCustomOntologySynonyms(t *testing.T) {
 
 func TestAccessorsAndLeadingK(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := newInterp(db)
 	if in.Name() != "athena" {
 		t.Errorf("name = %s", in.Name())
 	}
@@ -248,7 +255,7 @@ func TestGroupByOrderedBySuperlativePhrase(t *testing.T) {
 
 func TestDisjunctionMergesToIN(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := newInterp(db)
 	ins, err := in.Interpret("employees in engineering or marketing")
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +272,7 @@ func TestDisjunctionMergesToIN(t *testing.T) {
 
 func TestNegatedValueFilter(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := newInterp(db)
 	ins, err := in.Interpret("employees not in engineering")
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +289,7 @@ func TestNegatedValueFilter(t *testing.T) {
 
 func TestExplanationMentionsNesting(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := newInterp(db)
 	ins, err := in.Interpret("departments without employees")
 	if err != nil {
 		t.Fatal(err)

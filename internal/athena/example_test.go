@@ -5,6 +5,7 @@ import (
 	"log"
 
 	"nlidb/internal/athena"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
@@ -28,7 +29,8 @@ func ExampleInterpreter_Interpret() {
 	}
 	emp.MustInsert(sqldata.NewInt(1), sqldata.NewText("ann"), sqldata.NewFloat(120))
 
-	in := athena.New(db, lexicon.New())
+	lex := lexicon.New()
+	in := athena.New(db, invindex.Build(db, lex), lex)
 	ins, err := in.Interpret("employees earning more than the average salary")
 	if err != nil {
 		log.Fatal(err)

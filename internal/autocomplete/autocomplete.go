@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"nlidb/internal/invindex"
-	"nlidb/internal/lexicon"
 	"nlidb/internal/nlp"
 	"nlidb/internal/nlq"
 	"nlidb/internal/ontology"
@@ -40,13 +39,9 @@ type Completer struct {
 	centrality map[string]float64
 }
 
-// New builds a completer; the ontology may be auto-generated.
-func New(db *sqldata.Database, ont *ontology.Ontology, lex *lexicon.Lexicon) *Completer {
-	return NewWithIndex(db, ont, invindex.Build(db, lex))
-}
-
-// NewWithIndex is New over an index already built for db.
-func NewWithIndex(db *sqldata.Database, ont *ontology.Ontology, ix *invindex.Index) *Completer {
+// New builds a completer over ix, the index the caller built for db; the
+// ontology may be auto-generated.
+func New(db *sqldata.Database, ont *ontology.Ontology, ix *invindex.Index) *Completer {
 	c := &Completer{
 		db:         db,
 		ont:        ont,

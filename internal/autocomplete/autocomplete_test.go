@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nlidb/internal/benchdata"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/ontology"
 )
@@ -12,7 +13,7 @@ import (
 func completer(t testing.TB) *Completer {
 	t.Helper()
 	d := benchdata.Sales(1)
-	return New(d.DB, ontology.FromDatabase(d.DB), lexicon.New())
+	return New(d.DB, ontology.FromDatabase(d.DB), invindex.Build(d.DB, lexicon.New()))
 }
 
 func texts(ss []Suggestion) []string {

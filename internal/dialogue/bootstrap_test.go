@@ -7,6 +7,7 @@ import (
 
 	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/ontology"
 )
@@ -118,7 +119,8 @@ func TestAgentWithIntentModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	lex := lexicon.New()
-	agent := NewAgent(d.DB, athena.New(d.DB, lex), lex, testExec(d))
+	ix := invindex.Build(d.DB, lex)
+	agent := NewAgent(d.DB, athena.New(d.DB, ix, lex), ix, testExec(d))
 	agent.IntentModel = cls
 	if _, err := agent.Respond(context.Background(), "show customers with city Berlin"); err != nil {
 		t.Fatal(err)

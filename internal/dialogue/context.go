@@ -148,7 +148,7 @@ func (r *resolver) refine(ctx *Context, utterance string) (*sqlparse.SelectStmt,
 			col.Table = t
 		}
 		added = append(added, &sqlparse.BinaryExpr{
-			Op: cmp.Op, L: col, R: &sqlparse.Literal{Val: numLiteral(cmp.Value)},
+			Op: cmp.Op, L: col, R: &sqlparse.Literal{Val: nlq.NumLiteral(cmp.Value)},
 		})
 	}
 	for _, sp := range a.Spans {
@@ -238,11 +238,4 @@ func (r *resolver) resolveColumn(word, anchor string) (string, string) {
 		return strings.ToLower(ms[0].Table), strings.ToLower(ms[0].Column)
 	}
 	return "", ""
-}
-
-func numLiteral(v float64) sqldata.Value {
-	if v == float64(int64(v)) {
-		return sqldata.NewInt(int64(v))
-	}
-	return sqldata.NewFloat(v)
 }

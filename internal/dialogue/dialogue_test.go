@@ -6,6 +6,7 @@ import (
 
 	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/resilient"
@@ -47,9 +48,10 @@ func managers(t *testing.T) (*FiniteState, *Frame, *Agent, *benchdata.Domain) {
 	t.Helper()
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
+	ix := invindex.Build(d.DB, lex)
+	interp := athena.New(d.DB, ix, lex)
 	exec := testExec(d)
-	return NewFiniteState(interp, exec), NewFrame(d.DB, interp, lex, exec), NewAgent(d.DB, interp, lex, exec), d
+	return NewFiniteState(interp, exec), NewFrame(d.DB, interp, ix, exec), NewAgent(d.DB, interp, ix, exec), d
 }
 
 func TestFiniteStateGrammarGate(t *testing.T) {
@@ -176,8 +178,9 @@ func TestUserSimValidateAndChoose(t *testing.T) {
 func TestAgentWithUserSimRecovers(t *testing.T) {
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
-	agent := NewAgent(d.DB, interp, lex, testExec(d))
+	ix := invindex.Build(d.DB, lex)
+	interp := athena.New(d.DB, ix, lex)
+	agent := NewAgent(d.DB, interp, ix, testExec(d))
 	gold := sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Berlin'")
 	u, err := NewUserSim(d.DB, gold)
 	if err != nil {

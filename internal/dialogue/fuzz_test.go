@@ -6,6 +6,7 @@ import (
 
 	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 )
 
@@ -51,8 +52,9 @@ func FuzzFollowUp(f *testing.F) {
 
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
-	agent := NewAgent(d.DB, interp, lex, testExec(d))
+	ix := invindex.Build(d.DB, lex)
+	interp := athena.New(d.DB, ix, lex)
+	agent := NewAgent(d.DB, interp, ix, testExec(d))
 
 	f.Fuzz(func(t *testing.T, utterance string) {
 		// Fresh context with one prior turn, so follow-up intents engage.

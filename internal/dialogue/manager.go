@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"nlidb/internal/invindex"
-	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/resilient"
 	"nlidb/internal/sqldata"
@@ -161,11 +160,11 @@ type Frame struct {
 	ctx Context
 }
 
-// NewFrame builds the manager. The resolver index over db is immutable
-// after construction, so one Frame may serve concurrent conversations via
-// RespondWith.
-func NewFrame(db *sqldata.Database, interp nlq.Interpreter, lex *lexicon.Lexicon, exec Executor) *Frame {
-	return &Frame{interp: interp, exec: exec, res: &resolver{db: db, ix: invindex.Build(db, lex)}}
+// NewFrame builds the manager over ix, the index the caller built for db.
+// The index is immutable, so one Frame may serve concurrent conversations
+// via RespondWith.
+func NewFrame(db *sqldata.Database, interp nlq.Interpreter, ix *invindex.Index, exec Executor) *Frame {
+	return &Frame{interp: interp, exec: exec, res: &resolver{db: db, ix: ix}}
 }
 
 // Name implements Manager.
@@ -259,16 +258,11 @@ type Agent struct {
 	ctx Context
 }
 
-// NewAgent builds the manager. The resolver index over db is immutable
-// after construction, so one Agent may serve concurrent conversations via
-// RespondWith.
-func NewAgent(db *sqldata.Database, interp nlq.Interpreter, lex *lexicon.Lexicon, exec Executor) *Agent {
-	return NewAgentWithIndex(db, interp, invindex.Build(db, lex), exec)
-}
-
-// NewAgentWithIndex is NewAgent over an index already built for db — the
-// one the interpreter chain resolves words through, in a serving process.
-func NewAgentWithIndex(db *sqldata.Database, interp nlq.Interpreter, ix *invindex.Index, exec Executor) *Agent {
+// NewAgent builds the manager over ix, the index the caller built for db
+// (in a serving process, the one the interpreter chain resolves words
+// through). The index is immutable, so one Agent may serve concurrent
+// conversations via RespondWith.
+func NewAgent(db *sqldata.Database, interp nlq.Interpreter, ix *invindex.Index, exec Executor) *Agent {
 	return &Agent{interp: interp, exec: exec, res: &resolver{db: db, ix: ix}}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/qcache"
 	"nlidb/internal/resilient"
@@ -48,10 +49,11 @@ func TestRespondCancelledBeforeTurn(t *testing.T) {
 func TestRespondCancelledMidTurn(t *testing.T) {
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
+	ix := invindex.Build(d.DB, lex)
+	interp := athena.New(d.DB, ix, lex)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	agent := NewAgent(d.DB, interp, lex, selfCancelExec{cancel: cancel})
+	agent := NewAgent(d.DB, interp, ix, selfCancelExec{cancel: cancel})
 
 	r, err := agent.Respond(ctx, "show customers with city Berlin")
 	if !errors.Is(err, context.Canceled) {
@@ -72,11 +74,12 @@ func TestRespondCancelledMidTurn(t *testing.T) {
 func TestFollowUpHitsPlanCache(t *testing.T) {
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
+	ix := invindex.Build(d.DB, lex)
+	interp := athena.New(d.DB, ix, lex)
 	gw := resilient.New(d.DB, nil, resilient.Config{
 		PlanCache: qcache.New(qcache.Config{MaxEntries: 64}),
 	})
-	agent := NewAgent(d.DB, interp, lex, gw)
+	agent := NewAgent(d.DB, interp, ix, gw)
 
 	run := func() *Response {
 		t.Helper()
@@ -110,8 +113,9 @@ func TestFollowUpHitsPlanCache(t *testing.T) {
 func TestSharedManagerConcurrentConversations(t *testing.T) {
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
-	agent := NewAgent(d.DB, interp, lex, testExec(d))
+	ix := invindex.Build(d.DB, lex)
+	interp := athena.New(d.DB, ix, lex)
+	agent := NewAgent(d.DB, interp, ix, testExec(d))
 
 	cities := []string{"Berlin", "Munich", "Hamburg"}
 	var wg sync.WaitGroup

@@ -8,6 +8,7 @@ import (
 	"nlidb/internal/benchdata"
 	"nlidb/internal/dataset"
 	"nlidb/internal/dialogue"
+	"nlidb/internal/invindex"
 	"nlidb/internal/keywordnl"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
@@ -120,11 +121,12 @@ func TestRealInterpreterOrdering(t *testing.T) {
 	// Sanity: athena must beat keyword overall on a mixed corpus.
 	set := corpus(t)
 	lex := lexicon.New()
-	kw, err := Evaluate(keywordnl.New(set.DB, lex), set)
+	ix := invindex.Build(set.DB, lex)
+	kw, err := Evaluate(keywordnl.New(set.DB, ix), set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at, err := Evaluate(athena.New(set.DB, lex), set)
+	at, err := Evaluate(athena.New(set.DB, ix, lex), set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +140,11 @@ func TestEvaluateConversations(t *testing.T) {
 	d := benchdata.Sales(42)
 	cs := benchdata.Conversations(d, 8, 3)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
+	ix := invindex.Build(d.DB, lex)
+	interp := athena.New(d.DB, ix, lex)
 
 	exec := resilient.New(d.DB, nil, resilient.Config{NoTrace: true})
-	agent := dialogue.NewAgent(d.DB, interp, lex, exec)
+	agent := dialogue.NewAgent(d.DB, interp, ix, exec)
 	rep, err := EvaluateConversations(agent, cs)
 	if err != nil {
 		t.Fatal(err)

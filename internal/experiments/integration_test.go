@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nlidb/internal/benchdata"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqlexec"
@@ -24,7 +25,7 @@ func TestAllFamiliesEmitWellFormedSQL(t *testing.T) {
 	lex := lexicon.New()
 	for _, d := range benchdata.Domains(3) {
 		eng := sqlexec.New(d.DB)
-		interps := interpreterSet(d, lex)
+		interps := interpreterSet(d, invindex.Build(d.DB, lex), lex)
 		pairs := d.GeneratePairs(40, 77)
 		checked := 0
 		for _, p := range pairs {
@@ -68,7 +69,7 @@ func TestFamiliesSurviveParaphraseSweep(t *testing.T) {
 	lex := lexicon.New()
 	d := benchdata.Movies(9)
 	eng := sqlexec.New(d.DB)
-	interps := interpreterSet(d, lex)
+	interps := interpreterSet(d, invindex.Build(d.DB, lex), lex)
 	pairs := d.GeneratePairs(25, 13)
 	r := newSeededRand(99)
 	for _, p := range pairs {

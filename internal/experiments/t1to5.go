@@ -10,6 +10,7 @@ import (
 	"nlidb/internal/dataset"
 	"nlidb/internal/eval"
 	"nlidb/internal/hybridnl"
+	"nlidb/internal/invindex"
 	"nlidb/internal/keywordnl"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/mlsql"
@@ -20,15 +21,16 @@ import (
 	"nlidb/internal/synth"
 )
 
-// interpreterSet builds the entity-based family over a domain. Every
-// interpreter is wrapped in resilient.Safe so a panic in one engine
-// surfaces as a per-query error instead of aborting the whole experiment.
-func interpreterSet(d *benchdata.Domain, lex *lexicon.Lexicon) map[string]nlq.Interpreter {
+// interpreterSet builds the entity-based family over a domain, all over
+// ix, the domain's one index. Every interpreter is wrapped in
+// resilient.Safe so a panic in one engine surfaces as a per-query error
+// instead of aborting the whole experiment.
+func interpreterSet(d *benchdata.Domain, ix *invindex.Index, lex *lexicon.Lexicon) map[string]nlq.Interpreter {
 	return map[string]nlq.Interpreter{
-		"keyword": resilient.Safe(keywordnl.New(d.DB, lex)),
-		"pattern": resilient.Safe(patternnl.New(d.DB, lex)),
-		"parse":   resilient.Safe(parsenl.New(d.DB, lex)),
-		"athena":  resilient.Safe(athena.New(d.DB, lex)),
+		"keyword": resilient.Safe(keywordnl.New(d.DB, ix)),
+		"pattern": resilient.Safe(patternnl.New(d.DB, ix)),
+		"parse":   resilient.Safe(parsenl.New(d.DB, ix)),
+		"athena":  resilient.Safe(athena.New(d.DB, ix, lex)),
 	}
 }
 
@@ -61,7 +63,8 @@ func T1ComplexityCeiling(seed int64) (*Table, error) {
 	for di, d := range domains {
 		set := &dataset.Set{Name: d.Name, DB: d.DB,
 			Pairs: d.GeneratePairs(80, seed+int64(di)*31)}
-		interps := interpreterSet(d, lex)
+		ix := invindex.Build(d.DB, lex)
+		interps := interpreterSet(d, ix, lex)
 
 		model, err := trainMLFor(d, lex, seed+int64(di), mlsql.DefaultConfig())
 		if err != nil {
@@ -70,7 +73,7 @@ func T1ComplexityCeiling(seed int64) (*Table, error) {
 		interps["mlsql"] = resilient.Safe(mlsql.NewInterpreter(d.DB, model))
 
 		history := d.GeneratePairs(150, seed+int64(di)*7+1, nlq.Simple, nlq.Aggregation, nlq.Join)
-		quest, err := hybridnl.NewQuest(d.DB, lex, history)
+		quest, err := hybridnl.NewQuest(d.DB, ix, history)
 		if err != nil {
 			return nil, err
 		}
@@ -121,10 +124,11 @@ func T2Paraphrase(seed int64) (*Table, error) {
 	// Single-table corpus (the classes every family can express).
 	base := benchdata.WikiSQLStyle(d, 120, seed+5)
 
+	ix := invindex.Build(d.DB, lex)
 	interps := map[string]nlq.Interpreter{
-		"keyword": keywordnl.New(d.DB, lex),
-		"pattern": patternnl.New(d.DB, lex),
-		"athena":  athena.New(d.DB, lex),
+		"keyword": keywordnl.New(d.DB, ix),
+		"pattern": patternnl.New(d.DB, ix),
+		"athena":  athena.New(d.DB, ix, lex),
 	}
 	// The learned parser trains WITH paraphrase augmentation (DBPal-style),
 	// which is exactly where its robustness comes from.
@@ -221,9 +225,10 @@ func T3PrecisionRecall(seed int64) (*Table, error) {
 	}
 
 	const tau = 0.8
-	at := athena.New(d.DB, lex)
+	ix := invindex.Build(d.DB, lex)
+	at := athena.New(d.DB, ix, lex)
 	atAbstain := &abstainer{inner: at, threshold: tau}
-	kwAbstain := &abstainer{inner: keywordnl.New(d.DB, lex), threshold: tau}
+	kwAbstain := &abstainer{inner: keywordnl.New(d.DB, ix), threshold: tau}
 	model, err := trainMLFor(d, lex, seed+21, mlsql.DefaultConfig())
 	if err != nil {
 		return nil, err
@@ -423,7 +428,7 @@ func T5DomainAdaptation(seed int64) (*Table, error) {
 			inAcc += irep.Overall.Accuracy()
 		}
 
-		arep, err := eval.Evaluate(athena.New(held.DB, lex), test)
+		arep, err := eval.Evaluate(athena.New(held.DB, invindex.Build(held.DB, lex), lex), test)
 		if err != nil {
 			return nil, err
 		}

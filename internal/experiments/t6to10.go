@@ -10,6 +10,7 @@ import (
 	"nlidb/internal/dataset"
 	"nlidb/internal/dialogue"
 	"nlidb/internal/eval"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/mlsql"
 	"nlidb/internal/nlq"
@@ -58,12 +59,13 @@ func T6Dialogue(seed int64) (*Table, error) {
 				}
 			}
 		}
-		interp := athena.New(d.DB, lex)
+		ix := invindex.Build(d.DB, lex)
+		interp := athena.New(d.DB, ix, lex)
 		exec := resilient.New(d.DB, nil, resilient.Config{NoTrace: true})
 		mgrs := []dialogue.Manager{
 			dialogue.NewFiniteState(interp, exec),
-			dialogue.NewFrame(d.DB, interp, lex, exec),
-			dialogue.NewAgent(d.DB, interp, lex, exec),
+			dialogue.NewFrame(d.DB, interp, ix, exec),
+			dialogue.NewAgent(d.DB, interp, ix, exec),
 		}
 		for _, m := range mgrs {
 			rep, err := eval.EvaluateConversations(m, cs)
@@ -120,7 +122,7 @@ func T7Feedback(seed int64) (*Table, error) {
 		items = append(items, item{q: fmt.Sprintf("hops of the airport %s", n), gold: gold})
 	}
 
-	in := parsenl.New(d.DB, lex)
+	in := parsenl.New(d.DB, invindex.Build(d.DB, lex))
 	evalRounds := func(rounds int) (float64, float64, error) {
 		correct, asked := 0, 0
 		for _, it := range items {
@@ -272,8 +274,9 @@ func T9Relaxation(seed int64) (*Table, error) {
 		{"list the sedatives", "relaxed", "SELECT name FROM drug"},
 	}
 
+	ix := invindex.Build(d.DB, lex)
 	evalMode := func(relax bool, kind string) (int, int, error) {
-		in := athena.New(d.DB, lex)
+		in := athena.New(d.DB, ix, lex)
 		in.Relax = relax
 		total, correct := 0, 0
 		for _, it := range items {
@@ -335,8 +338,9 @@ func T10QueryLog(seed int64) (*Table, error) {
 		return nil, err
 	}
 
+	ix := invindex.Build(d.DB, lex)
 	run := func(applyLog bool) (float64, error) {
-		in := parsenl.New(d.DB, lex)
+		in := parsenl.New(d.DB, ix)
 		if applyLog {
 			// The workload log: users historically join through origin.
 			var log []*sqlparse.SelectStmt

@@ -20,7 +20,6 @@ import (
 	"nlidb/internal/dataset"
 	"nlidb/internal/hmm"
 	"nlidb/internal/invindex"
-	"nlidb/internal/lexicon"
 	"nlidb/internal/nlp"
 	"nlidb/internal/nlq"
 	"nlidb/internal/schemagraph"
@@ -65,11 +64,12 @@ type Quest struct {
 }
 
 // NewQuest trains the role HMM on a corpus of previous searches (pairs
-// whose gold SQL supplies the token labels) and returns the interpreter.
-func NewQuest(db *sqldata.Database, lex *lexicon.Lexicon, history []dataset.Pair) (*Quest, error) {
+// whose gold SQL supplies the token labels) and returns the interpreter
+// over ix, the index the caller built for db.
+func NewQuest(db *sqldata.Database, ix *invindex.Index, history []dataset.Pair) (*Quest, error) {
 	q := &Quest{
 		db:    db,
-		ix:    invindex.Build(db, lex),
+		ix:    ix,
 		graph: schemagraph.Build(db),
 		opts:  invindex.DefaultOptions(),
 	}
@@ -301,7 +301,7 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 	for _, cmp := range a.Comparisons {
 		lt, lc := q.resolveColumn(cmp.ColumnHint, anchor, required)
 		if lc == "" {
-			lt, lc = anchor, firstNumericColumn(q.db.Table(anchor).Schema)
+			lt, lc = anchor, nlq.FirstNumericColumn(q.db.Table(anchor).Schema)
 		}
 		if lc == "" {
 			continue
@@ -311,7 +311,7 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 		where = append(where, &sqlparse.BinaryExpr{
 			Op: cmp.Op,
 			L:  &sqlparse.ColumnRef{Table: lt, Column: lc},
-			R:  &sqlparse.Literal{Val: numLiteral(cmp.Value)},
+			R:  &sqlparse.Literal{Val: nlq.NumLiteral(cmp.Value)},
 		})
 	}
 
@@ -329,7 +329,7 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 
 	stmt := sqlparse.NewSelect()
 	stmt.From = from
-	stmt.Where = conjoin(where)
+	stmt.Where = sqlparse.Conjoin(where)
 	qualify := len(from.Tables()) > 1
 
 	mkCol := func(t, c string) *sqlparse.ColumnRef {
@@ -364,7 +364,7 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 			var e sqlparse.Expr
 			if target[1] == "" {
 				if cue.Func != "COUNT" {
-					if c := firstNumericColumn(q.db.Table(anchor).Schema); c != "" {
+					if c := nlq.FirstNumericColumn(q.db.Table(anchor).Schema); c != "" {
 						target = [2]string{anchor, c}
 					}
 				}
@@ -387,7 +387,7 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 			stmt.Items = append(stmt.Items, sqlparse.SelectItem{Expr: mkCol(pc[0], pc[1])})
 		}
 		if len(stmt.Items) == 0 {
-			if c := firstTextColumn(q.db.Table(anchor).Schema); c != "" {
+			if c := nlq.FirstTextColumn(q.db.Table(anchor).Schema); c != "" {
 				stmt.Items = []sqlparse.SelectItem{{Expr: mkCol(anchor, c)}}
 			} else {
 				stmt.Items = []sqlparse.SelectItem{{Star: true}}
@@ -466,7 +466,7 @@ func (q *Quest) columnForToken(a *nlq.Analysis, pos int, anchor string, required
 		}
 		for _, m := range sp.Matches {
 			if m.Kind == invindex.KindTable {
-				if c := firstTextColumn(q.db.Table(m.Table).Schema); c != "" {
+				if c := nlq.FirstTextColumn(q.db.Table(m.Table).Schema); c != "" {
 					return strings.ToLower(m.Table), c
 				}
 			}
@@ -503,41 +503,4 @@ func (e *Ensemble) Interpret(question string) ([]nlq.Interpretation, error) {
 		return prim, nil
 	}
 	return nil, fmt.Errorf("%w: both hybrid stages failed (%v; %v)", nlq.ErrNoInterpretation, perr, ferr)
-}
-
-func firstTextColumn(s *sqldata.Schema) string {
-	for _, c := range s.Columns {
-		if c.Type == sqldata.TypeText {
-			return strings.ToLower(c.Name)
-		}
-	}
-	return ""
-}
-
-func firstNumericColumn(s *sqldata.Schema) string {
-	for _, c := range s.Columns {
-		if c.Type.Numeric() && !c.PrimaryKey {
-			return strings.ToLower(c.Name)
-		}
-	}
-	return ""
-}
-
-func numLiteral(v float64) sqldata.Value {
-	if v == float64(int64(v)) {
-		return sqldata.NewInt(int64(v))
-	}
-	return sqldata.NewFloat(v)
-}
-
-func conjoin(exprs []sqlparse.Expr) sqlparse.Expr {
-	var out sqlparse.Expr
-	for _, e := range exprs {
-		if out == nil {
-			out = e
-		} else {
-			out = &sqlparse.BinaryExpr{Op: "AND", L: out, R: e}
-		}
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 
 	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqlexec"
@@ -16,7 +17,7 @@ func questOverSales(t *testing.T) (*Quest, *benchdata.Domain) {
 	t.Helper()
 	d := benchdata.Sales(50)
 	history := d.GeneratePairs(120, 7, nlq.Simple, nlq.Aggregation, nlq.Join)
-	q, err := NewQuest(d.DB, lexicon.New(), history)
+	q, err := NewQuest(d.DB, invindex.Build(d.DB, lexicon.New()), history)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestQuestRejectsUnrelatable(t *testing.T) {
 
 func TestQuestTrainingRequired(t *testing.T) {
 	d := benchdata.Sales(50)
-	if _, err := NewQuest(d.DB, lexicon.New(), nil); err == nil {
+	if _, err := NewQuest(d.DB, invindex.Build(d.DB, lexicon.New()), nil); err == nil {
 		t.Fatal("empty history accepted")
 	}
 }
@@ -194,8 +195,10 @@ func TestEnsembleBothFail(t *testing.T) {
 
 func TestEnsembleWithRealInterpreters(t *testing.T) {
 	d := benchdata.Sales(50)
-	primary := athena.New(d.DB, lexicon.New())
-	fallback := athena.New(d.DB, lexicon.New()) // stands in for a trained model
+	lex := lexicon.New()
+	ix := invindex.Build(d.DB, lex)
+	primary := athena.New(d.DB, ix, lex)
+	fallback := athena.New(d.DB, ix, lex) // stands in for a trained model
 	e := &Ensemble{Primary: primary, Fallback: fallback, Threshold: 0.95}
 	ins, err := e.Interpret("customers with credit over 10000")
 	if err != nil {

@@ -164,8 +164,8 @@ func (c *Compiler) Compile(q *Query) (*sqlparse.SelectStmt, error) {
 		}
 		where = append(where, expr)
 	}
-	stmt.Where = conjoin(where)
-	stmt.Having = conjoin(having)
+	stmt.Where = sqlparse.Conjoin(where)
+	stmt.Having = sqlparse.Conjoin(having)
 
 	for _, g := range q.GroupBy {
 		col, err := c.colRef(g)
@@ -466,19 +466,6 @@ func (c *Compiler) exists(ex ExistsCond, outerTables []string) (sqlparse.Expr, e
 		}
 		conds = append(conds, e)
 	}
-	sub.Where = conjoin(conds)
+	sub.Where = sqlparse.Conjoin(conds)
 	return &sqlparse.ExistsExpr{Not: ex.Not, Sub: sub}, nil
-}
-
-// conjoin folds expressions into a left-deep AND chain (nil for none).
-func conjoin(exprs []sqlparse.Expr) sqlparse.Expr {
-	var out sqlparse.Expr
-	for _, e := range exprs {
-		if out == nil {
-			out = e
-		} else {
-			out = &sqlparse.BinaryExpr{Op: "AND", L: out, R: e}
-		}
-	}
-	return out
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"nlidb/internal/invindex"
-	"nlidb/internal/lexicon"
 	"nlidb/internal/nlp"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
@@ -27,15 +26,9 @@ type Interpreter struct {
 	opts invindex.LookupOptions
 }
 
-// New builds the interpreter, indexing db's metadata and content. lex may
-// be nil to disable the synonym tier.
-func New(db *sqldata.Database, lex *lexicon.Lexicon) *Interpreter {
-	return NewWithIndex(db, invindex.Build(db, lex))
-}
-
-// NewWithIndex is New over an index already built for db, so the engines
-// of one fallback chain can share it.
-func NewWithIndex(db *sqldata.Database, ix *invindex.Index) *Interpreter {
+// New builds the interpreter over ix, the index the caller built for db,
+// so every interpreter over one database shares it.
+func New(db *sqldata.Database, ix *invindex.Index) *Interpreter {
 	return &Interpreter{db: db, ix: ix, opts: invindex.DefaultOptions()}
 }
 
@@ -267,20 +260,11 @@ func (k *Interpreter) buildSelect(table string, cols []invindex.Match, vals []va
 	if len(stmt.Items) == 0 {
 		// Default projection: the identifying text column (how NLIDB
 		// systems display entities), falling back to *.
-		if c := firstTextColumn(tbl.Schema); c != "" {
+		if c := nlq.FirstTextColumn(tbl.Schema); c != "" {
 			stmt.Items = []sqlparse.SelectItem{{Expr: &sqlparse.ColumnRef{Column: c}}}
 		} else {
 			stmt.Items = []sqlparse.SelectItem{{Star: true}}
 		}
 	}
 	return stmt
-}
-
-func firstTextColumn(s *sqldata.Schema) string {
-	for _, c := range s.Columns {
-		if c.Type == sqldata.TypeText {
-			return strings.ToLower(c.Name)
-		}
-	}
-	return ""
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
@@ -48,7 +49,7 @@ func shopDB(t testing.TB) *sqldata.Database {
 
 func TestSimpleValueFilter(t *testing.T) {
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := k.Interpret("customers in Berlin")
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +66,7 @@ func TestSimpleValueFilter(t *testing.T) {
 
 func TestColumnProjection(t *testing.T) {
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := k.Interpret("city of customer Alice")
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +84,7 @@ func TestColumnProjection(t *testing.T) {
 
 func TestSynonymTableLookup(t *testing.T) {
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := k.Interpret("list the clients from Munich")
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +99,7 @@ func TestKeywordIgnoresAggregation(t *testing.T) {
 	// The defining limitation: "how many customers in Berlin" still
 	// produces a plain selection, not COUNT.
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := k.Interpret("how many customers in Berlin")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestKeywordIgnoresAggregation(t *testing.T) {
 
 func TestKeywordSingleTableOnly(t *testing.T) {
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := k.Interpret("customers who bought the product Widget")
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestKeywordSingleTableOnly(t *testing.T) {
 
 func TestNoInterpretation(t *testing.T) {
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	_, err := k.Interpret("quantum flux capacitors")
 	if !errors.Is(err, nlq.ErrNoInterpretation) {
 		t.Fatalf("err = %v", err)
@@ -137,7 +138,7 @@ func TestNoInterpretation(t *testing.T) {
 
 func TestMultipleCandidates(t *testing.T) {
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	// "name" exists on both tables → both anchors are plausible.
 	ins, err := k.Interpret("name of products and customers")
 	if err != nil {
@@ -157,7 +158,7 @@ func TestMultipleCandidates(t *testing.T) {
 
 func TestDisjunctionMergesToIN(t *testing.T) {
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := k.Interpret("customers in Berlin or Munich")
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +176,7 @@ func TestDisjunctionMergesToIN(t *testing.T) {
 
 func TestConjunctionWithoutOrStaysAND(t *testing.T) {
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	// Same column, no "or": naive keyword conjunction (unsatisfiable).
 	ins, err := k.Interpret("customers Berlin Munich")
 	if err != nil {
@@ -193,7 +194,7 @@ func TestConjunctionWithoutOrStaysAND(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	db := shopDB(t)
-	k := New(db, lexicon.New())
+	k := New(db, invindex.Build(db, lexicon.New()))
 	a, err := k.Interpret("corporate customers in Berlin")
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"nlidb/internal/dataset"
 	"nlidb/internal/neural"
 	"nlidb/internal/nlp"
+	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlparse"
 )
@@ -362,8 +363,8 @@ func extractValue(toks []nlp.Token, voc *tableVocab, col sqldata.Column, op int,
 		for _, t := range toks {
 			if t.Kind == nlp.KindNumber && !usedNums[t.Pos] && !isLimitNumber(toks, t.Pos) {
 				usedNums[t.Pos] = true
-				if col.Type == sqldata.TypeInt && t.Num == float64(int64(t.Num)) {
-					return sqldata.NewInt(int64(t.Num)), true
+				if v := nlq.NumLiteral(t.Num); col.Type == sqldata.TypeInt && v.T == sqldata.TypeInt {
+					return v, true
 				}
 				return sqldata.NewFloat(t.Num), true
 			}

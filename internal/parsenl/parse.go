@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"nlidb/internal/invindex"
-	"nlidb/internal/lexicon"
 	"nlidb/internal/nlp"
 	"nlidb/internal/nlq"
 	"nlidb/internal/schemagraph"
@@ -28,14 +27,9 @@ type Interpreter struct {
 	opts  invindex.LookupOptions
 }
 
-// New builds the interpreter.
-func New(db *sqldata.Database, lex *lexicon.Lexicon) *Interpreter {
-	return NewWithIndex(db, invindex.Build(db, lex))
-}
-
-// NewWithIndex is New over an index already built for db, so the engines
-// of one fallback chain can share it.
-func NewWithIndex(db *sqldata.Database, ix *invindex.Index) *Interpreter {
+// New builds the interpreter over ix, the index the caller built for db,
+// so every interpreter over one database shares it.
+func New(db *sqldata.Database, ix *invindex.Index) *Interpreter {
 	return &Interpreter{
 		db:    db,
 		ix:    ix,
@@ -261,7 +255,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 	for _, cmp := range a.Comparisons {
 		t, c := p.resolveColumnAnyTable(cmp.ColumnHint, anchor, required)
 		if c == "" {
-			t, c = anchor, firstNumericColumn(p.db.Table(anchor).Schema)
+			t, c = anchor, nlq.FirstNumericColumn(p.db.Table(anchor).Schema)
 		}
 		if c == "" {
 			continue
@@ -271,7 +265,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 		where = append(where, &sqlparse.BinaryExpr{
 			Op: cmp.Op,
 			L:  &sqlparse.ColumnRef{Table: t, Column: c},
-			R:  &sqlparse.Literal{Val: numLiteral(cmp.Value)},
+			R:  &sqlparse.Literal{Val: nlq.NumLiteral(cmp.Value)},
 		})
 		expl = append(expl, fmt.Sprintf("comparison %s.%s %s %v", t, c, cmp.Op, cmp.Value))
 	}
@@ -301,7 +295,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 			aggCues = append(aggCues, nlq.AggCue{Func: f, TokenPos: topk.TokenPos})
 			topk = nil
 		} else if !explicitTop {
-			topk.K = leadingK(a, topk.TokenPos)
+			topk.K = nlq.LeadingK(a, topk.TokenPos)
 		}
 	}
 
@@ -338,7 +332,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 			}
 		}
 		if orderRef == nil {
-			if c := firstNumericColumn(p.db.Table(anchor).Schema); c != "" {
+			if c := nlq.FirstNumericColumn(p.db.Table(anchor).Schema); c != "" {
 				orderRef = &colRef{anchor, c}
 			}
 		}
@@ -360,7 +354,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 
 	stmt := sqlparse.NewSelect()
 	stmt.From = from
-	stmt.Where = conjoin(where)
+	stmt.Where = sqlparse.Conjoin(where)
 
 	qualify := len(from.Tables()) > 1
 
@@ -384,7 +378,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 				e = &sqlparse.FuncCall{Name: "COUNT", Star: true}
 			} else {
 				if target == nil {
-					if c := firstNumericColumn(p.db.Table(anchor).Schema); c != "" {
+					if c := nlq.FirstNumericColumn(p.db.Table(anchor).Schema); c != "" {
 						target = &colRef{anchor, c}
 					}
 				}
@@ -410,7 +404,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 			stmt.Items = append(stmt.Items, sqlparse.SelectItem{Expr: mkCol(c)})
 		}
 		if len(stmt.Items) == 0 {
-			if c := firstTextColumn(p.db.Table(anchor).Schema); c != "" {
+			if c := nlq.FirstTextColumn(p.db.Table(anchor).Schema); c != "" {
 				stmt.Items = []sqlparse.SelectItem{{Expr: mkCol(colRef{anchor, c})}}
 			} else if qualify {
 				stmt.Items = []sqlparse.SelectItem{{Star: true, StarTable: anchor}}
@@ -491,7 +485,7 @@ func (p *Interpreter) columnAtTokenAnyTable(a *nlq.Analysis, pos int, anchor str
 		// that table's identifying text column.
 		for _, m := range sp.Matches {
 			if m.Kind == invindex.KindTable {
-				if c := firstTextColumn(p.db.Table(m.Table).Schema); c != "" {
+				if c := nlq.FirstTextColumn(p.db.Table(m.Table).Schema); c != "" {
 					return strings.ToLower(m.Table), c
 				}
 			}
@@ -526,55 +520,4 @@ func (p *Interpreter) aggTargetAnyTable(a *nlq.Analysis, cue nlq.AggCue, anchor 
 		}
 	}
 	return nil
-}
-
-func leadingK(a *nlq.Analysis, supPos int) int {
-	used := map[int]bool{}
-	for _, c := range a.Comparisons {
-		used[c.TokenPos] = true
-	}
-	for i := supPos - 1; i >= 0; i-- {
-		t := a.Tokens[i]
-		if t.Kind == nlp.KindNumber && !used[i] {
-			return int(t.Num)
-		}
-	}
-	return 1
-}
-
-func firstNumericColumn(s *sqldata.Schema) string {
-	for _, c := range s.Columns {
-		if c.Type.Numeric() && !c.PrimaryKey {
-			return strings.ToLower(c.Name)
-		}
-	}
-	return ""
-}
-
-func firstTextColumn(s *sqldata.Schema) string {
-	for _, c := range s.Columns {
-		if c.Type == sqldata.TypeText {
-			return strings.ToLower(c.Name)
-		}
-	}
-	return ""
-}
-
-func numLiteral(v float64) sqldata.Value {
-	if v == float64(int64(v)) {
-		return sqldata.NewInt(int64(v))
-	}
-	return sqldata.NewFloat(v)
-}
-
-func conjoin(exprs []sqlparse.Expr) sqlparse.Expr {
-	var out sqlparse.Expr
-	for _, e := range exprs {
-		if out == nil {
-			out = e
-		} else {
-			out = &sqlparse.BinaryExpr{Op: "AND", L: out, R: e}
-		}
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
@@ -61,7 +62,7 @@ func corpDB(t testing.TB) *sqldata.Database {
 
 func run(t *testing.T, db *sqldata.Database, q string) *sqldata.Result {
 	t.Helper()
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret(q)
 	if err != nil {
 		t.Fatalf("Interpret(%q): %v", q, err)
@@ -85,7 +86,7 @@ func TestJoinThroughValueFilter(t *testing.T) {
 
 func TestJoinGeneratesJoinSQL(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret("employees in the engineering department")
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +135,7 @@ func TestSingleTableStillWorks(t *testing.T) {
 
 func TestNoNesting(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	// A question that truly needs nesting; parse family must not nest.
 	ins, err := in.Interpret("employees with salary above the average salary")
 	if err != nil {
@@ -151,7 +152,7 @@ func TestClarificationOnAmbiguity(t *testing.T) {
 	db := corpDB(t)
 	// Add an ambiguous value: a project titled "ann" (same as employee name).
 	db.Table("project").MustInsert(sqldata.NewInt(3), sqldata.NewText("ann"))
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret("show ann")
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +167,7 @@ func TestClarificationOnAmbiguity(t *testing.T) {
 
 func TestQueryLogPriors(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	if in.Graph() == nil {
 		t.Fatal("graph not exposed")
 	}
@@ -179,7 +180,7 @@ func TestQueryLogPriors(t *testing.T) {
 
 func TestTopKOverJoin(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret("top 2 employees by salary")
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +223,7 @@ func TestJoinAlternativesExpand(t *testing.T) {
 	ap.MustInsert(sqldata.NewInt(2), sqldata.NewText("riem"))
 	hop.MustInsert(sqldata.NewInt(1), sqldata.NewText("h1"), sqldata.NewInt(1), sqldata.NewInt(2))
 
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	if in.Name() != "parse" {
 		t.Errorf("name = %s", in.Name())
 	}
@@ -250,7 +251,7 @@ func TestJoinAlternativesExpand(t *testing.T) {
 
 func TestLeadingKExtraction(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret("3 employees with the highest salary")
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +264,7 @@ func TestLeadingKExtraction(t *testing.T) {
 
 func TestExplanations(t *testing.T) {
 	db := corpDB(t)
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret("employees in the engineering department")
 	if err != nil {
 		t.Fatal(err)

@@ -12,8 +12,6 @@ import (
 	"strings"
 
 	"nlidb/internal/invindex"
-	"nlidb/internal/lexicon"
-	"nlidb/internal/nlp"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlparse"
@@ -26,14 +24,9 @@ type Interpreter struct {
 	opts invindex.LookupOptions
 }
 
-// New builds the interpreter.
-func New(db *sqldata.Database, lex *lexicon.Lexicon) *Interpreter {
-	return NewWithIndex(db, invindex.Build(db, lex))
-}
-
-// NewWithIndex is New over an index already built for db, so the engines
-// of one fallback chain can share it.
-func NewWithIndex(db *sqldata.Database, ix *invindex.Index) *Interpreter {
+// New builds the interpreter over ix, the index the caller built for db,
+// so every interpreter over one database shares it.
+func New(db *sqldata.Database, ix *invindex.Index) *Interpreter {
 	return &Interpreter{db: db, ix: ix, opts: invindex.DefaultOptions()}
 }
 
@@ -81,7 +74,7 @@ func (p *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
 	for _, cmp := range a.Comparisons {
 		col := resolveColumn(schema, cmp.ColumnHint, p.ix, anchor)
 		if col == "" {
-			col = firstNumericColumn(schema)
+			col = nlq.FirstNumericColumn(schema)
 		}
 		if col == "" {
 			continue
@@ -90,11 +83,11 @@ func (p *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
 		where = append(where, &sqlparse.BinaryExpr{
 			Op: cmp.Op,
 			L:  &sqlparse.ColumnRef{Column: col},
-			R:  &sqlparse.Literal{Val: numLiteral(cmp.Value)},
+			R:  &sqlparse.Literal{Val: nlq.NumLiteral(cmp.Value)},
 		})
 		expl = append(expl, fmt.Sprintf("comparison %s %s %v", col, cmp.Op, cmp.Value))
 	}
-	stmt.Where = conjoin(where)
+	stmt.Where = sqlparse.Conjoin(where)
 
 	// Superlative disambiguation: a superlative *after* the anchor mention
 	// reads as top-k ordering; before it (or with no anchor mention), as a
@@ -113,7 +106,7 @@ func (p *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
 			topk = nil
 		} else if !isExplicitTop {
 			// K may be a leading count: "5 employees with the highest pay".
-			topk.K = leadingK(a, topk.TokenPos)
+			topk.K = nlq.LeadingK(a, topk.TokenPos)
 		}
 	}
 
@@ -150,7 +143,7 @@ func (p *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
 			orderCol = resolveColumn(schema, a.Tokens[topk.TokenPos].Lower, p.ix, anchor)
 		}
 		if orderCol == "" {
-			orderCol = firstNumericColumn(schema)
+			orderCol = nlq.FirstNumericColumn(schema)
 		}
 	}
 
@@ -168,7 +161,7 @@ func (p *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
 				e = &sqlparse.FuncCall{Name: "COUNT", Star: true}
 			} else {
 				if target == "" {
-					target = firstNumericColumn(schema)
+					target = nlq.FirstNumericColumn(schema)
 				}
 				if target == "" {
 					continue
@@ -189,7 +182,7 @@ func (p *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
 			stmt.Items = append(stmt.Items, sqlparse.SelectItem{Expr: &sqlparse.ColumnRef{Column: c}})
 		}
 		if len(stmt.Items) == 0 {
-			if c := firstTextColumn(schema); c != "" {
+			if c := nlq.FirstTextColumn(schema); c != "" {
 				stmt.Items = []sqlparse.SelectItem{{Expr: &sqlparse.ColumnRef{Column: c}}}
 			} else {
 				stmt.Items = []sqlparse.SelectItem{{Star: true}}
@@ -308,21 +301,6 @@ func (p *Interpreter) projectionColumns(a *nlq.Analysis, anchor string, filters 
 	return out
 }
 
-// leadingK finds a bare count before the superlative ("5 cheapest ...").
-func leadingK(a *nlq.Analysis, supPos int) int {
-	used := map[int]bool{}
-	for _, c := range a.Comparisons {
-		used[c.TokenPos] = true
-	}
-	for i := supPos - 1; i >= 0; i-- {
-		t := a.Tokens[i]
-		if t.Kind == nlp.KindNumber && !used[i] {
-			return int(t.Num)
-		}
-	}
-	return 1
-}
-
 // resolveColumn fuzzy-matches a word to a column of the schema, using
 // name, synonyms, and stems.
 func resolveColumn(s *sqldata.Schema, word string, ix *invindex.Index, table string) string {
@@ -337,43 +315,6 @@ func resolveColumn(s *sqldata.Schema, word string, ix *invindex.Index, table str
 		}
 	}
 	return ""
-}
-
-func firstTextColumn(s *sqldata.Schema) string {
-	for _, c := range s.Columns {
-		if c.Type == sqldata.TypeText {
-			return strings.ToLower(c.Name)
-		}
-	}
-	return ""
-}
-
-func firstNumericColumn(s *sqldata.Schema) string {
-	for _, c := range s.Columns {
-		if c.Type.Numeric() && !c.PrimaryKey {
-			return strings.ToLower(c.Name)
-		}
-	}
-	return ""
-}
-
-func numLiteral(v float64) sqldata.Value {
-	if v == float64(int64(v)) {
-		return sqldata.NewInt(int64(v))
-	}
-	return sqldata.NewFloat(v)
-}
-
-func conjoin(exprs []sqlparse.Expr) sqlparse.Expr {
-	var out sqlparse.Expr
-	for _, e := range exprs {
-		if out == nil {
-			out = e
-		} else {
-			out = &sqlparse.BinaryExpr{Op: "AND", L: out, R: e}
-		}
-	}
-	return out
 }
 
 func dedupe(s []string) []string {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
@@ -47,7 +48,7 @@ func hrDB(t testing.TB) *sqldata.Database {
 
 func interpret(t *testing.T, db *sqldata.Database, q string) *sqldata.Result {
 	t.Helper()
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret(q)
 	if err != nil {
 		t.Fatalf("Interpret(%q): %v", q, err)
@@ -120,7 +121,7 @@ func TestTopKOrdering(t *testing.T) {
 
 func TestSuperlativeAfterEntityIsOrdering(t *testing.T) {
 	db := hrDB(t)
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret("employees with the highest salary")
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +177,7 @@ func TestCountWithFilter(t *testing.T) {
 
 func TestPatternStaysSingleTable(t *testing.T) {
 	db := hrDB(t)
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret("average salary of employees by dept")
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +195,7 @@ func TestPatternStaysSingleTable(t *testing.T) {
 func TestCheapestSuperlative(t *testing.T) {
 	db := hrDB(t)
 	// "lowest paid employee" — superlative before column, after nothing.
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret("employee with the lowest salary")
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +220,7 @@ func TestCheapestSuperlative(t *testing.T) {
 
 func TestExplanationPresent(t *testing.T) {
 	db := hrDB(t)
-	in := New(db, lexicon.New())
+	in := New(db, invindex.Build(db, lexicon.New()))
 	ins, err := in.Interpret("total salary by dept")
 	if err != nil {
 		t.Fatal(err)

@@ -42,25 +42,18 @@ type Config struct {
 	// every child refuses requests stamped with a different epoch
 	// (default 1).
 	Epoch int64
-	// ReadyTimeout bounds the wait for a launched child to print its
-	// address and pass /healthz (default 15s).
-	ReadyTimeout time.Duration
 	// RestartBackoff is the base delay before relaunching a crashed
 	// child, doubled per consecutive crash with up to 50% jitter, capped
-	// at RestartBackoffMax (defaults 100ms and 3s).
-	RestartBackoff    time.Duration
-	RestartBackoffMax time.Duration
+	// at restartBackoffMax (default 100ms).
+	RestartBackoff time.Duration
 	// Seed makes restart jitter replayable (default 1).
 	Seed int64
-	// Stdout/Stderr receive the children's output (default: discarded).
-	// Stdout sees each line after the supervisor has scanned it.
-	Stdout, Stderr io.Writer
+	// Stderr receives the children's standard error (default:
+	// discarded). Their stdout is scanned for the serve banner only.
+	Stderr io.Writer
 	// Command builds the child process — the test seam. Default
 	// exec.Command.
 	Command func(name string, args ...string) *exec.Cmd
-	// HealthClient polls readiness (default: a client with a 1s
-	// per-probe timeout).
-	HealthClient *http.Client
 	// OnEvent, when non-nil, receives supervisor lifecycle lines
 	// ("shard 1 replica 0: exited (...), restarting in 200ms").
 	OnEvent func(string)
@@ -76,14 +69,8 @@ func (c Config) withDefaults() Config {
 	if c.Epoch == 0 {
 		c.Epoch = 1
 	}
-	if c.ReadyTimeout <= 0 {
-		c.ReadyTimeout = 15 * time.Second
-	}
 	if c.RestartBackoff <= 0 {
 		c.RestartBackoff = 100 * time.Millisecond
-	}
-	if c.RestartBackoffMax <= 0 {
-		c.RestartBackoffMax = 3 * time.Second
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -91,11 +78,19 @@ func (c Config) withDefaults() Config {
 	if c.Command == nil {
 		c.Command = exec.Command
 	}
-	if c.HealthClient == nil {
-		c.HealthClient = &http.Client{Timeout: time.Second}
-	}
 	return c
 }
+
+const (
+	// readyTimeout bounds the wait for a launched child to print its
+	// address and pass /healthz.
+	readyTimeout = 15 * time.Second
+	// restartBackoffMax caps the restart delay.
+	restartBackoffMax = 3 * time.Second
+)
+
+// healthClient polls readiness, with a 1s per-probe timeout.
+var healthClient = &http.Client{Timeout: time.Second}
 
 // Supervisor owns a fleet of shard node processes. Safe for concurrent
 // use once Start returns.
@@ -319,16 +314,16 @@ func (p *Proc) launch() error {
 	p.wg.Add(1)
 	go p.monitor(cmd)
 
-	deadline := time.Now().Add(cfg.ReadyTimeout)
+	deadline := time.Now().Add(readyTimeout)
 	var addr string
 	select {
 	case addr = <-addrCh:
-	case <-time.After(cfg.ReadyTimeout):
+	case <-time.After(readyTimeout):
 		cmd.Process.Kill()
-		return fmt.Errorf("procnode: shard %d replica %d: never printed its address within %s", p.shard, p.replica, cfg.ReadyTimeout)
+		return fmt.Errorf("procnode: shard %d replica %d: never printed its address within %s", p.shard, p.replica, readyTimeout)
 	}
 	for {
-		resp, err := cfg.HealthClient.Get(addr + "/healthz")
+		resp, err := healthClient.Get(addr + "/healthz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -337,7 +332,7 @@ func (p *Proc) launch() error {
 		}
 		if time.Now().After(deadline) {
 			cmd.Process.Kill()
-			return fmt.Errorf("procnode: shard %d replica %d: %s never passed /healthz within %s", p.shard, p.replica, addr, cfg.ReadyTimeout)
+			return fmt.Errorf("procnode: shard %d replica %d: %s never passed /healthz within %s", p.shard, p.replica, addr, readyTimeout)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -346,26 +341,24 @@ func (p *Proc) launch() error {
 	return nil
 }
 
-// scanStdout watches a child's stdout for the serve banner and tees the
-// stream to the configured sink.
+// scanStdout watches a child's stdout for the serve banner, then drains
+// the rest of the stream so the child never blocks writing to it.
 func (p *Proc) scanStdout(r io.Reader, addrCh chan<- string) {
 	defer p.wg.Done()
 	sc := bufio.NewScanner(r)
 	sent := false
 	for sc.Scan() {
 		line := sc.Text()
-		if !sent {
-			if i := strings.Index(line, "serving http://"); i >= 0 {
-				addr := strings.TrimPrefix(line[i:], "serving ")
-				if j := strings.IndexAny(addr, " \t"); j >= 0 {
-					addr = addr[:j]
-				}
-				addrCh <- addr
-				sent = true
-			}
+		if sent {
+			continue
 		}
-		if p.sup.cfg.Stdout != nil {
-			fmt.Fprintf(p.sup.cfg.Stdout, "[s%dr%d] %s\n", p.shard, p.replica, line)
+		if i := strings.Index(line, "serving http://"); i >= 0 {
+			addr := strings.TrimPrefix(line[i:], "serving ")
+			if j := strings.IndexAny(addr, " \t"); j >= 0 {
+				addr = addr[:j]
+			}
+			addrCh <- addr
+			sent = true
 		}
 	}
 }
@@ -390,11 +383,7 @@ func (p *Proc) monitor(cmd *exec.Cmd) {
 	stop := p.killed || p.closed
 	var delay time.Duration
 	if !stop {
-		cfg := p.sup.cfg
-		delay = cfg.RestartBackoff << uint(min(p.crashes-1, 10))
-		if delay > cfg.RestartBackoffMax {
-			delay = cfg.RestartBackoffMax
-		}
+		delay = min(p.sup.cfg.RestartBackoff<<uint(min(p.crashes-1, 10)), restartBackoffMax)
 		delay += time.Duration(p.rng.Int63n(int64(delay)/2 + 1))
 	}
 	p.mu.Unlock()

@@ -30,13 +30,13 @@ func EngineByName(name string, db *sqldata.Database, lex *lexicon.Lexicon) (nlq.
 func engineOverIndex(name string, db *sqldata.Database, ix *invindex.Index, lex *lexicon.Lexicon) (nlq.Interpreter, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "keyword":
-		return keywordnl.NewWithIndex(db, ix), nil
+		return keywordnl.New(db, ix), nil
 	case "pattern":
-		return patternnl.NewWithIndex(db, ix), nil
+		return patternnl.New(db, ix), nil
 	case "parse":
-		return parsenl.NewWithIndex(db, ix), nil
+		return parsenl.New(db, ix), nil
 	case "athena":
-		return athena.NewWithIndex(db, ix, lex), nil
+		return athena.New(db, ix, lex), nil
 	default:
 		return nil, fmt.Errorf("resilient: unknown engine %q", name)
 	}

@@ -55,7 +55,7 @@ func TestChainByNamesBuildsOneIndex(t *testing.T) {
 }
 
 // Sharing the index changes nothing an engine says: a chain built over one
-// index and four engines built with their own New(db, lex) return the same
+// index and four engines built each over an index of its own return the same
 // interpretations — SQL text, score, explanation — on every domain's
 // generated questions.
 func TestSharedIndexChainInterpretsLikeStandaloneEngines(t *testing.T) {
@@ -67,7 +67,10 @@ func TestSharedIndexChainInterpretsLikeStandaloneEngines(t *testing.T) {
 		chain := resilient.DefaultChain(d.DB, lexicon.New())
 		lex := lexicon.New()
 		standalone := []nlq.Interpreter{
-			athena.New(d.DB, lex), parsenl.New(d.DB, lex), patternnl.New(d.DB, lex), keywordnl.New(d.DB, lex),
+			athena.New(d.DB, invindex.Build(d.DB, lex), lex),
+			parsenl.New(d.DB, invindex.Build(d.DB, lex)),
+			patternnl.New(d.DB, invindex.Build(d.DB, lex)),
+			keywordnl.New(d.DB, invindex.Build(d.DB, lex)),
 		}
 		for i, alone := range standalone {
 			name := alone.Name()

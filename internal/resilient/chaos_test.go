@@ -18,6 +18,7 @@ import (
 
 	"nlidb/internal/benchdata"
 	"nlidb/internal/dataset"
+	"nlidb/internal/invindex"
 	"nlidb/internal/keywordnl"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
@@ -106,7 +107,7 @@ func TestChaosDegradedChainBeatsKeywordBaseline(t *testing.T) {
 		lex := lexicon.New()
 
 		// Healthy-keyword baseline, no gateway involved.
-		kw := keywordnl.New(w.domain.DB, lex)
+		kw := keywordnl.New(w.domain.DB, invindex.Build(w.domain.DB, lex))
 		baselineAnswered := make([]bool, len(w.pairs))
 		baselineCorrect := 0
 		eng := sqlexec.New(w.domain.DB)

@@ -61,7 +61,7 @@ func (s *Server) handleInternalQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req internalQueryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())

@@ -13,7 +13,7 @@
 //	POST /batch  {"questions": ["...", ...], "priority": "..."}
 //
 // The X-Deadline-Ms request header carries the client's remaining budget;
-// it becomes the request context's deadline (capped by MaxTimeout).
+// it becomes the request context's deadline (capped at 30s).
 // Overload answers are honest: 429 for a rate-limited client, 503 with
 // Retry-After and X-Shed-Reason when admission sheds or the server is
 // draining, 504 when the deadline expired mid-pipeline, 422 when every
@@ -104,10 +104,6 @@ type Config struct {
 	// DefaultTimeout is the per-request deadline applied when the client
 	// sends no X-Deadline-Ms header (default 10s).
 	DefaultTimeout time.Duration
-	// MaxTimeout caps the client-requested deadline (default 30s).
-	MaxTimeout time.Duration
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
 	// HealthSQL is the probe statement GET /healthz?deep=1 executes
 	// through the backend: proof the whole pipeline answers, not just
 	// that the process holds the port. Empty disables deep mode.
@@ -119,15 +115,16 @@ type Config struct {
 	// names the partition served (reported on /healthz).
 	ShardEpoch int64
 	ShardIndex int
-	// DrainClassifier assigns each request a DrainClass (nil: every
-	// route gets DrainSweep except /internal/query, which gets
-	// DrainOwnDeadline — a coordinator's scatter leg carries a deadline
-	// budgeted upstream, and cutting it short at the global drain
-	// timeout would turn an answerable leg into a spurious failure).
-	DrainClassifier func(*http.Request) DrainClass
 	// Now is the clock, injectable for tests (default time.Now).
 	Now func() time.Time
 }
+
+// maxTimeout caps the client-requested deadline; maxBodyBytes bounds
+// request bodies.
+const (
+	maxTimeout   = 30 * time.Second
+	maxBodyBytes = 1 << 20
+)
 
 // DrainClass selects how an in-flight request behaves when a drain
 // overruns its budget.
@@ -173,12 +170,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 10 * time.Second
-	}
-	if cfg.MaxTimeout <= 0 {
-		cfg.MaxTimeout = 30 * time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -330,7 +321,7 @@ func (s *Server) Draining() bool {
 }
 
 // requestContext derives the handler context: the client's X-Deadline-Ms
-// budget (capped at MaxTimeout, defaulted to DefaultTimeout) on top of
+// budget (capped at maxTimeout, defaulted to DefaultTimeout) on top of
 // the request context. DrainSweep requests are additionally cancelled
 // when a drain overruns and sweeps stragglers; DrainOwnDeadline requests
 // with an explicit client deadline keep the remainder of it instead.
@@ -346,15 +337,15 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 		// overflows int64 for huge budgets, and a negative duration would
 		// yield an already-expired context (a confusing 504) instead of
 		// the cap.
-		if ms > int64(s.cfg.MaxTimeout/time.Millisecond) {
-			d = s.cfg.MaxTimeout
+		if ms > int64(maxTimeout/time.Millisecond) {
+			d = maxTimeout
 		} else {
 			d = time.Duration(ms) * time.Millisecond
 		}
 		explicit = true
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), d)
-	if explicit && s.drainClass(r) == DrainOwnDeadline {
+	if explicit && drainClass(r) == DrainOwnDeadline {
 		// No straggler sweep: this request runs out its own (bounded,
 		// explicit) budget even if a drain overruns around it; Drain's
 		// final wait covers it.
@@ -364,12 +355,12 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return ctx, func() { stop(); cancel() }, nil
 }
 
-// drainClass resolves a request's drain class via the configured
-// classifier, defaulting coordinator scatter legs to DrainOwnDeadline.
-func (s *Server) drainClass(r *http.Request) DrainClass {
-	if s.cfg.DrainClassifier != nil {
-		return s.cfg.DrainClassifier(r)
-	}
+// drainClass resolves a request's drain class: every route gets
+// DrainSweep except /internal/query, which gets DrainOwnDeadline — a
+// coordinator's scatter leg carries a deadline budgeted upstream, and
+// cutting it short at the global drain timeout would turn an answerable
+// leg into a spurious failure.
+func drainClass(r *http.Request) DrainClass {
 	if r.URL.Path == "/internal/query" {
 		return DrainOwnDeadline
 	}
@@ -483,7 +474,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -560,7 +551,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

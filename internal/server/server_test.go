@@ -156,7 +156,7 @@ func TestDeadlineHeaderPropagates(t *testing.T) {
 
 // TestDeadlineHeaderEdgeCases pins the X-Deadline-Ms validation
 // boundary: non-positive and malformed budgets are 400s with a clear
-// message, while a huge budget must clamp to MaxTimeout rather than
+// message, while a huge budget must clamp to maxTimeout rather than
 // overflow time.Duration into an already-expired context (which
 // surfaced as a baffling 504 on an instant query).
 func TestDeadlineHeaderEdgeCases(t *testing.T) {

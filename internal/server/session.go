@@ -102,7 +102,7 @@ func (s *Server) handleSessionAsk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sessionAskRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

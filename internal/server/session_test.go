@@ -9,6 +9,7 @@ import (
 
 	"nlidb/internal/admission"
 	"nlidb/internal/dialogue"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/obs"
@@ -22,11 +23,11 @@ import (
 func sessionServer(t *testing.T) (*Server, *session.Store) {
 	t.Helper()
 	db := testDB(t)
-	lex := lexicon.New()
+	ix := invindex.Build(db, lexicon.New())
 	interp := answering("a", "SELECT name FROM customer WHERE city = 'Berlin'")
 	exec := resilient.New(db, []nlq.Interpreter{interp}, resilient.Config{NoTrace: true})
 	st, err := session.New(session.Config{
-		Responder: dialogue.NewAgent(db, interp, lex, exec),
+		Responder: dialogue.NewAgent(db, interp, ix, exec),
 		DB:        db,
 		NoTrace:   true,
 	})
@@ -149,11 +150,11 @@ func TestSessionDisabled(t *testing.T) {
 
 func TestSessionRateLimitSheds(t *testing.T) {
 	db := testDB(t)
-	lex := lexicon.New()
+	ix := invindex.Build(db, lexicon.New())
 	interp := answering("a", "SELECT name FROM customer WHERE city = 'Berlin'")
 	exec := resilient.New(db, []nlq.Interpreter{interp}, resilient.Config{NoTrace: true})
 	st, err := session.New(session.Config{
-		Responder: dialogue.NewAgent(db, interp, lex, exec),
+		Responder: dialogue.NewAgent(db, interp, ix, exec),
 		DB:        db,
 		NoTrace:   true,
 	})
@@ -193,13 +194,13 @@ func TestSessionRateLimitSheds(t *testing.T) {
 
 func TestSessionExpiryIs410(t *testing.T) {
 	db := testDB(t)
-	lex := lexicon.New()
+	ix := invindex.Build(db, lexicon.New())
 	interp := answering("a", "SELECT name FROM customer WHERE city = 'Berlin'")
 	exec := resilient.New(db, []nlq.Interpreter{interp}, resilient.Config{NoTrace: true})
 	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	now := &clock
 	st, err := session.New(session.Config{
-		Responder: dialogue.NewAgent(db, interp, lex, exec),
+		Responder: dialogue.NewAgent(db, interp, ix, exec),
 		DB:        db,
 		NoTrace:   true,
 		TTL:       time.Minute,

@@ -12,6 +12,7 @@ import (
 	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
 	"nlidb/internal/dialogue"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/obs"
 	"nlidb/internal/resilient"
@@ -46,10 +47,11 @@ func testStore(t testing.TB, overrides func(*Config)) *Store {
 	t.Helper()
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
-	interp := athena.New(d.DB, lex)
+	ix := invindex.Build(d.DB, lex)
+	interp := athena.New(d.DB, ix, lex)
 	exec := resilient.New(d.DB, nil, resilient.Config{NoTrace: true})
 	cfg := Config{
-		Responder: dialogue.NewAgent(d.DB, interp, lex, exec),
+		Responder: dialogue.NewAgent(d.DB, interp, ix, exec),
 		DB:        d.DB,
 		NoTrace:   true,
 	}

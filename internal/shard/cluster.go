@@ -56,15 +56,11 @@ type Config struct {
 	// between leg retries (default 2ms).
 	RetryBackoff time.Duration
 
-	// HedgeQuantile is the shard-latency percentile after which a second
-	// replica is hedged (default 0.95).
-	HedgeQuantile float64
-	// HedgeMin / HedgeMax clamp the hedge delay (defaults 1ms / 50ms).
-	// Until a shard has enough samples the delay is HedgeMax.
+	// HedgeMin / HedgeMax clamp the hedge delay, the shard's p95 latency
+	// (defaults 1ms / 50ms). Until a shard has enough samples the delay
+	// is HedgeMax.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
-	// NoHedge disables hedged requests (failover on failure still works).
-	NoHedge bool
 
 	// ReplicaThreshold / ReplicaCooldown tune each replica's circuit
 	// breaker (defaults 3 and 1s; cooldowns carry jitter derived from
@@ -197,9 +193,6 @@ func newCluster(db *sqldata.Database, n int, cfg Config, nodeFor func(s, r int, 
 	}
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 2 * time.Millisecond
-	}
-	if cfg.HedgeQuantile <= 0 || cfg.HedgeQuantile > 1 {
-		cfg.HedgeQuantile = 0.95
 	}
 	if cfg.HedgeMin <= 0 {
 		cfg.HedgeMin = time.Millisecond
@@ -649,13 +642,8 @@ func (c *Cluster) legOnce(ctx context.Context, s int, sql string, tried map[*rep
 		return nil, &ShardDownError{Shard: s}
 	}
 	tried[prim] = true
-	if alt == nil || c.cfg.NoHedge {
-		ans, err := c.call(ctx, prim, sql, "primary")
-		if err == nil || alt == nil {
-			return ans, err
-		}
-		tried[alt] = true
-		return c.call(ctx, alt, sql, "failover")
+	if alt == nil {
+		return c.call(ctx, prim, sql, "primary")
 	}
 
 	cctx, cancel := context.WithCancel(ctx)
@@ -744,15 +732,19 @@ func (c *Cluster) pick(s int, exclude map[*replica]bool) (best, second *replica)
 	return best, second
 }
 
+// hedgeQuantile is the shard-latency percentile after which a second
+// replica is hedged.
+const hedgeQuantile = 0.95
+
 // hedgeDelay is how long shard s's primary gets before a hedge launches:
-// the shard's HedgeQuantile latency, clamped to [HedgeMin, HedgeMax];
+// the shard's hedgeQuantile latency, clamped to [HedgeMin, HedgeMax];
 // HedgeMax until the reservoir has enough samples to trust.
 func (c *Cluster) hedgeDelay(s int) time.Duration {
 	h := c.hists[s]
 	if h.Count() < 16 {
 		return c.cfg.HedgeMax
 	}
-	d := time.Duration(h.Quantile(c.cfg.HedgeQuantile) * float64(time.Second))
+	d := time.Duration(h.Quantile(hedgeQuantile) * float64(time.Second))
 	if d < c.cfg.HedgeMin {
 		return c.cfg.HedgeMin
 	}

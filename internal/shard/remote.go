@@ -136,55 +136,36 @@ func (e *RemoteError) Unwrap() error {
 	}
 }
 
-// RemoteConfig tunes the transport shared by a fleet's RemoteNodes. The
-// network-level timeouts here are deliberately distinct from the query
-// deadline: X-Deadline-Ms bounds how long the query may run; these bound
-// how long the network may dawdle before we call the node unreachable.
-type RemoteConfig struct {
-	// ConnectTimeout bounds the TCP dial (default 1s). A replica that
-	// cannot accept a connection inside it is down, whatever the query
-	// deadline says.
-	ConnectTimeout time.Duration
-	// ResponseHeaderTimeout bounds the wait for response headers after
-	// the request is written (default 0: the context deadline governs —
-	// a query may legitimately compute for its whole budget).
-	ResponseHeaderTimeout time.Duration
-	// MaxConnsPerReplica bounds concurrent connections per endpoint
-	// (default 32), idle ones included — the pool.
-	MaxConnsPerReplica int
-	// MaxErrorBody bounds how much of an error response body is read
-	// (default 8 KiB).
-	MaxErrorBody int64
-}
-
-func (rc RemoteConfig) withDefaults() RemoteConfig {
-	if rc.ConnectTimeout <= 0 {
-		rc.ConnectTimeout = time.Second
-	}
-	if rc.MaxConnsPerReplica <= 0 {
-		rc.MaxConnsPerReplica = 32
-	}
-	if rc.MaxErrorBody <= 0 {
-		rc.MaxErrorBody = 8 << 10
-	}
-	return rc
-}
+// The transport shared by a fleet's RemoteNodes. Its network-level
+// limits are deliberately distinct from the query deadline: X-Deadline-Ms
+// bounds how long the query may run; these bound how long the network may
+// dawdle before we call the node unreachable. There is no response-header
+// timeout: the context deadline governs, since a query may legitimately
+// compute for its whole budget.
+const (
+	// connectTimeout bounds the TCP dial. A replica that cannot accept a
+	// connection inside it is down, whatever the query deadline says.
+	connectTimeout = time.Second
+	// maxConnsPerReplica bounds concurrent connections per endpoint, idle
+	// ones included — the pool.
+	maxConnsPerReplica = 32
+	// maxErrorBody bounds how much of an error response body is read.
+	maxErrorBody = 8 << 10
+)
 
 // NewRemoteClient builds the pooled HTTP client RemoteNodes share: one
 // bounded connection pool per endpoint, connect timeout independent of
 // request deadlines, keep-alives on so a hot shard reuses sockets.
-func NewRemoteClient(rc RemoteConfig) *http.Client {
-	rc = rc.withDefaults()
+func NewRemoteClient() *http.Client {
 	return &http.Client{
 		Transport: &http.Transport{
 			DialContext: (&net.Dialer{
-				Timeout:   rc.ConnectTimeout,
+				Timeout:   connectTimeout,
 				KeepAlive: 30 * time.Second,
 			}).DialContext,
-			MaxConnsPerHost:       rc.MaxConnsPerReplica,
-			MaxIdleConnsPerHost:   rc.MaxConnsPerReplica,
-			IdleConnTimeout:       90 * time.Second,
-			ResponseHeaderTimeout: rc.ResponseHeaderTimeout,
+			MaxConnsPerHost:     maxConnsPerReplica,
+			MaxIdleConnsPerHost: maxConnsPerReplica,
+			IdleConnTimeout:     90 * time.Second,
 		},
 	}
 }
@@ -204,16 +185,15 @@ type RemoteNode struct {
 
 	client *http.Client
 	epoch  int64
-	maxErr int64
 }
 
 // NewRemoteNode builds a RemoteNode. client is typically shared across
 // the fleet (NewRemoteClient); epoch 0 disables epoch stamping.
 func NewRemoteNode(addr func() string, epoch int64, client *http.Client) *RemoteNode {
 	if client == nil {
-		client = NewRemoteClient(RemoteConfig{})
+		client = NewRemoteClient()
 	}
-	return &RemoteNode{addr: addr, client: client, epoch: epoch, maxErr: 8 << 10}
+	return &RemoteNode{addr: addr, client: client, epoch: epoch}
 }
 
 // remoteRequest is the POST /internal/query body: the trusted statement.
@@ -310,7 +290,7 @@ func (n *RemoteNode) AskSQL(ctx context.Context, sql string) (*resilient.Answer,
 
 // classify maps a non-200 response onto the taxonomy.
 func (n *RemoteNode) classify(addr string, resp *http.Response) *RemoteError {
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, n.maxErr))
+	data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 	msg := strings.TrimSpace(string(data))
 	var body struct {
 		Error string `json:"error"`
@@ -355,11 +335,9 @@ type RemoteFleet struct {
 	// port and routing follows without rebuilding the cluster. A func
 	// returning "" marks the replica down right now.
 	Addrs [][]func() string
-	// Client, when non-nil, is the shared HTTP client (otherwise one is
-	// built from Transport).
+	// Client, when non-nil, is the shared HTTP client (otherwise
+	// NewRemoteClient builds one).
 	Client *http.Client
-	// Transport tunes the pooled client when Client is nil.
-	Transport RemoteConfig
 }
 
 // NewRemote builds a Cluster whose replicas are remote internal/server
@@ -389,7 +367,7 @@ func NewRemote(db *sqldata.Database, cfg Config, fleet RemoteFleet) (*Cluster, e
 	cfg.Replicas = replicas
 	client := fleet.Client
 	if client == nil {
-		client = NewRemoteClient(fleet.Transport)
+		client = NewRemoteClient()
 	}
 	return newCluster(db, n, cfg, func(s, r int, _ []*sqldata.Database) Node {
 		return NewRemoteNode(fleet.Addrs[s][r], fleet.Epoch, client)

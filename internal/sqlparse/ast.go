@@ -50,6 +50,19 @@ func (b *BinaryExpr) String() string {
 	return fmt.Sprintf("%s %s %s", maybeParen(b.L), b.Op, maybeParen(b.R))
 }
 
+// Conjoin folds exprs into a left-deep AND chain (nil for none).
+func Conjoin(exprs []Expr) Expr {
+	var out Expr
+	for _, e := range exprs {
+		if out == nil {
+			out = e
+		} else {
+			out = &BinaryExpr{Op: "AND", L: out, R: e}
+		}
+	}
+	return out
+}
+
 func maybeParen(e Expr) string {
 	if be, ok := e.(*BinaryExpr); ok && (be.Op == "+" || be.Op == "-" || be.Op == "*" || be.Op == "/") {
 		return "(" + be.String() + ")"

@@ -397,3 +397,33 @@ func TestPropertyRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestConjoin(t *testing.T) {
+	col := func(n string) Expr {
+		return &BinaryExpr{Op: ">", L: &ColumnRef{Column: n}, R: &Literal{Val: sqldata.NewInt(1)}}
+	}
+	cases := []struct {
+		terms []Expr
+		want  string
+	}{
+		{nil, "<nil>"},
+		{[]Expr{col("a")}, "a > 1"},
+		{[]Expr{col("a"), col("b"), col("c")}, "((a > 1 AND b > 1) AND c > 1)"},
+	}
+	for _, c := range cases {
+		got := Conjoin(c.terms)
+		s := "<nil>"
+		if got != nil {
+			s = got.String()
+		}
+		if s != c.want {
+			t.Errorf("Conjoin(%d terms) = %s, want %s", len(c.terms), s, c.want)
+		}
+	}
+	// The chain is left-deep: a WHERE built from it re-parses as written.
+	stmt := MustParse("SELECT x FROM t")
+	stmt.Where = Conjoin([]Expr{col("a"), col("b"), col("c")})
+	if again := MustParse(stmt.String()); again.String() != stmt.String() {
+		t.Errorf("round trip: %s != %s", again, stmt)
+	}
+}
