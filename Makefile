@@ -138,4 +138,4 @@ loc:
 		for (d in dirs) printf "%-10s %7d %7d\n", d, n[d, "code"], n[d, "test"] | "sort"; close("sort"); \
 		printf "%-10s %7d %7d\n", "total", n["total", "code"], n["total", "test"] }'
 
-check: build vet fmt-check test race bench-check bench-vec tables-check proc-chaos overload-smoke session-smoke
+check: build vet fmt-check test race bench-check bench-vec tables-check proc-chaos overload-smoke session-smoke cache-smoke plan-smoke

@@ -335,9 +335,6 @@ type RemoteFleet struct {
 	// port and routing follows without rebuilding the cluster. A func
 	// returning "" marks the replica down right now.
 	Addrs [][]func() string
-	// Client, when non-nil, is the shared HTTP client (otherwise
-	// NewRemoteClient builds one).
-	Client *http.Client
 }
 
 // NewRemote builds a Cluster whose replicas are remote internal/server
@@ -365,10 +362,7 @@ func NewRemote(db *sqldata.Database, cfg Config, fleet RemoteFleet) (*Cluster, e
 		}
 	}
 	cfg.Replicas = replicas
-	client := fleet.Client
-	if client == nil {
-		client = NewRemoteClient()
-	}
+	client := NewRemoteClient()
 	return newCluster(db, n, cfg, func(s, r int, _ []*sqldata.Database) Node {
 		return NewRemoteNode(fleet.Addrs[s][r], fleet.Epoch, client)
 	})

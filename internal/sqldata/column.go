@@ -162,9 +162,9 @@ func buildColumns(t *Table) []*ColumnVector {
 			}
 			switch cv.Type {
 			case TypeInt:
-				cv.Ints[i] = v.i
+				cv.Ints[i] = v.i()
 			case TypeFloat:
-				cv.Floats[i] = v.f
+				cv.Floats[i] = v.f()
 			case TypeText:
 				code, ok := dicts[j][v.s]
 				if !ok {
@@ -177,9 +177,9 @@ func buildColumns(t *Table) []*ColumnVector {
 				}
 				cv.Codes[i] = code
 			case TypeBool:
-				cv.Bools[i] = v.b
+				cv.Bools[i] = v.b()
 			case TypeDate:
-				cv.Ints[i] = v.i
+				cv.Ints[i] = v.i()
 			}
 		}
 	}

@@ -28,6 +28,16 @@ type Table struct {
 	// the current version; see column.go. Rebuilt lazily on first read
 	// after a mutation.
 	columnar atomic.Pointer[colCache]
+
+	// distinct caches DistinctText's sorted sets for the current version,
+	// one slot per column, each filled on first request.
+	distinct atomic.Pointer[distinctCache]
+}
+
+// distinctCache is DistinctText's state for one table version.
+type distinctCache struct {
+	version uint64
+	sets    []atomic.Pointer[[]string]
 }
 
 // Version returns the table's mutation counter: 0 for a fresh table,
@@ -97,24 +107,46 @@ func (t *Table) ColumnValues(name string) ([]Value, error) {
 }
 
 // DistinctText returns the sorted distinct non-NULL TEXT values of a column;
-// indexing and interpreters use it to build value vocabularies.
+// indexing and interpreters use it to build value vocabularies. The set
+// is computed once per column and table version (the first call after an
+// Insert walks the rows again); every call returns its own copy.
 func (t *Table) DistinctText(name string) ([]string, error) {
 	i := t.Schema.ColumnIndex(name)
 	if i < 0 {
 		return nil, fmt.Errorf("sqldata: table %s has no column %q", t.Schema.Name, name)
 	}
-	set := make(map[string]bool)
-	for _, r := range t.Rows {
+	v := t.Version()
+	c := t.distinct.Load()
+	if c == nil || c.version != v {
+		c = &distinctCache{version: v, sets: make([]atomic.Pointer[[]string], len(t.Schema.Columns))}
+		t.distinct.Store(c)
+	}
+	set := c.sets[i].Load()
+	if set == nil {
+		s := distinctText(t.Rows, i)
+		set = &s
+		c.sets[i].Store(set)
+	}
+	out := make([]string, len(*set))
+	copy(out, *set)
+	return out, nil
+}
+
+// distinctText walks column i of rows in place into its sorted distinct
+// non-NULL TEXT values.
+func distinctText(rows []Row, i int) []string {
+	seen := make(map[string]bool)
+	for _, r := range rows {
 		if v := r[i]; !v.Null && v.T == TypeText {
-			set[v.Text()] = true
+			seen[v.s] = true
 		}
 	}
-	out := make([]string, 0, len(set))
-	for s := range set {
+	out := make([]string, 0, len(seen))
+	for s := range seen {
 		out = append(out, s)
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }
 
 // Database is a named collection of tables — the engine's catalog unit.

@@ -107,7 +107,7 @@ func TestColumnValuesAndDistinct(t *testing.T) {
 
 // DistinctText walks the rows in place: on a 100k-row column it must not
 // allocate anything proportional to the row count (it used to copy the
-// whole column, 56 bytes a row, before looking at it).
+// whole column, one Value a row, before looking at it).
 func TestDistinctTextDoesNotCopyTheColumn(t *testing.T) {
 	tbl, _ := NewTable(&Schema{Name: "t", Columns: []Column{{Name: "id", Type: TypeInt}, {Name: "c", Type: TypeText}}})
 	names := []string{"ok", "warn", "error", "fatal", "debug"}
@@ -126,6 +126,90 @@ func TestDistinctTextDoesNotCopyTheColumn(t *testing.T) {
 	}
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / 4; perCall > 16<<10 {
 		t.Errorf("DistinctText allocated %d bytes per call over 100,000 rows; want a few hundred (the distinct set)", perCall)
+	}
+}
+
+// The distinct set is cached per table version: an Insert of a new value
+// shows in the next call, and a caller that edits its copy changes
+// nothing for the next one.
+func TestDistinctTextSeesInsert(t *testing.T) {
+	tbl, _ := NewTable(&Schema{Name: "t", Columns: []Column{{Name: "n", Type: TypeInt}, {Name: "c", Type: TypeText}}})
+	tbl.MustInsert(NewInt(1), NewText("b"))
+	tbl.MustInsert(NewInt(2), NewText("d"))
+	d, _ := tbl.DistinctText("c")
+	if strings.Join(d, ",") != "b,d" {
+		t.Fatalf("DistinctText = %v", d)
+	}
+	d[0] = "edited"
+	tbl.MustInsert(NewInt(3), NewText("a"))
+	d, _ = tbl.DistinctText("c")
+	if strings.Join(d, ",") != "a,b,d" {
+		t.Errorf("DistinctText after Insert = %v, want [a b d]", d)
+	}
+	if n, err := tbl.DistinctText("n"); err != nil || n == nil || len(n) != 0 {
+		t.Errorf("DistinctText on an INT column = %#v, %v; want an empty set", n, err)
+	}
+	if _, err := tbl.DistinctText("nope"); err == nil {
+		t.Error("missing column accepted")
+	}
+}
+
+// Goroutines asking for different columns of one table at once each get
+// their own column's set (run under -race).
+func TestDistinctTextConcurrent(t *testing.T) {
+	const cols = 8
+	s := &Schema{Name: "t"}
+	for j := 0; j < cols; j++ {
+		s.Columns = append(s.Columns, Column{Name: string(rune('a' + j)), Type: TypeText})
+	}
+	tbl, _ := NewTable(s)
+	for i := 0; i < 1000; i++ {
+		row := make(Row, cols)
+		for j := range row {
+			row[j] = NewText(string(rune('a'+j)) + string(rune('0'+i%(j+2))))
+		}
+		tbl.MustInsert(row...)
+	}
+	var wg sync.WaitGroup
+	got := make([][]string, cols)
+	for j := 0; j < cols; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			got[j], _ = tbl.DistinctText(s.Columns[j].Name)
+		}(j)
+	}
+	wg.Wait()
+	for j, d := range got {
+		want := distinctText(tbl.Rows, j)
+		if len(d) != j+2 || strings.Join(d, ",") != strings.Join(want, ",") {
+			t.Errorf("column %d: DistinctText = %v, want %v", j, d, want)
+		}
+	}
+}
+
+// The row store is most of a served table's heap: a six-column row of
+// 32-byte Values must stay near 6×32 bytes plus its slice header.
+func TestRowStoreBytesPerRow(t *testing.T) {
+	tbl, _ := NewTable(&Schema{Name: "metric", Columns: []Column{
+		{Name: "id", Type: TypeInt}, {Name: "host", Type: TypeText}, {Name: "kind", Type: TypeText},
+		{Name: "ts", Type: TypeInt}, {Name: "value", Type: TypeFloat}, {Name: "n", Type: TypeInt},
+	}})
+	hosts := []string{"web-1", "web-2", "db-1"}
+	kinds := []string{"cpu", "mem", "disk", "net"}
+	const rows = 100000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rows; i++ {
+		tbl.MustInsert(NewInt(int64(i)), NewText(hosts[i%3]), NewText(kinds[i%4]),
+			NewInt(int64(i*60)), NewFloat(float64(i)/7), NewInt(int64(i%11)))
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tbl)
+	if perRow := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / rows; perRow > 240 {
+		t.Errorf("row store holds %d live bytes per six-column row; want ≤ 240", perRow)
 	}
 }
 

@@ -13,8 +13,9 @@ import (
 	"time"
 )
 
-// Type enumerates the column types supported by the engine.
-type Type int
+// Type enumerates the column types supported by the engine. It is one
+// byte wide so that a Value's Null flag and type tag share a word.
+type Type uint8
 
 const (
 	// TypeInt is a 64-bit signed integer.
@@ -67,41 +68,57 @@ func (t Type) Numeric() bool { return t == TypeInt || t == TypeFloat }
 
 // Value is a single SQL value: one of the supported types, or NULL.
 // Note the zero Value is the integer 0, not NULL; use NullValue for NULL.
+//
+// A Value is 32 bytes: the flag and tag share one word, every non-TEXT
+// payload shares the next (w), and TEXT keeps its string header. Values
+// are not comparable with == and cannot key a map: == would compare
+// payload bits, under which -0 and 0 differ and NaN matches NaN, unlike
+// float64 ==. Compare with Equal or Compare and key by Key.
 type Value struct {
+	_ [0]func() // first, so it adds no padding
+
 	// Null reports SQL NULL. When true the remaining fields are meaningless.
 	Null bool
 	// T is the type tag; valid only when Null is false.
 	T Type
 
-	i int64   // TypeInt, TypeDate (days since epoch)
-	f float64 // TypeFloat
-	s string  // TypeText
-	b bool    // TypeBool
+	w uint64 // TypeInt, TypeDate (days since epoch): int64 bits; TypeFloat: IEEE bits; TypeBool: 0/1
+	s string // TypeText
 }
+
+// i, f and b read the payload word as the type that wrote it.
+func (v Value) i() int64   { return int64(v.w) }
+func (v Value) f() float64 { return math.Float64frombits(v.w) }
+func (v Value) b() bool    { return v.w != 0 }
 
 // Null value constructor.
 func NullValue() Value { return Value{Null: true} }
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{T: TypeInt, i: v} }
+func NewInt(v int64) Value { return Value{T: TypeInt, w: uint64(v)} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{T: TypeFloat, f: v} }
+func NewFloat(v float64) Value { return Value{T: TypeFloat, w: math.Float64bits(v)} }
 
 // NewText returns a text value.
 func NewText(v string) Value { return Value{T: TypeText, s: v} }
 
 // NewBool returns a boolean value.
-func NewBool(v bool) Value { return Value{T: TypeBool, b: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{T: TypeBool, w: 1}
+	}
+	return Value{T: TypeBool}
+}
 
 // NewDate returns a date value for the given civil date.
 func NewDate(year int, month time.Month, day int) Value {
 	t := time.Date(year, month, day, 0, 0, 0, 0, time.UTC)
-	return Value{T: TypeDate, i: t.Unix() / 86400}
+	return NewDateDays(t.Unix() / 86400)
 }
 
 // NewDateDays returns a date value from days since the Unix epoch.
-func NewDateDays(days int64) Value { return Value{T: TypeDate, i: days} }
+func NewDateDays(days int64) Value { return Value{T: TypeDate, w: uint64(days)} }
 
 // ParseDate parses "YYYY-MM-DD" into a date value.
 func ParseDate(s string) (Value, error) {
@@ -109,13 +126,13 @@ func ParseDate(s string) (Value, error) {
 	if err != nil {
 		return Value{}, fmt.Errorf("sqldata: parse date %q: %w", s, err)
 	}
-	return Value{T: TypeDate, i: t.Unix() / 86400}, nil
+	return NewDateDays(t.Unix() / 86400), nil
 }
 
 // Int returns the integer payload. It panics if the value is not an INT.
 func (v Value) Int() int64 {
 	v.mustBe(TypeInt)
-	return v.i
+	return v.i()
 }
 
 // Float returns the float payload, widening INT to FLOAT. It panics for
@@ -126,9 +143,9 @@ func (v Value) Float() float64 {
 	}
 	switch v.T {
 	case TypeFloat:
-		return v.f
+		return v.f()
 	case TypeInt:
-		return float64(v.i)
+		return float64(v.i())
 	default:
 		panic("sqldata: Float() on " + v.T.String())
 	}
@@ -143,19 +160,19 @@ func (v Value) Text() string {
 // Bool returns the boolean payload. It panics if the value is not BOOL.
 func (v Value) Bool() bool {
 	v.mustBe(TypeBool)
-	return v.b
+	return v.b()
 }
 
 // DateDays returns days since the Unix epoch. It panics if not a DATE.
 func (v Value) DateDays() int64 {
 	v.mustBe(TypeDate)
-	return v.i
+	return v.i()
 }
 
 // Time returns the date as a time.Time at UTC midnight.
 func (v Value) Time() time.Time {
 	v.mustBe(TypeDate)
-	return time.Unix(v.i*86400, 0).UTC()
+	return time.Unix(v.i()*86400, 0).UTC()
 }
 
 // IntOK returns the integer payload, reporting ok=false (instead of
@@ -164,7 +181,7 @@ func (v Value) IntOK() (int64, bool) {
 	if v.Null || v.T != TypeInt {
 		return 0, false
 	}
-	return v.i, true
+	return v.i(), true
 }
 
 // FloatOK returns the float payload, widening INT to FLOAT. It reports
@@ -175,9 +192,9 @@ func (v Value) FloatOK() (float64, bool) {
 	}
 	switch v.T {
 	case TypeFloat:
-		return v.f, true
+		return v.f(), true
 	case TypeInt:
-		return float64(v.i), true
+		return float64(v.i()), true
 	default:
 		return 0, false
 	}
@@ -198,7 +215,7 @@ func (v Value) BoolOK() (bool, bool) {
 	if v.Null || v.T != TypeBool {
 		return false, false
 	}
-	return v.b, true
+	return v.b(), true
 }
 
 // DateDaysOK returns days since the Unix epoch, reporting ok=false for
@@ -207,7 +224,7 @@ func (v Value) DateDaysOK() (int64, bool) {
 	if v.Null || v.T != TypeDate {
 		return 0, false
 	}
-	return v.i, true
+	return v.i(), true
 }
 
 // TimeOK returns the date as a time.Time at UTC midnight, reporting
@@ -236,13 +253,13 @@ func (v Value) String() string {
 	}
 	switch v.T {
 	case TypeInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TypeText:
 		return v.s
 	case TypeBool:
-		if v.b {
+		if v.b() {
 			return "true"
 		}
 		return "false"
@@ -293,19 +310,19 @@ func Compare(a, b Value) (int, error) {
 	}
 	switch {
 	case a.T == TypeInt && b.T == TypeInt:
-		return cmpInt(a.i, b.i), nil
+		return cmpInt(a.i(), b.i()), nil
 	case a.T == TypeInt && b.T == TypeFloat:
-		return CompareIntFloat(a.i, b.f), nil
+		return CompareIntFloat(a.i(), b.f()), nil
 	case a.T == TypeFloat && b.T == TypeInt:
-		return -CompareIntFloat(b.i, a.f), nil
+		return -CompareIntFloat(b.i(), a.f()), nil
 	case a.T.Numeric() && b.T.Numeric():
 		return cmpFloat(a.Float(), b.Float()), nil
 	case a.T == TypeText && b.T == TypeText:
 		return strings.Compare(a.s, b.s), nil
 	case a.T == TypeBool && b.T == TypeBool:
-		return cmpBool(a.b, b.b), nil
+		return cmpBool(a.b(), b.b()), nil
 	case a.T == TypeDate && b.T == TypeDate:
-		return cmpInt(a.i, b.i), nil
+		return cmpInt(a.i(), b.i()), nil
 	default:
 		return 0, fmt.Errorf("%w: %s vs %s", ErrIncomparable, a.T, b.T)
 	}
@@ -390,7 +407,7 @@ func Coerce(v Value, t Type) (Value, error) {
 	}
 	switch {
 	case v.T == TypeInt && t == TypeFloat:
-		return NewFloat(float64(v.i)), nil
+		return NewFloat(float64(v.i())), nil
 	case v.T == TypeText && t == TypeDate:
 		return ParseDate(v.s)
 	default:
@@ -411,18 +428,18 @@ func (v Value) Key() string {
 	}
 	switch v.T {
 	case TypeInt:
-		return "\x00i" + strconv.FormatInt(v.i, 10)
+		return "\x00i" + strconv.FormatInt(v.i(), 10)
 	case TypeFloat:
-		return FloatKey(v.f)
+		return FloatKey(v.f())
 	case TypeText:
 		return "\x00s" + v.s
 	case TypeBool:
-		if v.b {
+		if v.b() {
 			return "\x00b1"
 		}
 		return "\x00b0"
 	case TypeDate:
-		return "\x00d" + strconv.FormatInt(v.i, 10)
+		return "\x00d" + strconv.FormatInt(v.i(), 10)
 	default:
 		return "\x00?"
 	}

@@ -6,7 +6,47 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// Every stored cell is one Value, so its size is most of the row store's
+// heap: the flag and tag share a word, the non-TEXT payloads share one.
+func TestValueIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// The shared payload word round-trips every type's extremes, and Equal
+// keeps SQL semantics where payload bits differ: -0 equals 0, NaN equals
+// NaN, and an INT equals the FLOAT of the same number.
+func TestValuePayloadWord(t *testing.T) {
+	for _, i := range []int64{0, -1, math.MinInt64, math.MaxInt64} {
+		if NewInt(i).Int() != i || NewDateDays(i).DateDays() != i {
+			t.Errorf("int64 %d does not round-trip", i)
+		}
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), -1.5, math.MaxFloat64, math.Inf(-1), math.SmallestNonzeroFloat64} {
+		if got := NewFloat(f).Float(); math.Float64bits(got) != math.Float64bits(f) {
+			t.Errorf("float %v round-trips as %v", f, got)
+		}
+	}
+	if !math.IsNaN(NewFloat(math.NaN()).Float()) {
+		t.Error("NaN does not round-trip")
+	}
+	if !NewBool(true).Bool() || NewBool(false).Bool() {
+		t.Error("bool does not round-trip")
+	}
+	if !NewFloat(math.Copysign(0, -1)).Equal(NewFloat(0)) {
+		t.Error("-0 not Equal to 0")
+	}
+	if !NewFloat(math.NaN()).Equal(NewFloat(math.NaN())) {
+		t.Error("NaN not Equal to NaN")
+	}
+	if !NewInt(3).Equal(NewFloat(3)) || NewInt(1).Equal(NewBool(true)) {
+		t.Error("Equal must compare values, not payload bits")
+	}
+}
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	if got := NewInt(42).Int(); got != 42 {
