@@ -21,8 +21,11 @@ test: vet staticcheck
 short:
 	$(GO) test -short ./...
 
+# The full suite under the race detector. internal/experiments alone
+# takes ~19 minutes under -race on a 2-core machine (1,137 s), past go
+# test's 10-minute default, so the timeout is explicit, with headroom.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 45m ./...
 
 vet:
 	$(GO) vet ./...

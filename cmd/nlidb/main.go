@@ -292,23 +292,26 @@ func main() {
 		// -shards is set — so follow-up turns share its plan cache,
 		// breakers, tracing, and partial-answer semantics.
 		var sessExec dialogue.Executor = gw
+		// -shards and -remote-shards build one coordinator configuration;
+		// only where the replicas run differs.
+		clusterCfg := shard.Config{
+			Replicas: *replicas,
+			Chain:    chain,
+			Gateway:  resilient.Config{BreakerJitter: jitter},
+			Timeout:  *timeout,
+			// The flag convention is 0 = off; the cluster's is negative =
+			// off, 0 = default capacity.
+			CacheSize:     disabledIfZero(*cacheSize),
+			CacheTTL:      *cacheTTL,
+			PlanCacheSize: disabledIfZero(*planCacheSize),
+			Metrics:       reg,
+			SlowLog:       slow,
+			Traces:        traces,
+			Seed:          *seed,
+			Workers:       *parallel,
+		}
 		if *shards > 1 {
-			cl, err := shard.New(d.DB, *shards, shard.Config{
-				Replicas: *replicas,
-				Chain:    chain,
-				Gateway:  resilient.Config{BreakerJitter: jitter},
-				Timeout:  *timeout,
-				// The flag convention is 0 = off; the cluster's is negative =
-				// off, 0 = default capacity.
-				CacheSize:     disabledIfZero(*cacheSize),
-				CacheTTL:      *cacheTTL,
-				PlanCacheSize: disabledIfZero(*planCacheSize),
-				Metrics:       reg,
-				SlowLog:       slow,
-				Traces:        traces,
-				Seed:          *seed,
-				Workers:       *parallel,
-			})
+			cl, err := shard.New(d.DB, *shards, clusterCfg)
 			if err != nil {
 				fatalf("%v", err)
 			}
@@ -324,12 +327,7 @@ func main() {
 			if *shards > 1 {
 				fatalf("-shards and -remote-shards are mutually exclusive")
 			}
-			cl, mapSrc, sup, err := remoteCluster(d.DB, *remoteShards, *replicas, remoteClusterConfig{
-				chain: chain, timeout: *timeout,
-				cacheSize: *cacheSize, cacheTTL: *cacheTTL, planCacheSize: *planCacheSize,
-				jitter: jitter, seed: *seed, workers: *parallel,
-				metrics: reg, slow: slow, traces: traces,
-			})
+			cl, mapSrc, sup, err := remoteCluster(d.DB, *remoteShards, clusterCfg)
 			if err != nil {
 				fatalf("%v", err)
 			}

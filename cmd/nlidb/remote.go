@@ -5,12 +5,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
-	"nlidb/internal/nlq"
-	"nlidb/internal/obs"
 	"nlidb/internal/procnode"
-	"nlidb/internal/resilient"
 	"nlidb/internal/shard"
 	"nlidb/internal/sqldata"
 )
@@ -37,30 +33,16 @@ func parseJoin(v string) (int, int64, error) {
 	return idx, epoch, nil
 }
 
-// remoteClusterConfig carries the flag values the remote coordinator
-// path needs from main.
-type remoteClusterConfig struct {
-	chain         []nlq.Interpreter
-	timeout       time.Duration
-	cacheSize     int
-	cacheTTL      time.Duration
-	planCacheSize int
-	jitter        time.Duration
-	seed          int64
-	workers       int
-	metrics       *obs.Registry
-	slow          *obs.SlowLog
-	traces        *obs.TraceStore
-}
-
 // remoteCluster builds the out-of-process coordinator for -remote-shards:
 // either self-supervising ("spawn:N" launches N×replicas children of this
 // very binary, each loading its partition over the CSV path) or routing
 // to an explicit endpoint list ("a,b;c,d": ';' between shards, ','
-// between replicas). Either way the coordinator interprets — cc.chain is
+// between replicas). Either way the coordinator interprets — cfg.Chain is
 // built over the full database — and the nodes execute the SQL they are
-// sent. The returned supervisor is nil for explicit fleets.
-func remoteCluster(db *sqldata.Database, spec string, replicas int, cc remoteClusterConfig) (*shard.Cluster, *shard.MapSource, *procnode.Supervisor, error) {
+// sent. A spawned fleet runs cfg.Replicas children per shard; an explicit
+// one has as many replicas as it lists. The returned supervisor is nil
+// for explicit fleets.
+func remoteCluster(db *sqldata.Database, spec string, cfg shard.Config) (*shard.Cluster, *shard.MapSource, *procnode.Supervisor, error) {
 	var (
 		fleet  shard.RemoteFleet
 		mapSrc *shard.MapSource
@@ -78,9 +60,9 @@ func remoteCluster(db *sqldata.Database, spec string, replicas int, cc remoteClu
 		sup, err = procnode.Start(db, procnode.Config{
 			Binary:   bin,
 			Shards:   n,
-			Replicas: replicas,
+			Replicas: cfg.Replicas,
 			Stderr:   os.Stderr,
-			Seed:     cc.seed,
+			Seed:     cfg.Seed,
 			OnEvent:  func(s string) { fmt.Println("supervisor:", s) },
 		})
 		if err != nil {
@@ -106,19 +88,7 @@ func remoteCluster(db *sqldata.Database, spec string, replicas int, cc remoteClu
 		fleet = shard.RemoteFleet{Addrs: fns}
 		mapSrc = shard.NewMapSource(func() shard.Map { return shard.Map{Shards: addrs} })
 	}
-	cl, err := shard.NewRemote(db, shard.Config{
-		Chain:         cc.chain,
-		Timeout:       cc.timeout,
-		CacheSize:     disabledIfZero(cc.cacheSize),
-		CacheTTL:      cc.cacheTTL,
-		PlanCacheSize: disabledIfZero(cc.planCacheSize),
-		Gateway:       resilient.Config{BreakerJitter: cc.jitter},
-		Metrics:       cc.metrics,
-		SlowLog:       cc.slow,
-		Traces:        cc.traces,
-		Seed:          cc.seed,
-		Workers:       cc.workers,
-	}, fleet)
+	cl, err := shard.NewRemote(db, cfg, fleet)
 	if err != nil {
 		if sup != nil {
 			sup.Close()

@@ -25,8 +25,7 @@ type Context struct {
 	// Turns counts resolved turns.
 	Turns int
 	// Pending holds the ranked interpretations of the last full query so
-	// an agent can fall back to a lower-ranked hypothesis. Transient —
-	// not part of Snapshot.
+	// an agent can fall back to a lower-ranked hypothesis.
 	Pending []nlq.Interpretation
 }
 
@@ -47,50 +46,6 @@ func (c *Context) Fingerprint() uint64 {
 		h.Write([]byte(c.BeforeAggregate.String()))
 	}
 	return h.Sum64() | 1
-}
-
-// Snapshot is the serializable form of a Context: SQL as text, anchors and
-// transient hypotheses recomputed/dropped on restore.
-type Snapshot struct {
-	LastSQL         string `json:"last_sql,omitempty"`
-	BeforeAggregate string `json:"before_aggregate,omitempty"`
-	Turns           int    `json:"turns"`
-}
-
-// Snapshot captures the durable conversational state.
-func (c *Context) Snapshot() Snapshot {
-	s := Snapshot{Turns: c.Turns}
-	if c.LastSQL != nil {
-		s.LastSQL = c.LastSQL.String()
-	}
-	if c.BeforeAggregate != nil {
-		s.BeforeAggregate = c.BeforeAggregate.String()
-	}
-	return s
-}
-
-// RestoreContext rebuilds a Context from a Snapshot, reparsing the SQL and
-// recomputing the anchor table.
-func RestoreContext(s Snapshot) (*Context, error) {
-	c := &Context{Turns: s.Turns}
-	if s.LastSQL != "" {
-		stmt, err := sqlparse.Parse(s.LastSQL)
-		if err != nil {
-			return nil, fmt.Errorf("dialogue: restore last_sql: %w", err)
-		}
-		c.LastSQL = stmt
-		if stmt.From != nil {
-			c.Anchor = strings.ToLower(stmt.From.First.EffName())
-		}
-	}
-	if s.BeforeAggregate != "" {
-		stmt, err := sqlparse.Parse(s.BeforeAggregate)
-		if err != nil {
-			return nil, fmt.Errorf("dialogue: restore before_aggregate: %w", err)
-		}
-		c.BeforeAggregate = stmt
-	}
-	return c, nil
 }
 
 // Remember records a resolved query as the new context.

@@ -20,7 +20,15 @@ import (
 func TestObservabilityDuringDrain(t *testing.T) {
 	db := testDB(t)
 	block := make(chan struct{})
+	// entered fires once the parked request reaches the interpreter, past
+	// admission: InFlight counts a request before it is admitted, and a
+	// drain that starts in between sheds it.
+	entered := make(chan struct{}, 1)
 	slowInterp := &fakeInterp{name: "slow", fn: func(q string) ([]nlq.Interpretation, error) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
 		<-block
 		return answering("slow", "SELECT name FROM customer").fn(q)
 	}}
@@ -38,12 +46,10 @@ func TestObservabilityDuringDrain(t *testing.T) {
 		mux.ServeHTTP(rec, req)
 		done <- rec.Code
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for api.InFlight() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("in-flight request never entered the handler")
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("in-flight request never reached the interpreter")
 	}
 
 	drained := make(chan bool, 1)

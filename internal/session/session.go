@@ -514,58 +514,6 @@ func costOf(conv *dialogue.Context) int64 {
 	return c
 }
 
-// Snapshot is the serializable state of one session: restore it into the
-// same or another store (e.g. across a process restart) with Restore.
-type Snapshot struct {
-	ID      string            `json:"id"`
-	Context dialogue.Snapshot `json:"context"`
-}
-
-// Snapshot captures a live session's conversational state. The turn lock
-// is taken, so a snapshot never observes a half-applied turn.
-func (s *Store) Snapshot(id string) (Snapshot, error) {
-	se, err := s.lookup(id)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	se.mu.Lock()
-	snap := Snapshot{ID: id, Context: se.conv.Snapshot()}
-	se.mu.Unlock()
-	return snap, nil
-}
-
-// Restore recreates a session from a snapshot under its original ID,
-// replacing any live session with that ID.
-func (s *Store) Restore(snap Snapshot) error {
-	if len(snap.ID) == 0 {
-		return fmt.Errorf("session: restore: empty id")
-	}
-	conv, err := dialogue.RestoreContext(snap.Context)
-	if err != nil {
-		return fmt.Errorf("session: restore %s: %w", snap.ID, err)
-	}
-	se := &sess{id: snap.ID, conv: conv, cost: costOf(conv)}
-	sh := s.shardFor(snap.ID)
-	now := s.cfg.Now()
-	sh.mu.Lock()
-	if old, ok := sh.sessions[snap.ID]; ok {
-		sh.lruRemove(old)
-		sh.mem -= old.cost
-		old.gone = true
-		delete(sh.sessions, snap.ID)
-	}
-	delete(sh.tombs, snap.ID)
-	se.expires = now.Add(s.cfg.TTL)
-	sh.sessions[snap.ID] = se
-	sh.lruPush(se)
-	sh.mem += se.cost
-	evs := s.reclaimLocked(sh, now, se)
-	sh.mu.Unlock()
-	s.publishGauges()
-	s.notifyEvicted(evs)
-	return nil
-}
-
 // parse is a helper for cached-turn replay; stored SQL always came from a
 // stmt's own String, so failure means a store bug, not user input.
 func parseStored(sql string) (*sqlparse.SelectStmt, error) {

@@ -173,7 +173,7 @@ func TestSessionCapEvictsLRU(t *testing.T) {
 		t.Fatalf("evicted session: err = %v, want ErrExpired (410)", err)
 	}
 	for _, id := range rest {
-		if _, err := s.Snapshot(id); err != nil {
+		if _, err := s.lookup(id); err != nil {
 			t.Fatalf("survivor %s gone: %v", id, err)
 		}
 	}
@@ -296,43 +296,6 @@ func TestTurnCacheDisabled(t *testing.T) {
 	}
 	if turn.Cached {
 		t.Fatal("cache disabled but turn served from cache")
-	}
-}
-
-func TestSnapshotRestore(t *testing.T) {
-	s := testStore(t, nil)
-	id := s.Create()
-	r1, err := s.Ask(context.Background(), id, "show customers with city Berlin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := s.Snapshot(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.ID != id || snap.Context.LastSQL == "" || snap.Context.Turns != 1 {
-		t.Fatalf("snapshot %+v", snap)
-	}
-
-	// Restore into a fresh store (a process restart) and continue the
-	// conversation: the follow-up must resolve against the restored context.
-	s2 := testStore(t, nil)
-	if err := s2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := s2.Ask(context.Background(), id, "how many are there")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.ContextFP == 0 {
-		t.Fatal("restored session lost its context")
-	}
-	if got, want := r2.Resp.Result.Rows[0][0].Int(), int64(len(r1.Resp.Result.Rows)); got != want {
-		t.Fatalf("restored follow-up count %d != original rows %d", got, want)
-	}
-
-	if err := s2.Restore(Snapshot{}); err == nil {
-		t.Fatal("Restore accepted an empty snapshot")
 	}
 }
 

@@ -39,7 +39,8 @@ type Config struct {
 	// interpreter front takes its chain-walk settings (breaker tuning,
 	// NoRetry, Hook, BreakerHook, Now) and the in-process replica
 	// executors take its execution settings (Timeout, Budget, Hook,
-	// NoTrace). Cache, PlanCache, Metrics, SlowLog and Traces are set by
+	// NoTrace); the coordinator's merge statements run under its Budget
+	// too. Cache, PlanCache, Metrics, SlowLog and Traces are set by
 	// the cluster on either half: it caches fleet-wide, owns the metric
 	// namespace, and logs and retains at the coordinator only.
 	Gateway resilient.Config
@@ -216,6 +217,9 @@ func newCluster(db *sqldata.Database, n int, cfg Config, nodeFor func(s, r int, 
 		cfg.Now = time.Now
 	}
 
+	if cfg.Gateway.Budget == (sqlexec.Budget{}) {
+		cfg.Gateway.Budget = sqlexec.DefaultBudget() // as a gateway defaults it
+	}
 	dbs, part, err := Split(db, n)
 	if err != nil {
 		return nil, err
@@ -380,10 +384,10 @@ func (c *Cluster) route(ctx context.Context, sql string, st *resilient.Routing) 
 	}
 	_, csp := childSpan(ctx, "classify")
 	rt := &route{kind: routeHome} // a single shard holds every row
-	if _, err = c.bind.Prepare(stmt); err != nil {
-		err = fmt.Errorf("plan: %w", err)
+	if p, perr := c.bind.Prepare(stmt); perr != nil {
+		err = fmt.Errorf("plan: %w", perr)
 	} else if c.n > 1 {
-		rt, err = classify(stmt, c.part)
+		rt, err = classify(stmt, c.part, p.Columns())
 	}
 	if err != nil {
 		csp.SetAttr("error", err.Error())
@@ -512,9 +516,9 @@ func (c *Cluster) scatter(ctx context.Context, rt *route, st *resilient.Routing)
 		}
 		return nil, fmt.Errorf("shard: scatter produced no results")
 	}
-	_, msp := childSpan(ctx, "merge")
+	mctx, msp := childSpan(ctx, "merge")
 	msp.Add("merged", int64(got))
-	res, err := rt.merge.merge(partials)
+	res, err := c.merge(mctx, rt, partials)
 	if err != nil {
 		msp.SetAttr("error", err.Error())
 		msp.End()

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 
+	"nlidb/internal/plan"
 	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlparse"
 )
@@ -30,37 +32,21 @@ var routeNames = [...]string{routeHome: "home", routePruned: "pruned", routeScat
 // route is one classified statement: where to run it and how to combine.
 type route struct {
 	kind       routeKind
-	shard      int        // routePruned: the owner shard
-	partialSQL string     // routeScatter: the per-shard statement
-	merge      *mergePlan // routeScatter
+	shard      int    // routePruned: the owner shard
+	partialSQL string // routeScatter: the per-shard statement
+	width      int    // routeScatter: columns in a partial row
+	// merge combines the partial rows (routeScatter): an ordinary SELECT
+	// over mergeTable, run by the executor like any other statement.
+	merge *sqlparse.SelectStmt
 }
 
-// mergeItem describes one final output column of a scatter-gather
-// aggregate merge.
-type mergeItem struct {
-	agg     string // "" = group-key passthrough; else COUNT/SUM/MIN/MAX/AVG
-	partIdx int    // column index in the partial result (non-AVG)
-	sumIdx  int    // AVG: partial index of the pushed-down SUM
-	cntIdx  int    // AVG: partial index of the pushed-down COUNT
-}
+// mergeTable is the one table a merge statement reads: the gathered
+// partial rows, one column per partial output, named by partialCol.
+const mergeTable = "partials"
 
-// mergeOrder is one resolved ORDER BY key over final output columns.
-type mergeOrder struct {
-	idx  int
-	desc bool
-}
-
-// mergePlan is everything the coordinator needs to combine per-shard
-// partial results into the answer the unsharded engine would have given.
-type mergePlan struct {
-	grouped     bool     // aggregate/group path (vs plain row concat)
-	globalAgg   bool     // aggregate without GROUP BY: exactly one row
-	finalCols   []string // output header (grouped path)
-	items       []mergeItem
-	groupKeyIdx []int // partial indexes forming the group key
-	distinct    bool
-	orderBy     []sqlparse.OrderItem // resolved against the final header at merge time
-	limit       int
+// partialCol references partial output column i in a merge statement.
+func partialCol(i int) *sqlparse.ColumnRef {
+	return &sqlparse.ColumnRef{Column: "p" + strconv.Itoa(i)}
 }
 
 // notDist builds the refusal error for a statement the coordinator cannot
@@ -116,15 +102,6 @@ func containsAgg(e sqlparse.Expr) bool {
 	return found
 }
 
-// outName is the executor's output-column naming rule (alias, else the
-// printed expression), so sharded headers match unsharded ones.
-func outName(it sqlparse.SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	return it.Expr.String()
-}
-
 // tableInstance is one FROM entry: the name it is addressable by in the
 // query scope and the real table it denotes.
 type tableInstance struct {
@@ -133,8 +110,9 @@ type tableInstance struct {
 }
 
 // classify decides how stmt runs on a cluster partitioned by part. stmt
-// has been bound against the full schema: every table it names exists.
-func classify(stmt *sqlparse.SelectStmt, part *Partitioning) (*route, error) {
+// has been bound against the full schema: every table it names exists,
+// and cols is its output header as the executor names it.
+func classify(stmt *sqlparse.SelectStmt, part *Partitioning, cols []string) (*route, error) {
 	if stmt.From == nil {
 		return &route{kind: routeHome}, nil
 	}
@@ -175,9 +153,9 @@ func classify(stmt *sqlparse.SelectStmt, part *Partitioning) (*route, error) {
 	grouped := hasAgg || len(stmt.GroupBy) > 0
 
 	if !grouped {
-		return scatterConcat(stmt)
+		return scatterConcat(stmt, cols)
 	}
-	return scatterGrouped(stmt)
+	return scatterGrouped(stmt, cols)
 }
 
 // prunedShard looks for a top-level `partition_column = literal` conjunct
@@ -303,110 +281,119 @@ func coPartitioned(a, x, b, y string, part *Partitioning) bool {
 
 // scatterConcat plans a plain (aggregate-free, ungrouped) scatter: each
 // shard runs the statement as-is — per-shard ORDER BY + LIMIT computes a
-// local top-k — and the coordinator concatenates, dedups DISTINCT,
-// re-sorts, and re-limits.
-func scatterConcat(stmt *sqlparse.SelectStmt) (*route, error) {
-	hasStar := false
-	for _, it := range stmt.Items {
-		if it.Star {
-			hasStar = true
-		}
+// local top-k — and the merge concatenates, with the statement's
+// DISTINCT, ORDER BY and LIMIT over the concatenation.
+func scatterConcat(stmt *sqlparse.SelectStmt, cols []string) (*route, error) {
+	exprs := make([]sqlparse.Expr, len(cols))
+	for i := range cols {
+		exprs[i] = partialCol(i)
 	}
-	if len(stmt.OrderBy) > 0 && !hasStar {
-		// Pre-check resolvability so unanswerable questions fail at
-		// classification, not after fanning out.
-		cols := make([]string, len(stmt.Items))
-		for i, it := range stmt.Items {
-			cols[i] = outName(it)
-		}
-		if _, err := resolveOrder(stmt.OrderBy, cols); err != nil {
-			return nil, err
-		}
-	}
-	return &route{
-		kind:       routeScatter,
-		partialSQL: stmt.String(),
-		merge: &mergePlan{
-			distinct: stmt.Distinct,
-			orderBy:  stmt.OrderBy,
-			limit:    stmt.Limit,
-		},
-	}, nil
+	return mergeRoute(stmt, stmt, len(cols), cols, exprs, nil)
 }
 
 // scatterGrouped plans an aggregate (or GROUP BY) scatter: shards run a
 // rewritten partial statement — AVG split into SUM + COUNT, ORDER BY and
-// LIMIT stripped — and the coordinator merges partial aggregates with the
-// executor's exact combining semantics, then sorts and limits.
-func scatterGrouped(stmt *sqlparse.SelectStmt) (*route, error) {
-	plan := &mergePlan{grouped: true, distinct: stmt.Distinct, limit: stmt.Limit, orderBy: stmt.OrderBy}
+// LIMIT stripped — and the merge statement regroups the partials on the
+// group keys and combines each aggregate: COUNT as SUM, SUM, MIN and MAX
+// as themselves, AVG as SUM(sum)/SUM(count).
+func scatterGrouped(stmt *sqlparse.SelectStmt, cols []string) (*route, error) {
 	var partialItems []sqlparse.SelectItem
-	for _, it := range stmt.Items {
+	// partial adds it to the partial statement and returns its column.
+	partial := func(it sqlparse.SelectItem) sqlparse.Expr {
+		partialItems = append(partialItems, it)
+		return partialCol(len(partialItems) - 1)
+	}
+	sum := func(e sqlparse.Expr) sqlparse.Expr {
+		return &sqlparse.FuncCall{Name: "SUM", Args: []sqlparse.Expr{e}}
+	}
+	exprs := make([]sqlparse.Expr, len(stmt.Items))
+	keys := map[string]sqlparse.Expr{} // printed group-key item → its partial column
+	for i, it := range stmt.Items {
 		if it.Star {
 			return nil, notDist("star projection mixed with grouping")
 		}
-		plan.finalCols = append(plan.finalCols, outName(it))
 		f, isCall := it.Expr.(*sqlparse.FuncCall)
 		switch {
 		case isCall && f.IsAggregate():
 			if f.Distinct {
 				return nil, notDist("%s(DISTINCT ...) cannot be combined from per-shard partials", f.Name)
 			}
-			if f.Name == "AVG" {
-				plan.items = append(plan.items, mergeItem{agg: "AVG", sumIdx: len(partialItems), cntIdx: len(partialItems) + 1})
-				partialItems = append(partialItems,
-					sqlparse.SelectItem{Expr: &sqlparse.FuncCall{Name: "SUM", Args: f.Args}},
-					sqlparse.SelectItem{Expr: &sqlparse.FuncCall{Name: "COUNT", Args: f.Args}})
-				continue
+			switch f.Name {
+			case "AVG":
+				s := partial(sqlparse.SelectItem{Expr: &sqlparse.FuncCall{Name: "SUM", Args: f.Args}})
+				n := partial(sqlparse.SelectItem{Expr: &sqlparse.FuncCall{Name: "COUNT", Args: f.Args}})
+				exprs[i] = &sqlparse.BinaryExpr{Op: "/", L: sum(s), R: sum(n)}
+			case "COUNT":
+				exprs[i] = sum(partial(sqlparse.SelectItem{Expr: it.Expr}))
+			default:
+				exprs[i] = &sqlparse.FuncCall{Name: f.Name, Args: []sqlparse.Expr{partial(sqlparse.SelectItem{Expr: it.Expr})}}
 			}
-			plan.items = append(plan.items, mergeItem{agg: f.Name, partIdx: len(partialItems)})
-			partialItems = append(partialItems, sqlparse.SelectItem{Expr: it.Expr})
 		case containsAgg(it.Expr):
 			return nil, notDist("aggregate inside expression %q cannot be combined from per-shard partials", it.Expr)
 		default:
-			plan.items = append(plan.items, mergeItem{partIdx: len(partialItems)})
-			plan.groupKeyIdx = append(plan.groupKeyIdx, len(partialItems))
-			partialItems = append(partialItems, sqlparse.SelectItem{Expr: it.Expr, Alias: it.Alias})
-		}
-	}
-
-	// Group keys must surface in the partials, or the coordinator cannot
-	// regroup; require each GROUP BY expression to appear as an item.
-	for _, g := range stmt.GroupBy {
-		found := false
-		for i, it := range stmt.Items {
-			if !it.Star && plan.items[i].agg == "" && strings.EqualFold(it.Expr.String(), g.String()) {
-				found = true
-				break
+			exprs[i] = partial(sqlparse.SelectItem{Expr: it.Expr, Alias: it.Alias})
+			if k := strings.ToLower(it.Expr.String()); keys[k] == nil {
+				keys[k] = exprs[i]
 			}
 		}
-		if !found {
-			return nil, notDist("GROUP BY key %q is not in the select list", g)
-		}
-	}
-	plan.globalAgg = len(stmt.GroupBy) == 0
-	if len(stmt.OrderBy) > 0 {
-		if _, err := resolveOrder(stmt.OrderBy, plan.finalCols); err != nil {
-			return nil, err
-		}
 	}
 
-	partial := &sqlparse.SelectStmt{
+	// Group keys must surface in the partials, or the merge cannot
+	// regroup; require each GROUP BY expression to appear as an item.
+	var groupBy []sqlparse.Expr
+	for _, g := range stmt.GroupBy {
+		k := keys[strings.ToLower(g.String())]
+		if k == nil {
+			return nil, notDist("GROUP BY key %q is not in the select list", g)
+		}
+		groupBy = append(groupBy, k)
+	}
+
+	partialStmt := &sqlparse.SelectStmt{
 		Items:   partialItems,
 		From:    stmt.From,
 		Where:   stmt.Where,
 		GroupBy: stmt.GroupBy,
 		Limit:   -1,
 	}
-	plan.limit = stmt.Limit
-	return &route{kind: routeScatter, partialSQL: partial.String(), merge: plan}, nil
+	return mergeRoute(stmt, partialStmt, len(partialItems), cols, exprs, groupBy)
 }
 
-// resolveOrder maps ORDER BY expressions onto output column indexes,
-// matching the printed expression (and, for qualified column refs, the
-// bare column name) case-insensitively.
-func resolveOrder(items []sqlparse.OrderItem, cols []string) ([]mergeOrder, error) {
-	out := make([]mergeOrder, 0, len(items))
+// mergeRoute is the scatter route running partial, whose rows have width
+// columns, on every shard and merging with the statement that selects
+// exprs, each aliased to stmt's header in cols, grouped by groupBy, and
+// ending in stmt's DISTINCT, ORDER BY and LIMIT.
+func mergeRoute(stmt, partial *sqlparse.SelectStmt, width int, cols []string, exprs, groupBy []sqlparse.Expr) (*route, error) {
+	items := make([]sqlparse.SelectItem, len(exprs))
+	for i, e := range exprs {
+		items[i] = sqlparse.SelectItem{Expr: e, Alias: cols[i]}
+	}
+	order, err := resolveOrder(stmt.OrderBy, cols, exprs)
+	if err != nil {
+		return nil, err
+	}
+	return &route{
+		kind:       routeScatter,
+		partialSQL: partial.String(),
+		width:      width,
+		merge: &sqlparse.SelectStmt{
+			Distinct: stmt.Distinct,
+			Items:    items,
+			From:     &sqlparse.FromClause{First: sqlparse.TableRef{Name: mergeTable}},
+			GroupBy:  groupBy,
+			OrderBy:  order,
+			Limit:    stmt.Limit,
+		},
+	}, nil
+}
+
+// resolveOrder maps ORDER BY expressions onto the merge expressions of
+// output columns, matching the printed expression (and, for qualified
+// column refs, the bare column name) case-insensitively against the
+// header, so a statement whose merged rows cannot be re-sorted fails at
+// classification, not after fanning out.
+func resolveOrder(items []sqlparse.OrderItem, cols []string, exprs []sqlparse.Expr) ([]sqlparse.OrderItem, error) {
+	out := make([]sqlparse.OrderItem, 0, len(items))
 	for _, o := range items {
 		idx := -1
 		want := o.Expr.String()
@@ -423,280 +410,62 @@ func resolveOrder(items []sqlparse.OrderItem, cols []string) ([]mergeOrder, erro
 		if idx < 0 {
 			return nil, notDist("ORDER BY %q is not an output column, so merged rows cannot be re-sorted", want)
 		}
-		out = append(out, mergeOrder{idx: idx, desc: o.Desc})
+		out = append(out, sqlparse.OrderItem{Expr: exprs[idx], Desc: o.Desc})
 	}
 	return out, nil
 }
 
-// numSum accumulates SUM partials with the executor's typing: an all-INT
-// input stays INT, any FLOAT widens the total, and an input with no
-// non-NULL values yields NULL.
-type numSum struct {
-	has bool
-	isF bool
-	i   int64
-	f   float64
-}
-
-func (s *numSum) add(v sqldata.Value) {
-	if v.Null {
-		return
+// merge runs rt's merge statement over the per-shard partial results
+// (nil entries are missing shards, already accounted as Partial by the
+// caller). The partial rows load, in shard order, into a one-table
+// database whose column types come from the values, INT widening to FLOAT
+// where a shard promoted an overflowing SUM; the executor then groups,
+// combines, sorts and limits them under the cluster's budget exactly as
+// it does every statement.
+func (c *Cluster) merge(ctx context.Context, rt *route, partials []*sqldata.Result) (*sqldata.Result, error) {
+	cols := make([]sqldata.Column, rt.width)
+	typed := make([]bool, rt.width)
+	for i := range cols {
+		cols[i].Name = partialCol(i).Column
 	}
-	if iv, ok := v.IntOK(); ok {
-		s.has = true
-		s.i += iv
-		s.f += float64(iv)
-		return
-	}
-	if fv, ok := v.FloatOK(); ok {
-		s.has = true
-		s.isF = true
-		s.f += fv
-	}
-}
-
-func (s *numSum) value() sqldata.Value {
-	switch {
-	case !s.has:
-		return sqldata.NullValue()
-	case s.isF:
-		return sqldata.NewFloat(s.f)
-	default:
-		return sqldata.NewInt(s.i)
-	}
-}
-
-// groupAcc accumulates one merged group.
-type groupAcc struct {
-	out  sqldata.Row // group-key passthrough values (agg slots overwritten at finalize)
-	sums []numSum    // per item: SUM / AVG-sum accumulator
-	cnts []int64     // per item: COUNT / AVG-count accumulator
-	best []sqldata.Value
-	has  []bool // per item: MIN/MAX has a non-NULL candidate
-}
-
-// merge combines per-shard partial results (nil entries = missing shards,
-// already accounted as Partial by the caller) into the final result.
-func (m *mergePlan) merge(partials []*sqldata.Result) (*sqldata.Result, error) {
-	if m.grouped {
-		return m.mergeGrouped(partials)
-	}
-	return m.mergeConcat(partials)
-}
-
-func (m *mergePlan) mergeConcat(partials []*sqldata.Result) (*sqldata.Result, error) {
-	var cols []string
-	var rows []sqldata.Row
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		if cols == nil {
-			cols = p.Columns
-		}
-		rows = append(rows, p.Rows...)
-	}
-	if cols == nil {
-		return nil, fmt.Errorf("shard: no partial results to merge")
-	}
-	if m.distinct {
-		rows = dedupRows(rows)
-	}
-	if len(m.orderBy) > 0 {
-		ord, err := resolveOrder(m.orderBy, cols)
-		if err != nil {
-			return nil, err
-		}
-		sortRows(rows, ord)
-	}
-	if m.limit >= 0 && len(rows) > m.limit {
-		rows = rows[:m.limit]
-	}
-	return &sqldata.Result{Columns: cols, Rows: rows}, nil
-}
-
-func (m *mergePlan) mergeGrouped(partials []*sqldata.Result) (*sqldata.Result, error) {
-	groups := map[string]*groupAcc{}
-	var order []string // first-seen group order, for determinism pre-sort
 	for _, p := range partials {
 		if p == nil {
 			continue
 		}
 		for _, row := range p.Rows {
-			if len(row) < len(m.items)+countAVGExtra(m.items) {
-				return nil, fmt.Errorf("shard: partial row has %d columns, need %d", len(row), len(m.items)+countAVGExtra(m.items))
+			if len(row) != rt.width {
+				return nil, fmt.Errorf("shard: partial row has %d columns, need %d", len(row), rt.width)
 			}
-			key := groupKey(row, m.groupKeyIdx)
-			acc := groups[key]
-			if acc == nil {
-				acc = &groupAcc{
-					out:  make(sqldata.Row, len(m.items)),
-					sums: make([]numSum, len(m.items)),
-					cnts: make([]int64, len(m.items)),
-					best: make([]sqldata.Value, len(m.items)),
-					has:  make([]bool, len(m.items)),
-				}
-				for i, it := range m.items {
-					if it.agg == "" {
-						acc.out[i] = row[it.partIdx]
-					}
-				}
-				groups[key] = acc
-				order = append(order, key)
-			}
-			for i, it := range m.items {
-				switch it.agg {
-				case "":
-				case "COUNT":
-					if n, ok := row[it.partIdx].IntOK(); ok {
-						acc.cnts[i] += n
-					}
-				case "SUM":
-					acc.sums[i].add(row[it.partIdx])
-				case "AVG":
-					acc.sums[i].add(row[it.sumIdx])
-					if n, ok := row[it.cntIdx].IntOK(); ok {
-						acc.cnts[i] += n
-					}
-				case "MIN", "MAX":
-					v := row[it.partIdx]
-					if v.Null {
-						continue
-					}
-					if !acc.has[i] {
-						acc.best[i], acc.has[i] = v, true
-						continue
-					}
-					c, err := sqldata.Compare(v, acc.best[i])
-					if err == nil && ((it.agg == "MIN" && c < 0) || (it.agg == "MAX" && c > 0)) {
-						acc.best[i] = v
-					}
+			for i, v := range row {
+				switch {
+				case v.Null:
+				case !typed[i]:
+					cols[i].Type, typed[i] = v.T, true
+				case v.T == sqldata.TypeFloat && cols[i].Type == sqldata.TypeInt:
+					cols[i].Type = sqldata.TypeFloat
 				}
 			}
 		}
 	}
-
-	rows := make([]sqldata.Row, 0, len(order))
-	for _, key := range order {
-		acc := groups[key]
-		for i, it := range m.items {
-			switch it.agg {
-			case "":
-			case "COUNT":
-				acc.out[i] = sqldata.NewInt(acc.cnts[i])
-			case "SUM":
-				acc.out[i] = acc.sums[i].value()
-			case "AVG":
-				if acc.cnts[i] == 0 {
-					acc.out[i] = sqldata.NullValue()
-				} else {
-					acc.out[i] = sqldata.NewFloat(acc.sums[i].f / float64(acc.cnts[i]))
-				}
-			case "MIN", "MAX":
-				if acc.has[i] {
-					acc.out[i] = acc.best[i]
-				} else {
-					acc.out[i] = sqldata.NullValue()
-				}
-			}
-		}
-		rows = append(rows, acc.out)
+	db := sqldata.NewDatabase(mergeTable)
+	t, err := db.CreateTable(&sqldata.Schema{Name: mergeTable, Columns: cols})
+	if err != nil {
+		return nil, err
 	}
-	if m.globalAgg && len(rows) == 0 {
-		// Mirror the executor's empty-input global aggregate: one row of
-		// zero counts and NULL sums.
-		row := make(sqldata.Row, len(m.items))
-		for i, it := range m.items {
-			if it.agg == "COUNT" {
-				row[i] = sqldata.NewInt(0)
-			} else {
-				row[i] = sqldata.NullValue()
-			}
-		}
-		rows = append(rows, row)
-	}
-	if m.distinct {
-		rows = dedupRows(rows)
-	}
-	if len(m.orderBy) > 0 {
-		ord, err := resolveOrder(m.orderBy, m.finalCols)
-		if err != nil {
-			return nil, err
-		}
-		sortRows(rows, ord)
-	}
-	if m.limit >= 0 && len(rows) > m.limit {
-		rows = rows[:m.limit]
-	}
-	return &sqldata.Result{Columns: m.finalCols, Rows: rows}, nil
-}
-
-func countAVGExtra(items []mergeItem) int {
-	n := 0
-	for _, it := range items {
-		if it.agg == "AVG" {
-			n++
-		}
-	}
-	return n
-}
-
-func groupKey(row sqldata.Row, idx []int) string {
-	if len(idx) == 0 {
-		return ""
-	}
-	parts := make([]string, len(idx))
-	for i, j := range idx {
-		parts[i] = row[j].Key()
-	}
-	return strings.Join(parts, "\x1f")
-}
-
-func dedupRows(rows []sqldata.Row) []sqldata.Row {
-	seen := make(map[string]bool, len(rows))
-	out := rows[:0:0]
-	for _, r := range rows {
-		k := r.Key()
-		if seen[k] {
+	for _, p := range partials {
+		if p == nil {
 			continue
 		}
-		seen[k] = true
-		out = append(out, r)
-	}
-	return out
-}
-
-// sortRows orders rows by the resolved keys, NULLs first ascending (the
-// executor's rule), falling back to collation-key comparison when values
-// are incomparable.
-func sortRows(rows []sqldata.Row, ord []mergeOrder) {
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, o := range ord {
-			va, vb := rows[a][o.idx], rows[b][o.idx]
-			c := compareForSort(va, vb)
-			if c == 0 {
-				continue
+		for _, row := range p.Rows {
+			if err := t.Insert(row); err != nil {
+				return nil, fmt.Errorf("shard: merge: %w", err)
 			}
-			if o.desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
-	})
-}
-
-func compareForSort(a, b sqldata.Value) int {
-	switch {
-	case a.Null && b.Null:
-		return 0
-	case a.Null:
-		return -1
-	case b.Null:
-		return 1
 	}
-	if c, err := sqldata.Compare(a, b); err == nil {
-		return c
+	pl, err := plan.Prepare(db, rt.merge)
+	if err != nil {
+		return nil, fmt.Errorf("shard: merge: %w", err)
 	}
-	return strings.Compare(a.Key(), b.Key())
+	res, _, err := pl.Run(ctx, c.cfg.Gateway.Budget)
+	return res, err
 }
