@@ -141,4 +141,4 @@ loc:
 		for (d in dirs) printf "%-10s %7d %7d\n", d, n[d, "code"], n[d, "test"] | "sort"; close("sort"); \
 		printf "%-10s %7d %7d\n", "total", n["total", "code"], n["total", "test"] }'
 
-check: build vet fmt-check test race bench-check bench-vec tables-check proc-chaos overload-smoke session-smoke cache-smoke plan-smoke
+check: build vet fmt-check test race bench-check bench-vec tables-check proc-chaos overload-smoke session-smoke cache-smoke plan-smoke trace-smoke metrics-smoke

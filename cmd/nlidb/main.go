@@ -6,14 +6,11 @@
 //	nlidb [-domain sales] [-engine athena] [-chat] [-seed N]
 //	      [-timeout 5s] [-fallback parse,pattern,keyword] [-csv a.csv,b.csv]
 //	      [-explain] [-metrics-addr 127.0.0.1:9090] [-slowlog 250ms]
-//	      [-cache 1024] [-cache-ttl 0] [-parallel 8] [-plan-cache 256]
+//	      [-cache 1024] [-parallel 8] [-plan-cache 256]
 //	      [-serve 127.0.0.1:8080] [-drain-timeout 10s] [-max-inflight N]
-//	      [-rate-limit R] [-shards N] [-replicas R] [-breaker-jitter D]
+//	      [-rate-limit R] [-shards N] [-replicas R]
 //	      [-remote-shards spawn:N|endpoints] [-join S@E] [-health-sql Q]
-//	      [-session-ttl D] [-session-max N] [-session-mem BYTES]
-//	      [-session-cache N] [-session-rate R]
-//	      [-trace-sample P] [-trace-retain N] [-slo-latency D]
-//	      [-slo-latency-objective P] [-slo-availability-objective P]
+//	      [-session-ttl D] [-session-rate R] [-trace-sample P]
 //	      ["one-shot question" | "q1; q2; q3"]
 //
 // Engines: keyword, pattern, parse, athena (default). With -chat the
@@ -37,13 +34,13 @@
 // the acceptance demo: nlidb -explain "customers in Berlin".
 //
 // Scaling & caching: every question is served through a sharded answer
-// cache (-cache sets the capacity in entries, 0 disables; -cache-ttl
-// expires entries, 0 keeps them until evicted or the data changes — the
-// cache key includes a database fingerprint, so inserts invalidate
-// implicitly). A one-shot argument may pack several questions separated
-// by ';'; with -parallel N they are served through the gateway's worker
-// pool, sharing the cache, so repeats hit. Cached answers are marked in
-// the provenance line and carry cached=true in the -explain trace.
+// cache (-cache sets the capacity in entries, 0 disables; entries stay
+// until evicted or the data changes — the cache key includes a database
+// fingerprint, so inserts invalidate implicitly). A one-shot argument may
+// pack several questions separated by ';'; with -parallel N they are
+// served through the gateway's worker pool, sharing the cache, so repeats
+// hit. Cached answers are marked in the provenance line and carry
+// cached=true in the -explain trace.
 //
 // Serving: -serve exposes the gateway over HTTP (POST /query, POST
 // /batch, plus the /metrics debug suite on the same port) behind the
@@ -59,24 +56,24 @@
 // session, POST /session/ask resolves turns — follow-ups like "only
 // those with credit over 20000" and "how many are there" — against the
 // session's tracked context, DELETE /session ends it. Sessions live in
-// a sharded store with a sliding -session-ttl, a -session-max cap, and
-// a -session-mem byte budget (least-recently-used conversations are
-// evicted under pressure and answer 410 Gone afterwards); repeated
-// turns are answered from a context-keyed cache (-session-cache), and
-// -session-rate adds a per-session token bucket on top of the
-// per-client -rate-limit. Turn execution flows through the same serving
-// backend as /query, so conversations inherit its caching, tracing, and
-// fault tolerance.
+// a sharded store with a sliding -session-ttl, a 65,536-session cap and
+// a 64 MiB budget (least-recently-used conversations are evicted under
+// pressure and answer 410 Gone afterwards); repeated turns are answered
+// from a 4,096-entry context-keyed cache, and -session-rate adds a
+// per-session token bucket on top of the per-client -rate-limit. Turn
+// execution flows through the same serving backend as /query, so
+// conversations inherit its caching, tracing, and fault tolerance.
 //
 // Fleet observability (serve mode): every question is traced end-to-end
 // — interpretation at the coordinator, classify/route, per-replica
 // attempts with hedge/retry/breaker annotations, each replica's
 // parse/plan/execute, merge — and tail-sampled into the
 // /trace exemplar store (slow, failed, and partial queries always
-// retained; healthy ones at -trace-sample under the -trace-retain span
-// budget). /fleet reports per-shard/per-replica health rollups, and /slo
-// serves multi-window (5m/1h/6h/3d) burn rates against the -slo-latency
-// and availability objectives; both also ride the /metrics scrape.
+// retained; healthy ones at -trace-sample under a 16,384-span budget).
+// /fleet reports per-shard/per-replica health rollups, and /slo serves
+// multi-window (5m/1h/6h/3d) burn rates against a 500 ms latency
+// objective met by 99% of requests and a 99.9% availability objective;
+// both also ride the /metrics scrape.
 //
 // Fault tolerance: -shards N partitions the data across N in-process
 // shards (foreign-key co-located) with -replicas R SQL executors each,
@@ -86,9 +83,8 @@
 // full database's vocabulary; shards only ever execute the SQL that
 // produced. Cross-shard questions run scatter-gather and degrade to explicit
 // partial answers when a shard has no healthy replica (see DESIGN.md's
-// failure-modes matrix). Circuit-breaker half-open probes are jittered by
-// default to avoid synchronized retry storms; -breaker-jitter 0 opts out,
-// a positive value overrides the auto default (cooldown/8).
+// failure-modes matrix). Circuit-breaker half-open probes are jittered
+// (by up to cooldown/8) to avoid synchronized retry storms.
 //
 // Out-of-process shards (serve mode): -remote-shards spawn:N forks N×R
 // real child processes of this binary — each importing its CSV partition
@@ -157,7 +153,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof and /slowlog on this address")
 	slowlog := flag.Duration("slowlog", 250*time.Millisecond, "slow-query log threshold (0 disables the log)")
 	cacheSize := flag.Int("cache", 1024, "answer-cache capacity in entries (0 disables caching)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "answer-cache entry lifetime (0 = until evicted or data changes)")
 	parallel := flag.Int("parallel", 0, "worker-pool size for ';'-separated one-shot questions (0 = serial)")
 	planCacheSize := flag.Int("plan-cache", 256, "physical-plan cache capacity in entries (0 disables)")
 	serveAddr := flag.String("serve", "", "serve POST /query and /batch over HTTP on this address (e.g. 127.0.0.1:8080) instead of the REPL")
@@ -165,21 +160,13 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "admission concurrency ceiling in serve mode (0 = 2×GOMAXPROCS)")
 	rateLimit := flag.Float64("rate-limit", 0, "per-client request rate limit in req/s in serve mode (0 disables)")
 	sessionTTL := flag.Duration("session-ttl", 15*time.Minute, "idle lifetime of a conversational session in serve mode (sliding; expired sessions answer 410 Gone)")
-	sessionMax := flag.Int("session-max", 65536, "maximum live conversational sessions in serve mode (least-recently-used evicted beyond)")
-	sessionMem := flag.Int64("session-mem", 64<<20, "memory budget in bytes for live session state in serve mode (least-recently-used evicted over budget)")
-	sessionCache := flag.Int("session-cache", 4096, "context-keyed turn cache capacity in entries (0 disables)")
 	sessionRate := flag.Float64("session-rate", 0, "per-session turn rate limit in req/s in serve mode (0 disables)")
 	shards := flag.Int("shards", 0, "partition the data across N replicated engine shards in serve mode (0/1 = unsharded)")
 	replicas := flag.Int("replicas", 2, "replicas per shard when -shards is set")
 	remoteShards := flag.String("remote-shards", "", "serve through out-of-process shard nodes: \"spawn:N\" supervises N×replicas child processes, or list endpoints \"host:p1,host:p2;host:p3,host:p4\" (';' between shards, ',' between replicas)")
 	join := flag.String("join", "", "run as a shard node joined at SHARD@EPOCH (set by the supervisor; refuses requests stamped with a different shard-map epoch)")
 	healthSQL := flag.String("health-sql", "", "deep /healthz probe statement in serve mode (default: SELECT COUNT(*) over the first table; \"none\" disables the deep probe)")
-	breakerJitter := flag.Duration("breaker-jitter", -1, "max random delay added to circuit-breaker half-open probes (-1 = auto: cooldown/8, 0 disables)")
 	traceSample := flag.Float64("trace-sample", 0.01, "probability of retaining a healthy fast query's trace as an exemplar (slow/failed/partial traces are always retained; 1 keeps everything)")
-	traceRetain := flag.Int("trace-retain", 16384, "retained-trace memory budget in spans for the /trace exemplar store")
-	sloLatency := flag.Duration("slo-latency", 500*time.Millisecond, "latency SLO: per-request objective served on /slo and /metrics")
-	sloLatencyObjective := flag.Float64("slo-latency-objective", 0.99, "target fraction of requests within -slo-latency")
-	sloAvailObjective := flag.Float64("slo-availability-objective", 0.999, "target fraction of fully-available answers (partial answers and shard-down refusals count against this)")
 	flag.Parse()
 
 	var d *benchdata.Domain
@@ -247,7 +234,7 @@ func main() {
 	}
 	var cache *qcache.Cache
 	if *cacheSize > 0 {
-		cache = qcache.New(qcache.Config{MaxEntries: *cacheSize, TTL: *cacheTTL, Metrics: reg})
+		cache = qcache.New(qcache.Config{MaxEntries: *cacheSize, Metrics: reg})
 	}
 	var planCache *qcache.Cache
 	if *planCacheSize > 0 {
@@ -255,20 +242,15 @@ func main() {
 		// families with the answer cache and double-count.
 		planCache = qcache.New(qcache.Config{MaxEntries: *planCacheSize})
 	}
-	// Half-open probe jitter is on by default: breakers that tripped
-	// together must not all retry the recovering engine at the same
-	// instant. -breaker-jitter 0 opts out; any positive value overrides.
-	jitter := *breakerJitter
-	if jitter < 0 {
-		jitter = resilient.DefaultBreakerJitter(0)
-	}
+	// Half-open probes are jittered: breakers that tripped together must
+	// not all retry the recovering engine at the same instant.
+	jitter := resilient.DefaultBreakerJitter(0)
 	// The exemplar trace store backs GET /trace: slow/failed/partial
 	// queries are always retained, healthy fast ones tail-sampled at
-	// -trace-sample, all under the -trace-retain span budget.
+	// -trace-sample, all under the default span budget.
 	traces := obs.NewTraceStore(obs.TraceStoreConfig{
 		SlowThreshold: *slowlog,
 		SampleRate:    *traceSample,
-		MaxSpans:      *traceRetain,
 	})
 	gw := resilient.New(d.DB, chain, resilient.Config{
 		Timeout: *timeout, Metrics: reg, SlowLog: slow, Traces: traces,
@@ -276,11 +258,7 @@ func main() {
 		BreakerJitter: jitter,
 	})
 	if *serveAddr != "" {
-		slo := obs.NewSLO(obs.SLOConfig{
-			Latency:               *sloLatency,
-			LatencyObjective:      *sloLatencyObjective,
-			AvailabilityObjective: *sloAvailObjective,
-		})
+		slo := obs.NewSLO(obs.SLOConfig{})
 		obsOpts := []obs.HandlerOption{
 			obs.WithPage("/slo", slo.Handler()),
 			obs.WithPage("/trace", traces.Handler()),
@@ -302,7 +280,6 @@ func main() {
 			// The flag convention is 0 = off; the cluster's is negative =
 			// off, 0 = default capacity.
 			CacheSize:     disabledIfZero(*cacheSize),
-			CacheTTL:      *cacheTTL,
 			PlanCacheSize: disabledIfZero(*planCacheSize),
 			Metrics:       reg,
 			SlowLog:       slow,
@@ -356,17 +333,13 @@ func main() {
 				onEvict = func(id, _ string) { sessionRL.Forget(id) }
 			}
 			sessions, err = session.New(session.Config{
-				Responder:    dialogue.NewAgent(d.DB, primary, ix, sessExec),
-				DB:           d.DB,
-				TTL:          *sessionTTL,
-				MaxSessions:  *sessionMax,
-				MemoryBudget: *sessionMem,
-				CacheSize:    disabledIfZero(*sessionCache),
-				CacheTTL:     *cacheTTL,
-				Metrics:      reg,
-				SlowLog:      slow,
-				Traces:       traces,
-				OnEvict:      onEvict,
+				Responder: dialogue.NewAgent(d.DB, primary, ix, sessExec),
+				DB:        d.DB,
+				TTL:       *sessionTTL,
+				Metrics:   reg,
+				SlowLog:   slow,
+				Traces:    traces,
+				OnEvict:   onEvict,
 			})
 			if err != nil {
 				fatalf("%v", err)

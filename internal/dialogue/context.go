@@ -24,9 +24,6 @@ type Context struct {
 	Anchor string
 	// Turns counts resolved turns.
 	Turns int
-	// Pending holds the ranked interpretations of the last full query so
-	// an agent can fall back to a lower-ranked hypothesis.
-	Pending []nlq.Interpretation
 }
 
 // Fingerprint hashes the context state that determines how an utterance

@@ -227,7 +227,7 @@ func TestManagerResets(t *testing.T) {
 		t.Fatal(err)
 	}
 	agent.Reset()
-	if agent.ctx.LastSQL != nil || agent.ctx.Pending != nil {
+	if agent.ctx.LastSQL != nil {
 		t.Error("agent reset did not clear state")
 	}
 }

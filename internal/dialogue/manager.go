@@ -356,6 +356,5 @@ func (a *Agent) RespondWith(ctx context.Context, conv *Context, utterance string
 		}
 	}
 	best, _ := nlq.Best(ins)
-	conv.Pending = ins
 	return finishTurn(ctx, a.exec, conv, best.SQL, false)
 }

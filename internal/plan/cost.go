@@ -8,13 +8,13 @@ import (
 // The cost model estimates per-operator output cardinalities from the
 // per-column statistics sqldata maintains alongside the columnar cache
 // (row counts, null fractions, NDV, min/max, equi-width histograms).
-// Estimates drive three planner decisions — the order pushed-down scan
-// predicates are applied in, the build/probe side of each vectorized
-// hash join, and the join execution order for reorderable aggregate
-// queries — and are surfaced next to actual row counts by EXPLAIN
-// ANALYZE. They never change result semantics: every consumer is gated
-// on a static proof that the reordering it enables is observationally
-// equivalent.
+// Estimates drive two planner decisions — the order pushed-down scan
+// predicates are applied in and the build/probe side of each vectorized
+// hash join — and are surfaced next to actual row counts by EXPLAIN
+// ANALYZE. They never change results or budget metering: pushed-down
+// predicates are statically safe, so their order is unobservable, and
+// either build side emits the same left-major pairs and charges the same
+// join rows. Joins always run in the order the statement writes them.
 
 // defaultSel is the selectivity assumed for predicates the model cannot
 // analyze (LIKE over arbitrary text, correlated terms, ...).

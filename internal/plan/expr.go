@@ -514,8 +514,8 @@ func evalAggregate(st *execState, fr *frame, f *bAgg) (sqldata.Value, error) {
 // accumulator. SUM over int64 columns uses it so overflow of the int64
 // range is detected exactly rather than wrapping silently — and since
 // 128-bit integer addition is associative, the total is independent of
-// accumulation order, which the vectorized executor's join reordering
-// depends on.
+// accumulation order, which lets a fused join merge per-key partial sums
+// (vfuse.merge).
 func add128(hi, lo uint64, v int64) (uint64, uint64) {
 	vhi := uint64(v >> 63) // arithmetic shift: sign extension
 	nlo, carry := bits.Add64(lo, uint64(v), 0)

@@ -265,29 +265,18 @@ func FuzzPlanExec(f *testing.F) {
 		}
 		if p.Vectorized() {
 			// Second differential axis: the vectorized executor against
-			// the row executor on the identical statement. When the
-			// optimizer kept the syntactic join order, results AND
-			// budget metering must agree exactly; a reordered join tree
-			// legitimately changes intermediate join cardinalities, so
-			// there only the (order-preserving) results are compared.
-			reordered := false
-			for i, k := range p.vec.order {
-				if k != i {
-					reordered = true
-				}
-			}
+			// the row executor on the identical statement. Both join in
+			// the written order, so results AND budget metering must
+			// agree exactly.
 			rRes, ru, rErr := mustPrepareRow(t, db, sql).Run(ctx, fuzzBudget())
 			if rErr != nil {
-				if reordered {
-					return // e.g. the syntactic order tripped a budget the chosen order avoids
-				}
 				t.Fatalf("row executor failed where vectorized succeeded for %q: %v", sql, rErr)
 			}
 			if !sameResult(rRes, pRes) {
 				t.Fatalf("vectorized mismatch for %q:\nrow: cols=%v rows=%v\nvec: cols=%v rows=%v",
 					sql, rRes.Columns, rRes.Rows, pRes.Columns, pRes.Rows)
 			}
-			if !reordered && ru != pu {
+			if ru != pu {
 				t.Fatalf("usage mismatch for %q: row %+v vec %+v", sql, ru, pu)
 			}
 		}

@@ -565,7 +565,7 @@ func (r *vrun) aggregateThrough(j *vjoinStep, sp *obs.Span, lctx *vctx, rsel []i
 	r.groupSpan(gsp, outN, ngroups)
 	accumulate()
 	r.ws = r.joined(lrep[:ng], rrep[:ng], rtab, false)
-	r.placed[rtab] = true
+	r.placed = rtab + 1
 	rep := r.a.i32.raw(int(ng))
 	for i := range rep {
 		rep[i] = int32(i)

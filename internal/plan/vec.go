@@ -36,11 +36,6 @@ type vplan struct {
 	resid    []bexpr
 	residNid int
 
-	// order is the execution order of joins (indices into joins). It
-	// differs from 0..n-1 only for reorderable aggregate queries, where
-	// the cost model greedily picks the cheapest executable join first.
-	order []int
-
 	// vecEmit marks plans whose projection and sort keys all compile to
 	// vector kernels; otherwise the emit loop boxes one frame per tuple.
 	vecEmit bool
@@ -49,8 +44,8 @@ type vplan struct {
 	// HAVING, and ORDER BY of a grouped plan, in collection order.
 	aggs []*bAgg
 
-	// fuse is set when the grouped plan's last join (in order) may
-	// aggregate as it probes instead of materializing its output.
+	// fuse is set when the grouped plan's last join may aggregate as it
+	// probes instead of materializing its output.
 	fuse *vfuse
 }
 
@@ -113,11 +108,10 @@ type vjoinStep struct {
 	// working set and looks the right rows' keys up, instead of the
 	// reverse. Candidates are counted and filled per left tuple either
 	// way, so output order stays left-major.
-	buildLeft  bool
-	lKeys      []bexpr // statement-tuple offsets
-	rKeys      []bexpr // right-table-local offsets
-	residual   []bexpr // statement-tuple offsets over the combined row
-	leftEstIdx int     // nid of the left input, for explain/debugging
+	buildLeft bool
+	lKeys     []bexpr // statement-tuple offsets
+	rKeys     []bexpr // right-table-local offsets
+	residual  []bexpr // statement-tuple offsets over the combined row
 }
 
 // vecExpr reports whether the vector kernels can evaluate e with
@@ -207,14 +201,13 @@ func compileVec(p *Plan) *vplan {
 			return nil
 		}
 		step := vjoinStep{
-			nid:        j.nid,
-			right:      right,
-			leftJoin:   j.typ == sqlparse.JoinLeft,
-			span:       j.span,
-			lKeys:      j.lKeys,
-			rKeys:      j.rKeys,
-			residual:   j.residual,
-			leftEstIdx: leftNid,
+			nid:      j.nid,
+			right:    right,
+			leftJoin: j.typ == sqlparse.JoinLeft,
+			span:     j.span,
+			lKeys:    j.lKeys,
+			rKeys:    j.rKeys,
+			residual: j.residual,
 		}
 		if p.est != nil {
 			// Build on the smaller estimated side; the 2x margin keeps
@@ -272,13 +265,6 @@ func compileVec(p *Plan) *vplan {
 		}
 	}
 
-	v.order = make([]int, len(v.joins))
-	for i := range v.order {
-		v.order[i] = i
-	}
-	if len(v.joins) >= 2 && reorderable(p, v) {
-		v.order = greedyJoinOrder(p, v)
-	}
 	v.fuse = compileFuse(p, v)
 	return v
 }
@@ -289,7 +275,7 @@ func compileFuse(p *Plan, v *vplan) *vfuse {
 	if !p.grouped || len(v.joins) == 0 || v.residNid >= 0 {
 		return nil
 	}
-	j := &v.joins[v.order[len(v.order)-1]]
+	j := &v.joins[len(v.joins)-1]
 	if j.leftJoin || len(j.lKeys) != 1 || len(j.residual) > 0 {
 		return nil
 	}
@@ -429,82 +415,6 @@ func vecAggOK(a *bAgg) bool {
 	return true
 }
 
-// reorderable gates join reordering on observational equivalence: the
-// statement must reduce to a single global group whose every output is
-// order-insensitive — exact aggregates (COUNT, MIN/MAX over non-float,
-// 128-bit integer SUM) combined by pure scalar operators — with no bare
-// column references, stars, or LEFT joins. Floating-point SUM/AVG
-// accumulate in tuple order and MIN/MAX over floats can surface -0 vs 0,
-// so they block reordering.
-func reorderable(p *Plan, v *vplan) bool {
-	if !p.grouped || len(p.groupKeys) != 0 {
-		return false
-	}
-	for _, j := range v.joins {
-		if j.leftJoin {
-			return false
-		}
-	}
-	for _, it := range p.items {
-		if it.star || !orderFree(it.expr) {
-			return false
-		}
-	}
-	if p.having != nil && !orderFree(p.having) {
-		return false
-	}
-	for _, o := range p.orderBy {
-		if !orderFree(o.key) {
-			return false
-		}
-	}
-	return true
-}
-
-// orderFree reports whether e's value is independent of the working
-// set's tuple order.
-func orderFree(e bexpr) bool {
-	switch t := e.(type) {
-	case *bLit:
-		return true
-	case *bAlias:
-		return true // aliases an item that is itself checked
-	case *bAgg:
-		return exactAgg(t)
-	case *bBinary:
-		return orderFree(t.l) && orderFree(t.r)
-	case *bUnary:
-		return orderFree(t.x)
-	case *bFunc:
-		for _, a := range t.args {
-			if !orderFree(a) {
-				return false
-			}
-		}
-		return true
-	case *bIn:
-		if t.sub != nil {
-			return false
-		}
-		if !orderFree(t.x) {
-			return false
-		}
-		for _, el := range t.list {
-			if !orderFree(el) {
-				return false
-			}
-		}
-		return true
-	case *bBetween:
-		return orderFree(t.x) && orderFree(t.lo) && orderFree(t.hi)
-	case *bLike:
-		return orderFree(t.x)
-	case *bIsNull:
-		return orderFree(t.x)
-	}
-	return false
-}
-
 // exactAgg reports whether the aggregate's result is independent of
 // accumulation order.
 func exactAgg(a *bAgg) bool {
@@ -520,84 +430,6 @@ func exactAgg(a *bAgg) bool {
 		return st.safe && (st.null || (st.known && st.t == sqldata.TypeInt))
 	}
 	return false
-}
-
-// greedyJoinOrder picks, at each step, the executable join minimizing the
-// estimated size of the accumulated working set. A join is executable
-// once every table its keys and residual reference has been placed. The
-// original order is always a valid completion (join k references tables
-// 0..k+1 only), so the greedy loop cannot strand a join.
-func greedyJoinOrder(p *Plan, v *vplan) []int {
-	m := len(v.joins)
-	req := make([][]int, m)
-	for k := range v.joins {
-		j := &v.joins[k]
-		var info exprInfo
-		for _, e := range j.lKeys {
-			inspect(e, &info)
-		}
-		for _, e := range j.residual {
-			inspect(e, &info)
-		}
-		seen := map[int]bool{}
-		for _, off := range info.offs {
-			seen[p.tableAtOff(off)] = true
-		}
-		for t := range seen {
-			req[k] = append(req[k], t)
-		}
-	}
-
-	sel := make([]float64, m) // per-join selectivity from the static estimates
-	for k := range v.joins {
-		j := &v.joins[k]
-		l, r, out := float64(p.est[j.leftEstIdx]), float64(p.est[j.right.nid]), float64(p.est[j.nid])
-		if l > 0 && r > 0 {
-			sel[k] = out / (l * r)
-		} else {
-			sel[k] = 1
-		}
-	}
-
-	placed := make([]bool, len(p.tabs))
-	placed[0] = true
-	used := make([]bool, m)
-	cur := float64(p.est[v.scan0.nid])
-	order := make([]int, 0, m)
-	for len(order) < m {
-		best, bestCost := -1, 0.0
-		for k := 0; k < m; k++ {
-			if used[k] {
-				continue
-			}
-			ok := true
-			for _, t := range req[k] {
-				if t != k+1 && !placed[t] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			cost := cur * float64(p.est[v.joins[k].right.nid]) * sel[k]
-			if best < 0 || cost < bestCost {
-				best, bestCost = k, cost
-			}
-		}
-		if best < 0 {
-			// Defensive: fall back to source order.
-			for i := range v.order {
-				v.order[i] = i
-			}
-			return v.order
-		}
-		order = append(order, best)
-		used[best] = true
-		placed[best+1] = true
-		cur = bestCost
-	}
-	return order
 }
 
 // tableAtOff maps a statement tuple offset to its FROM table index.

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -234,6 +235,65 @@ func TestVecBudgetParity(t *testing.T) {
 		if vb.Resource != rb.Resource {
 			t.Errorf("%q: budget resource mismatch vec=%s row=%s", tc.sql, vb.Resource, rb.Resource)
 		}
+	}
+}
+
+// TestVecWrittenJoinOrder runs a global aggregate over a three-table chain
+// whose last join is by far the most selective (c keeps one row), so
+// joining c first would charge 21 join rows where the written order
+// charges 420. Both executors must join in the written order: the same
+// rows, the same Usage, and under a join budget between the two figures
+// the same refusal.
+func TestVecWrittenJoinOrder(t *testing.T) {
+	db := sqldata.NewDatabase("chain")
+	mk := func(name string, cols ...string) *sqldata.Table {
+		s := &sqldata.Schema{Name: name}
+		for _, c := range cols {
+			s.Columns = append(s.Columns, sqldata.Column{Name: c, Type: sqldata.TypeInt})
+		}
+		tab, err := db.CreateTable(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	a, b, c := mk("a", "x", "y"), mk("b", "x"), mk("c", "y", "flag")
+	for i := int64(0); i < 20; i++ {
+		a.MustInsert(sqldata.NewInt(i%2), sqldata.NewInt(i))
+		c.MustInsert(sqldata.NewInt(i), sqldata.NewInt(int64(b2i(i == 7))))
+	}
+	for i := int64(0); i < 40; i++ {
+		b.MustInsert(sqldata.NewInt(i % 2))
+	}
+	const sql = "SELECT COUNT(*) FROM a JOIN b ON a.x = b.x JOIN c ON a.y = c.y WHERE c.flag = 1"
+	ctx := context.Background()
+	vp := mustPrepare(t, db, sql)
+	if !vp.Vectorized() {
+		t.Fatalf("expected vectorized plan for %q", sql)
+	}
+	rp := mustPrepareRow(t, db, sql)
+
+	vRes, vu, vErr := vp.Run(ctx, DefaultBudget())
+	rRes, ru, rErr := rp.Run(ctx, DefaultBudget())
+	if vErr != nil || rErr != nil {
+		t.Fatalf("vec err %v, row err %v", vErr, rErr)
+	}
+	if !sameResult(vRes, rRes) || len(vRes.Rows) != 1 || vRes.Rows[0][0].Int() != 20 {
+		t.Fatalf("rows differ or wrong: vec %v row %v, want [[20]]", vRes.Rows, rRes.Rows)
+	}
+	if vu != ru || vu.JoinRows != 420 {
+		t.Fatalf("usage vec %+v row %+v, want equal with 420 join rows", vu, ru)
+	}
+
+	b100 := Budget{MaxJoinRows: 100}
+	_, _, vErr = vp.Run(ctx, b100)
+	_, _, rErr = rp.Run(ctx, b100)
+	var vb, rb *BudgetError
+	if !errors.As(vErr, &vb) || !errors.As(rErr, &rb) || *vb != *rb {
+		t.Fatalf("under %+v: vec %v, row %v; want the same budget refusal", b100, vErr, rErr)
+	}
+	if vb.Resource != "join rows" || vb.Limit != 100 {
+		t.Fatalf("refusal %v, want join rows limit 100", vb)
 	}
 }
 

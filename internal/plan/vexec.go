@@ -598,7 +598,7 @@ type vrun struct {
 	a      *arena
 	cols   [][]*sqldata.ColumnVector
 	nrows  []int
-	placed []bool
+	placed int    // FROM tables 0..placed-1 are in the working set
 	padded []bool // table joined as the right side of a LEFT JOIN
 	ws     wset
 	groups grouping // a grouped plan's, once aggregated
@@ -625,7 +625,6 @@ func (p *Plan) runVec(env *execEnv) (*sqldata.Result, error) {
 		p: p, v: v, env: env, st: env.st, a: getArena(),
 		cols:   make([][]*sqldata.ColumnVector, len(p.tabs)),
 		nrows:  make([]int, len(p.tabs)),
-		placed: make([]bool, len(p.tabs)),
 		padded: make([]bool, len(p.tabs)),
 	}
 	defer r.a.release()
@@ -644,11 +643,11 @@ func (p *Plan) runVec(env *execEnv) (*sqldata.Result, error) {
 	env.setStat(v.scan0.nid, n0)
 	r.ws = wset{n: n0, idx: make([][]int32, len(p.tabs))}
 	r.ws.idx[v.scan0.tabIdx] = sel
-	r.placed[v.scan0.tabIdx] = true
+	r.placed = 1
 
 	fused := false // the last join aggregated as it probed
-	for i, k := range v.order {
-		if fused, err = r.joinStep(&v.joins[k], v.fuse != nil && i == len(v.order)-1); err != nil {
+	for k := range v.joins {
+		if fused, err = r.joinStep(&v.joins[k], v.fuse != nil && k == len(v.joins)-1); err != nil {
 			return nil, err
 		}
 	}
@@ -775,7 +774,7 @@ func (r *vrun) compact(keep []bool) {
 	out := make([][]int32, len(r.ws.idx))
 	kept := 0
 	for t := range r.ws.idx {
-		if r.placed[t] {
+		if t < r.placed {
 			out[t] = r.selectKept(r.ws.idx[t], keep)
 			kept = len(out[t])
 		}
@@ -998,7 +997,7 @@ func (r *vrun) joinStep(j *vjoinStep, fuse bool) (bool, error) {
 	r.env.setStat(j.nid, outN)
 
 	r.ws = r.joined(outL, outR, rtab, oneEach)
-	r.placed[rtab] = true
+	r.placed = rtab + 1
 	r.padded[rtab] = j.leftJoin
 	return false, r.st.checkCtx()
 }
@@ -1022,7 +1021,7 @@ func (r *vrun) restrict(l []int32) wset {
 	out := wset{n: len(l), idx: make([][]int32, len(r.ws.idx))}
 	for t, idx := range r.ws.idx {
 		switch {
-		case !r.placed[t]:
+		case t >= r.placed:
 		case idx == nil:
 			out.idx[t] = l
 		default:

@@ -502,13 +502,16 @@ type request struct {
 	start   time.Time
 	trace   *obs.QueryTrace // nil under NoTrace
 	routing *Routing        // nil unless the gateway executes over a fleet
+	// nested marks a request run inside a caller's local trace (a session
+	// turn, say): the caller offers the trace and writes the slow log.
+	nested bool
 }
 
 // begin opens one request: the Config.Timeout deadline, the trace root
 // labelled with the question or statement, and — over a fleet — the
 // Routing record the executor reports into.
 func (g *Gateway) begin(ctx context.Context, label string) (context.Context, context.CancelFunc, request) {
-	req := request{start: time.Now()}
+	req := request{start: time.Now(), nested: obs.FromContext(ctx) != nil}
 	cancel := context.CancelFunc(func() {})
 	if g.cfg.Timeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, g.cfg.Timeout)
@@ -781,7 +784,8 @@ func outcomeOf(err error) string {
 // attributes, offers the trace for retention, records query counters and
 // latency, feeds the slow-query log — once, here, with the executor's
 // routing attribution when there is one — and stamps the answer with its
-// timing and trace.
+// timing and trace. A nested request neither offers its trace nor feeds
+// the slow log: the enclosing request records it once.
 func (g *Gateway) finish(req request, question string, ans *Answer, err error) {
 	elapsed := time.Since(req.start)
 	outcome := outcomeOf(err)
@@ -823,7 +827,9 @@ func (g *Gateway) finish(req request, question string, ans *Answer, err error) {
 			root.SetAttr("breakers", strings.Join(states, ","))
 		}
 		root.End()
-		g.cfg.Traces.Offer(trace, outcome, elapsed, entry.Partial)
+		if !req.nested {
+			g.cfg.Traces.Offer(trace, outcome, elapsed, entry.Partial)
+		}
 		entry.Trace, entry.TraceID = trace, trace.ID
 		entry.DroppedSpans = trace.DroppedTotal()
 	}
@@ -831,7 +837,7 @@ func (g *Gateway) finish(req request, question string, ans *Answer, err error) {
 		m.Counter(MetricQueries, "engine", engine, "outcome", outcome).Inc()
 		m.Histogram(MetricQuerySeconds, "engine", engine).Observe(elapsed.Seconds())
 	}
-	if g.cfg.SlowLog.Observe(entry) {
+	if !req.nested && g.cfg.SlowLog.Observe(entry) {
 		if m := g.cfg.Metrics; m != nil {
 			m.Counter(MetricSlowQueries).Inc()
 		}

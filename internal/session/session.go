@@ -103,8 +103,6 @@ type Config struct {
 	// CacheSize is the turn cache's entry cap (default 4096; negative
 	// disables the cache).
 	CacheSize int
-	// CacheTTL bounds turn-cache entry lifetime (0 = forever).
-	CacheTTL time.Duration
 	// Metrics, when non-nil, receives the nlidb_session_* families.
 	Metrics *obs.Registry
 	// SlowLog, when non-nil, records slow turns tagged with the session ID.
@@ -246,7 +244,7 @@ func New(cfg Config) (*Store, error) {
 		// — and it publishes no nlidb_cache_* families of its own, to keep
 		// the gateway cache's counters meaningful. Session-level counters
 		// below cover it.
-		s.cache = qcache.New(qcache.Config{MaxEntries: size, TTL: cfg.CacheTTL, Now: cfg.Now})
+		s.cache = qcache.New(qcache.Config{MaxEntries: size})
 	}
 	if m := cfg.Metrics; m != nil {
 		m.Gauge(MetricLive).Set(0)

@@ -334,6 +334,43 @@ func TestSessionMetricsPublished(t *testing.T) {
 	}
 }
 
+// TestTurnRecordedOnce serves one turn through a gateway that shares the
+// store's slow log and trace store: the gateway's request runs inside the
+// turn's trace, so the turn alone writes the slow log (tagged with the
+// session) and offers the trace.
+func TestTurnRecordedOnce(t *testing.T) {
+	slow := obs.NewSlowLog(0, 16)
+	traces := obs.NewTraceStore(obs.TraceStoreConfig{})
+	d := benchdata.Sales(60)
+	lex := lexicon.New()
+	ix := invindex.Build(d.DB, lex)
+	exec := resilient.New(d.DB, nil, resilient.Config{SlowLog: slow, Traces: traces})
+	s, err := New(Config{
+		Responder: dialogue.NewAgent(d.DB, athena.New(d.DB, ix, lex), ix, exec),
+		DB:        d.DB,
+		SlowLog:   slow,
+		Traces:    traces,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := s.Create()
+	if _, err := s.Ask(context.Background(), id, "show customers with city Berlin"); err != nil {
+		t.Fatal(err)
+	}
+	entries := slow.Entries()
+	if len(entries) != 1 || entries[0].Session != id {
+		var got []string
+		for _, e := range entries {
+			got = append(got, fmt.Sprintf("%s engine=%s session=%q", e.Question, e.Engine, e.Session))
+		}
+		t.Fatalf("slow log entries %q, want one tagged with session %s", got, id)
+	}
+	if got := traces.Stats().Offered; got != 1 {
+		t.Fatalf("traces offered %d, want 1", got)
+	}
+}
+
 // TestConcurrentSessions interleaves thousands of turns across many live
 // conversations under the race detector: creates, turns, follow-ups,
 // expiries, and explicit ends all proceed in parallel over one shared

@@ -72,8 +72,6 @@ type Config struct {
 	// CacheSize bounds the fleet-wide answer cache (default 4096;
 	// negative disables caching). Partial answers are never cached.
 	CacheSize int
-	// CacheTTL expires cached answers (0 = forever).
-	CacheTTL time.Duration
 	// PlanCacheSize bounds each replica's plan cache (default 256;
 	// negative disables). Plan caches are strictly per-replica: plans
 	// bind to one partition's tables and must never cross shards.
@@ -244,7 +242,7 @@ func newCluster(db *sqldata.Database, n int, cfg Config, nodeFor func(s, r int, 
 	front.PlanCache = nil // the coordinator binds; replicas plan and cache
 	front.Cache = nil
 	if cfg.CacheSize >= 0 {
-		front.Cache = qcache.New(qcache.Config{MaxEntries: cfg.CacheSize, TTL: cfg.CacheTTL, Metrics: cfg.Metrics})
+		front.Cache = qcache.New(qcache.Config{MaxEntries: cfg.CacheSize, Metrics: cfg.Metrics})
 	}
 	c.front = resilient.NewOver(db, cfg.Chain, front, router{c})
 
