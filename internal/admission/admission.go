@@ -27,9 +27,9 @@ import (
 	"nlidb/internal/obs"
 )
 
-// Metric family names the controller publishes when Config.Metrics is
-// set. Documented in the README's Overload protection section and
-// asserted by `make overload-smoke`.
+// Metric family names the controller publishes. Documented in the
+// README's Overload protection section and asserted by
+// `make overload-smoke`.
 const (
 	// MetricInFlight gauges the number of currently admitted requests.
 	MetricInFlight = "nlidb_admission_inflight"
@@ -127,13 +127,16 @@ type Config struct {
 	Window time.Duration
 	// Now is the clock, injectable for tests (default time.Now).
 	Now func() time.Time
-	// Metrics, when non-nil, receives the controller's gauges, counters,
-	// and queue-delay histograms. Families are pre-registered at New.
+	// Metrics holds the controller's gauges, counters, and queue-delay
+	// histograms; nil means a private registry. The series are resolved
+	// at New, so scrapes see them before the first request.
 	Metrics *obs.Registry
 }
 
 // Stats is a point-in-time view of the controller, for tests and the
-// drain log line.
+// drain log line. Admitted and Shed read the registry series /metrics
+// exports; controllers sharing one registry share those series, and so
+// their counts.
 type Stats struct {
 	// Limit is the current adaptive admit limit.
 	Limit int
@@ -141,9 +144,11 @@ type Stats struct {
 	InFlight int
 	// Queued is the number of waiters per priority class.
 	Queued [2]int
-	// Admitted counts requests admitted since construction.
+	// Admitted counts admitted requests, over both classes.
 	Admitted int64
-	// Shed counts rejections since construction, by reason.
+	// Shed counts the controller's own rejections by reason, listing only
+	// reasons with a non-zero count (the server's rate-limit reasons are
+	// not the controller's and stay out).
 	Shed map[string]int64
 }
 
@@ -179,9 +184,18 @@ type Controller struct {
 	sawQueue    bool
 	minDelay    time.Duration
 
-	admitted int64
-	shed     map[string]int64
+	// Registry handles, resolved at New.
+	inflightG  *obs.Gauge
+	limitG     *obs.Gauge
+	queueDepth [numPriorities]*obs.Gauge
+	queueDelay [numPriorities]*obs.Histogram
+	admitted   [numPriorities]*obs.Counter
+	shed       map[string]*obs.Counter // by shedReasons
 }
+
+// shedReasons are the controller's own rejection reasons; the server adds
+// "rate_limit" to the same family.
+var shedReasons = []string{"queue_full", "deadline", "draining", "canceled"}
 
 // New builds a Controller. Config zero values are filled with defaults.
 func New(cfg Config) *Controller {
@@ -212,22 +226,27 @@ func New(cfg Config) *Controller {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	c := &Controller{cfg: cfg, limit: cfg.MaxInFlight, shed: map[string]int64{}}
-	for i := range c.queues {
-		c.queues[i] = list.New()
+	m := obs.OrNew(cfg.Metrics)
+	c := &Controller{
+		cfg:       cfg,
+		limit:     cfg.MaxInFlight,
+		inflightG: m.Gauge(MetricInFlight),
+		limitG:    m.Gauge(MetricLimit),
+		shed:      map[string]*obs.Counter{},
 	}
-	if m := cfg.Metrics; m != nil {
-		m.Gauge(MetricInFlight).Set(0)
-		m.Gauge(MetricLimit).Set(int64(c.limit))
-		for p := Interactive; p < numPriorities; p++ {
-			m.Gauge(MetricQueueDepth, "class", p.String()).Set(0)
-			m.Histogram(MetricQueueDelay, "class", p.String())
-			m.Counter(MetricAdmitted, "class", p.String())
-		}
-		for _, reason := range []string{"queue_full", "deadline", "draining", "canceled", "rate_limit"} {
-			m.Counter(MetricShed, "reason", reason)
-		}
+	c.inflightG.Set(0)
+	c.limitG.Set(int64(c.limit))
+	for p := Interactive; p < numPriorities; p++ {
+		c.queues[p] = list.New()
+		c.queueDepth[p] = m.Gauge(MetricQueueDepth, "class", p.String())
+		c.queueDepth[p].Set(0)
+		c.queueDelay[p] = m.Histogram(MetricQueueDelay, "class", p.String())
+		c.admitted[p] = m.Counter(MetricAdmitted, "class", p.String())
 	}
+	for _, reason := range shedReasons {
+		c.shed[reason] = m.Counter(MetricShed, "reason", reason)
+	}
+	m.Counter(MetricShed, "reason", "rate_limit") // the server's, visible from the start
 	return c
 }
 
@@ -245,14 +264,16 @@ func (c *Controller) Stats() Stats {
 	s := Stats{
 		Limit:    c.limit,
 		InFlight: c.inflight,
-		Admitted: c.admitted,
-		Shed:     make(map[string]int64, len(c.shed)),
+		Shed:     map[string]int64{},
 	}
-	for i := range c.queues {
-		s.Queued[i] = c.queues[i].Len()
+	for p := Interactive; p < numPriorities; p++ {
+		s.Queued[p] = c.queues[p].Len()
+		s.Admitted += c.admitted[p].Value()
 	}
-	for k, v := range c.shed {
-		s.Shed[k] = v
+	for reason, n := range c.shed {
+		if v := n.Value(); v > 0 {
+			s.Shed[reason] = v
+		}
 	}
 	return s
 }
@@ -299,7 +320,7 @@ func (c *Controller) Acquire(ctx context.Context, class Priority) (release func(
 	now := c.cfg.Now()
 	c.adaptLocked(now)
 	if c.draining {
-		c.shedLocked("draining")
+		c.shed["draining"].Inc()
 		c.mu.Unlock()
 		return nil, ErrDraining
 	}
@@ -317,7 +338,7 @@ func (c *Controller) Acquire(ctx context.Context, class Priority) (release func(
 		max = c.cfg.BatchQueue
 	}
 	if c.queues[class].Len() >= max {
-		c.shedLocked("queue_full")
+		c.shed["queue_full"].Inc()
 		c.mu.Unlock()
 		return nil, ErrQueueFull
 	}
@@ -329,7 +350,7 @@ func (c *Controller) Acquire(ctx context.Context, class Priority) (release func(
 		est := c.backlogDelayLocked(c.aheadOfLocked(class))
 		est += time.Duration(c.ewmaService * float64(time.Second))
 		if now.Add(est).After(dl) {
-			c.shedLocked("deadline")
+			c.shed["deadline"].Inc()
 			c.mu.Unlock()
 			return nil, fmt.Errorf("%w (predicted %s, remaining %s)",
 				ErrDeadline, est.Round(time.Microsecond), dl.Sub(now).Round(time.Microsecond))
@@ -363,7 +384,7 @@ func (c *Controller) Acquire(ctx context.Context, class Priority) (release func(
 			return nil, ErrDraining
 		}
 		c.queues[class].Remove(el)
-		c.shedLocked("canceled")
+		c.shed["canceled"].Inc()
 		c.gaugeQueuesLocked()
 		c.mu.Unlock()
 		return nil, ctx.Err()
@@ -384,12 +405,9 @@ func (c *Controller) aheadOfLocked(class Priority) int {
 // admitLocked books one admission with the given queue delay.
 func (c *Controller) admitLocked(class Priority, waited time.Duration) {
 	c.inflight++
-	c.admitted++
-	if m := c.cfg.Metrics; m != nil {
-		m.Gauge(MetricInFlight).Set(int64(c.inflight))
-		m.Counter(MetricAdmitted, "class", class.String()).Inc()
-		m.Histogram(MetricQueueDelay, "class", class.String()).Observe(waited.Seconds())
-	}
+	c.inflightG.Set(int64(c.inflight))
+	c.admitted[class].Inc()
+	c.queueDelay[class].Observe(waited.Seconds())
 }
 
 // releaseFunc builds the once-only release closure for a slot admitted at
@@ -425,9 +443,7 @@ func (c *Controller) releaseFunc(admitTime time.Time) func() {
 				close(w.ready)
 			}
 			c.adaptLocked(now)
-			if m := c.cfg.Metrics; m != nil {
-				m.Gauge(MetricInFlight).Set(int64(c.inflight))
-			}
+			c.inflightG.Set(int64(c.inflight))
 			c.gaugeQueuesLocked()
 			c.mu.Unlock()
 		})
@@ -472,9 +488,7 @@ func (c *Controller) adaptLocked(now time.Time) {
 	c.sawQueue = false
 	c.minDelay = 0
 	c.windowStart = now
-	if m := c.cfg.Metrics; m != nil {
-		m.Gauge(MetricLimit).Set(int64(c.limit))
-	}
+	c.limitG.Set(int64(c.limit))
 }
 
 // StartDrain flips the controller into drain mode: every future Acquire
@@ -498,7 +512,7 @@ func (c *Controller) StartDrain() {
 		// without a grant and must treat it as a drain rejection.
 		w.drained = true
 		close(w.ready)
-		c.shedLocked("draining")
+		c.shed["draining"].Inc()
 	}
 	c.gaugeQueuesLocked()
 }
@@ -510,17 +524,8 @@ func (c *Controller) Draining() bool {
 	return c.draining
 }
 
-func (c *Controller) shedLocked(reason string) {
-	c.shed[reason]++
-	if m := c.cfg.Metrics; m != nil {
-		m.Counter(MetricShed, "reason", reason).Inc()
-	}
-}
-
 func (c *Controller) gaugeQueuesLocked() {
-	if m := c.cfg.Metrics; m != nil {
-		for p := Interactive; p < numPriorities; p++ {
-			m.Gauge(MetricQueueDepth, "class", p.String()).Set(int64(c.queues[p].Len()))
-		}
+	for p := Interactive; p < numPriorities; p++ {
+		c.queueDepth[p].Set(int64(c.queues[p].Len()))
 	}
 }

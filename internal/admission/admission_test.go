@@ -3,10 +3,13 @@ package admission
 import (
 	"context"
 	"errors"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nlidb/internal/obs"
 )
 
 // fakeClock is a mutex-guarded manual clock for deterministic tests.
@@ -401,5 +404,110 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// TestRegistryAddsNoAllocations: Acquire plus release allocates the same
+// with a caller's registry as with the controller's private one. The
+// series are handles resolved at New; a per-call registry lookup would
+// allocate its label key, under the controller's lock, every time.
+func TestRegistryAddsNoAllocations(t *testing.T) {
+	allocs := func(reg *obs.Registry) float64 {
+		c := New(Config{MaxInFlight: 4, Metrics: reg})
+		ctx := context.Background()
+		return testing.AllocsPerRun(100, func() {
+			if rel, err := c.Acquire(ctx, Interactive); err == nil {
+				rel()
+			}
+		})
+	}
+	if priv, shared := allocs(nil), allocs(obs.NewRegistry()); shared != priv {
+		t.Fatalf("Acquire+release allocs: %v with a registry, %v with the private one", shared, priv)
+	}
+}
+
+// TestStatsAgreeWithRegistry: after admissions in both classes and a
+// rejection for each of the controller's reasons, every Stats field
+// equals the registry series it reports, and the server's rate-limit
+// reason stays out of Stats.Shed.
+func TestStatsAgreeWithRegistry(t *testing.T) {
+	clock := newFakeClock()
+	reg := obs.NewRegistry()
+	c := New(Config{MaxInFlight: 1, MinInFlight: 1, MaxQueue: 1, BatchQueue: 1, Now: clock.Now, Metrics: reg})
+	bg := context.Background()
+
+	// Teach the controller a 100ms service time, then hold the one slot.
+	rel, err := c.Acquire(bg, Interactive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(100 * time.Millisecond)
+	rel()
+	hold, err := c.Acquire(bg, Batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queue := func(ctx context.Context) chan error {
+		errc := make(chan error, 1)
+		go func() {
+			r, err := c.Acquire(ctx, Interactive)
+			if err == nil {
+				r()
+			}
+			errc <- err
+		}()
+		waitFor(t, func() bool { return c.Stats().Queued[Interactive] == 1 })
+		return errc
+	}
+	ctx, cancel := context.WithCancel(bg)
+	canceled := queue(ctx)
+	if _, err := c.Acquire(bg, Interactive); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("got %v, want ErrQueueFull", err)
+	}
+	doomed, cancelDoomed := context.WithDeadline(bg, clock.Now().Add(50*time.Millisecond))
+	defer cancelDoomed()
+	if _, err := c.Acquire(doomed, Batch); !errors.Is(err, ErrDeadline) {
+		t.Fatalf("got %v, want ErrDeadline", err)
+	}
+	cancel()
+	if err := <-canceled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	flushed := queue(bg)
+	c.StartDrain()
+	if err := <-flushed; !errors.Is(err, ErrDraining) {
+		t.Fatalf("got %v, want ErrDraining", err)
+	}
+	if _, err := c.Acquire(bg, Interactive); !errors.Is(err, ErrDraining) {
+		t.Fatalf("got %v, want ErrDraining", err)
+	}
+	hold()
+	reg.Counter(MetricShed, "reason", "rate_limit").Inc() // as the server counts it
+
+	st := c.Stats()
+	wantShed := map[string]int64{"queue_full": 1, "deadline": 1, "canceled": 1, "draining": 2}
+	if st.Admitted != 2 || !maps.Equal(st.Shed, wantShed) {
+		t.Fatalf("stats = %+v, want 2 admitted and shed %v", st, wantShed)
+	}
+	admitted := reg.Counter(MetricAdmitted, "class", "interactive").Value() +
+		reg.Counter(MetricAdmitted, "class", "batch").Value()
+	if st.Admitted != admitted {
+		t.Errorf("Admitted = %d, registry %d", st.Admitted, admitted)
+	}
+	for reason, n := range st.Shed {
+		if v := reg.Counter(MetricShed, "reason", reason).Value(); v != n {
+			t.Errorf("Shed[%s] = %d, registry %d", reason, n, v)
+		}
+	}
+	if v := reg.Gauge(MetricInFlight).Value(); int64(st.InFlight) != v {
+		t.Errorf("InFlight = %d, registry %d", st.InFlight, v)
+	}
+	if v := reg.Gauge(MetricLimit).Value(); int64(st.Limit) != v {
+		t.Errorf("Limit = %d, registry %d", st.Limit, v)
+	}
+	for p := Interactive; p < numPriorities; p++ {
+		if v := reg.Gauge(MetricQueueDepth, "class", p.String()).Value(); int64(st.Queued[p]) != v {
+			t.Errorf("Queued[%s] = %d, registry %d", p, st.Queued[p], v)
+		}
 	}
 }

@@ -100,16 +100,3 @@ func All() []Experiment {
 		{"A2", A2TypeFeatures},
 	}
 }
-
-// RunAll executes every experiment with the seed.
-func RunAll(seed int64) ([]*Table, error) {
-	var out []*Table
-	for _, e := range All() {
-		t, err := e.Run(seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}

@@ -76,22 +76,12 @@ type Histogram struct {
 	sum       float64
 	min, max  float64
 	reservoir []float64
-	rnd       *rand.Rand
+	rnd       *rand.Rand // made when the reservoir first overflows
 }
 
 func newHistogram() *Histogram {
-	return &Histogram{
-		reservoir: make([]float64, 0, 64),
-		// Seeded deterministically so replays produce identical dumps.
-		rnd: rand.New(rand.NewSource(1)),
-	}
+	return &Histogram{reservoir: make([]float64, 0, 64)}
 }
-
-// NewHistogram returns a free-standing histogram not attached to any
-// registry, for callers that need a latency reservoir for control
-// decisions (e.g. hedging delays from a rolling percentile) rather than
-// for export.
-func NewHistogram() *Histogram { return newHistogram() }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
@@ -108,6 +98,12 @@ func (h *Histogram) Observe(v float64) {
 	if len(h.reservoir) < defaultReservoir {
 		h.reservoir = append(h.reservoir, v)
 		return
+	}
+	if h.rnd == nil {
+		// Seeded deterministically so replays produce identical dumps, and
+		// only here: seeding fills a 607-word table, and most histograms
+		// never overflow.
+		h.rnd = rand.New(rand.NewSource(1))
 	}
 	if j := h.rnd.Int63n(h.count); j < defaultReservoir {
 		h.reservoir[j] = v
@@ -185,8 +181,10 @@ type family struct {
 }
 
 // Registry holds metric families by name. All methods are safe for
-// concurrent use; Counter/Gauge/Histogram get-or-create their series, so
-// call sites need no registration phase.
+// concurrent use. Counter/Gauge/Histogram get-or-create their series; a
+// lookup serializes and sorts its labels, so a component resolves the
+// handles it updates once, at construction, and touches only those on
+// its request path.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -195,6 +193,15 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{families: map[string]*family{}}
+}
+
+// OrNew returns r, or a new registry when r is nil: the private registry
+// a component counts into when its caller passes none.
+func OrNew(r *Registry) *Registry {
+	if r != nil {
+		return r
+	}
+	return NewRegistry()
 }
 
 // labelKey serializes label pairs in sorted-key order, Prometheus style:

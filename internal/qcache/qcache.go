@@ -22,7 +22,7 @@ import (
 	"nlidb/internal/obs"
 )
 
-// Metric family names the cache publishes when Config.Metrics is set.
+// Metric family names the cache publishes.
 const (
 	// MetricHits counts cache hits.
 	MetricHits = "nlidb_cache_hits_total"
@@ -35,7 +35,7 @@ const (
 )
 
 // Config tunes a Cache. The zero value is serviceable: 4096 entries,
-// 16 shards, no TTL, no metrics.
+// 16 shards, no TTL, a private metrics registry.
 type Config struct {
 	// MaxEntries bounds the total entry count across all shards
 	// (default 4096). Each shard holds MaxEntries/Shards entries, so the
@@ -48,13 +48,15 @@ type Config struct {
 	Shards int
 	// Now is the clock, injectable for TTL tests (default time.Now).
 	Now func() time.Time
-	// Metrics, when non-nil, receives hit/miss/eviction counters and the
-	// live-entry gauge. Families are pre-registered at New so scrapes see
-	// them before the first lookup.
+	// Metrics holds the hit/miss/eviction counters and the live-entry
+	// gauge; nil means a private registry. The series are resolved at New,
+	// so scrapes see them before the first lookup.
 	Metrics *obs.Registry
 }
 
-// Stats is a point-in-time view of the cache's counters.
+// Stats is a point-in-time view of the cache's counters, read from the
+// registry series /metrics exports. Caches sharing one registry share
+// those series, and so their Stats.
 type Stats struct {
 	Hits      int64
 	Misses    int64
@@ -84,10 +86,12 @@ type Cache struct {
 	shards   []*shard
 	perShard int
 
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	entries   atomic.Int64
+	hits      *obs.Counter
+	misses    *obs.Counter
+	evictions *obs.Counter
+	// entries is the live count, owned here and published to entriesG.
+	entries  atomic.Int64
+	entriesG *obs.Gauge
 }
 
 // New builds a cache. Config zero values are filled with defaults.
@@ -104,10 +108,15 @@ func New(cfg Config) *Cache {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	m := obs.OrNew(cfg.Metrics)
 	c := &Cache{
-		cfg:      cfg,
-		shards:   make([]*shard, cfg.Shards),
-		perShard: cfg.MaxEntries / cfg.Shards,
+		cfg:       cfg,
+		shards:    make([]*shard, cfg.Shards),
+		perShard:  cfg.MaxEntries / cfg.Shards,
+		hits:      m.Counter(MetricHits),
+		misses:    m.Counter(MetricMisses),
+		evictions: m.Counter(MetricEvictions),
+		entriesG:  m.Gauge(MetricEntries),
 	}
 	if c.perShard < 1 {
 		c.perShard = 1
@@ -115,12 +124,7 @@ func New(cfg Config) *Cache {
 	for i := range c.shards {
 		c.shards[i] = &shard{ent: map[string]*list.Element{}, lru: list.New()}
 	}
-	if m := cfg.Metrics; m != nil {
-		m.Counter(MetricHits)
-		m.Counter(MetricMisses)
-		m.Counter(MetricEvictions)
-		m.Gauge(MetricEntries).Set(0)
-	}
+	c.entriesG.Set(0)
 	return c
 }
 
@@ -140,7 +144,7 @@ func (c *Cache) Get(key string) (any, bool) {
 	el, ok := s.ent[key]
 	if !ok {
 		s.mu.Unlock()
-		c.miss()
+		c.misses.Inc()
 		return nil, false
 	}
 	e := el.Value.(*entry)
@@ -148,18 +152,14 @@ func (c *Cache) Get(key string) (any, bool) {
 		s.lru.Remove(el)
 		delete(s.ent, key)
 		s.mu.Unlock()
-		c.entries.Add(-1)
-		c.miss()
-		c.gauge()
+		c.entriesG.Set(c.entries.Add(-1))
+		c.misses.Inc()
 		return nil, false
 	}
 	s.lru.MoveToFront(el)
 	val := e.val // copy under the lock: Put may replace e.val in place
 	s.mu.Unlock()
-	c.hits.Add(1)
-	if m := c.cfg.Metrics; m != nil {
-		m.Counter(MetricHits).Inc()
-	}
+	c.hits.Inc()
 	return val, true
 }
 
@@ -189,14 +189,8 @@ func (c *Cache) Put(key string, val any) {
 	}
 	s.ent[key] = s.lru.PushFront(&entry{key: key, val: val, expires: expires})
 	s.mu.Unlock()
-	c.entries.Add(int64(1 - evicted))
-	if evicted > 0 {
-		c.evictions.Add(int64(evicted))
-		if m := c.cfg.Metrics; m != nil {
-			m.Counter(MetricEvictions).Add(int64(evicted))
-		}
-	}
-	c.gauge()
+	c.entriesG.Set(c.entries.Add(int64(1 - evicted)))
+	c.evictions.Add(int64(evicted))
 }
 
 // Len returns the live entry count.
@@ -205,22 +199,9 @@ func (c *Cache) Len() int { return int(c.entries.Load()) }
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
+		Hits:      c.hits.Value(),
+		Misses:    c.misses.Value(),
+		Evictions: c.evictions.Value(),
 		Entries:   int(c.entries.Load()),
-	}
-}
-
-func (c *Cache) miss() {
-	c.misses.Add(1)
-	if m := c.cfg.Metrics; m != nil {
-		m.Counter(MetricMisses).Inc()
-	}
-}
-
-func (c *Cache) gauge() {
-	if m := c.cfg.Metrics; m != nil {
-		m.Gauge(MetricEntries).Set(c.entries.Load())
 	}
 }

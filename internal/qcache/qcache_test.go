@@ -163,3 +163,57 @@ func TestShardDefaulting(t *testing.T) {
 		t.Fatalf("Len = %d, want ≤ 4", c.Len())
 	}
 }
+
+// TestRegistryAddsNoAllocations: a cache counting into a caller's registry
+// allocates on Get exactly what one counting into its private registry
+// does, on a hit and on a miss. The counters are handles resolved at New;
+// a per-call registry lookup would allocate its label key every time.
+func TestRegistryAddsNoAllocations(t *testing.T) {
+	allocs := func(reg *obs.Registry) (hit, miss float64) {
+		c := New(Config{MaxEntries: 8, Shards: 2, Metrics: reg})
+		c.Put("k", "v")
+		hit = testing.AllocsPerRun(100, func() { c.Get("k") })
+		miss = testing.AllocsPerRun(100, func() { c.Get("absent") })
+		return hit, miss
+	}
+	privHit, privMiss := allocs(nil)
+	hit, miss := allocs(obs.NewRegistry())
+	if hit != privHit || miss != privMiss {
+		t.Fatalf("Get allocs with a registry: hit %v, miss %v; private: hit %v, miss %v", hit, miss, privHit, privMiss)
+	}
+}
+
+// TestStatsAgreeWithRegistry: after hits, misses, a TTL expiry and
+// capacity evictions, every Stats field equals the registry series it
+// reports.
+func TestStatsAgreeWithRegistry(t *testing.T) {
+	now := time.Unix(0, 0)
+	reg := obs.NewRegistry()
+	c := New(Config{MaxEntries: 2, Shards: 1, TTL: time.Minute, Now: func() time.Time { return now }, Metrics: reg})
+	c.Get("a") // miss
+	c.Put("a", 1)
+	c.Get("a") // hit
+	c.Put("b", 2)
+	c.Put("c", 3) // evicts a
+	c.Get("a")    // miss
+	c.Get("b")    // hit
+	now = now.Add(time.Minute)
+	c.Get("c") // expired: a miss, and one entry fewer
+	c.Put("d", 4)
+	c.Put("e", 5) // evicts b
+
+	st := c.Stats()
+	want := Stats{Hits: 2, Misses: 3, Evictions: 2, Entries: 2}
+	if st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	got := Stats{
+		Hits:      reg.Counter(MetricHits).Value(),
+		Misses:    reg.Counter(MetricMisses).Value(),
+		Evictions: reg.Counter(MetricEvictions).Value(),
+		Entries:   int(reg.Gauge(MetricEntries).Value()),
+	}
+	if got != st {
+		t.Fatalf("registry = %+v, Stats = %+v", got, st)
+	}
+}

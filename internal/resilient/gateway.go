@@ -208,7 +208,8 @@ type Answer struct {
 
 // Config tunes a Gateway. The zero value is serviceable: default budget,
 // no deadline, breaker threshold 3 with a 30-second cooldown,
-// retry-with-simplification enabled, tracing on, and no metrics sink.
+// retry-with-simplification enabled, tracing on, and a private metrics
+// registry.
 type Config struct {
 	// Timeout is the per-Ask wall-clock deadline (0 = none). It covers the
 	// whole fallback chain, not each engine separately.
@@ -236,10 +237,11 @@ type Config struct {
 	// Now is the breaker clock, injectable for tests (default time.Now).
 	Now func() time.Time
 
-	// Metrics, when non-nil, receives gateway telemetry (query totals,
-	// stage latency histograms, breaker states, budget meters). Metric
-	// families are pre-registered at New so scrapes see them before the
-	// first query.
+	// Metrics holds gateway telemetry (query totals, stage latency
+	// histograms, breaker states, budget meters); nil means a private
+	// registry. The series of every chain engine and of AskSQL's "sql"
+	// label are resolved at New, so scrapes see them before the first
+	// query.
 	Metrics *obs.Registry
 	// SlowLog, when non-nil, records queries at or above its threshold.
 	SlowLog *obs.SlowLog
@@ -295,6 +297,11 @@ type Gateway struct {
 	over     Executor
 	cfg      Config
 	breakers map[string]*Breaker
+	// metrics holds the handles of every engine label known at New: the
+	// chain's engines and SQLEngine.
+	metrics     map[string]*engineMetrics
+	tokenizeSec *obs.Histogram
+	slowQueries *obs.Counter
 	// flight collapses concurrent identical cache misses: N requests for
 	// one cold key run the pipeline once and share the answer, so a hot
 	// key arriving in a burst cannot stampede the fallback chain. Only
@@ -332,12 +339,17 @@ func New(db *sqldata.Database, chain []nlq.Interpreter, cfg Config) *Gateway {
 	if cfg.Budget == (sqlexec.Budget{}) {
 		cfg.Budget = sqlexec.DefaultBudget()
 	}
+	cfg.Metrics = obs.OrNew(cfg.Metrics)
+	m := cfg.Metrics
 	g := &Gateway{
-		db:       db,
-		engines:  chain,
-		exec:     sqlexec.NewWithPlanCache(db, cfg.PlanCache),
-		cfg:      cfg,
-		breakers: map[string]*Breaker{},
+		db:          db,
+		engines:     chain,
+		exec:        sqlexec.NewWithPlanCache(db, cfg.PlanCache),
+		cfg:         cfg,
+		breakers:    map[string]*Breaker{},
+		metrics:     map[string]*engineMetrics{SQLEngine: newEngineMetrics(m, SQLEngine)},
+		tokenizeSec: m.Histogram(MetricStageSeconds, "stage", "tokenize", "engine", "gateway"),
+		slowQueries: m.Counter(MetricSlowQueries),
 	}
 	for i, e := range chain {
 		name := e.Name()
@@ -348,41 +360,43 @@ func New(db *sqldata.Database, chain []nlq.Interpreter, cfg Config) *Gateway {
 			// in a fleet — draws a distinct probe schedule.
 			br.SetJitter(cfg.BreakerJitter, time.Now().UnixNano()+int64(i))
 		}
+		em := newEngineMetrics(m, name)
+		em.interpret = m.Histogram(MetricStageSeconds, "stage", "interpret", "engine", name)
+		g.metrics[name] = em
+		state := m.Gauge(MetricBreakerState, "engine", name)
+		state.Set(StateValue("closed"))
 		br.OnTransition(func(from, to string) {
-			if g.cfg.Metrics != nil {
-				g.cfg.Metrics.Gauge(MetricBreakerState, "engine", name).Set(StateValue(to))
-				g.cfg.Metrics.Counter(MetricBreakerTransitions, "engine", name, "to", to).Inc()
-			}
+			state.Set(StateValue(to))
+			m.Counter(MetricBreakerTransitions, "engine", name, "to", to).Inc()
 			if g.cfg.BreakerHook != nil {
 				g.cfg.BreakerHook(name, from, to)
 			}
 		})
 		g.breakers[name] = br
 	}
-	g.preregisterMetrics()
 	return g
 }
 
-// preregisterMetrics creates every metric family the gateway can emit, so
-// a /metrics scrape taken before the first query already shows them.
-func (g *Gateway) preregisterMetrics() {
-	m := g.cfg.Metrics
-	if m == nil {
-		return
-	}
-	m.Counter(MetricSlowQueries)
-	m.Histogram(MetricStageSeconds, "stage", "tokenize", "engine", "gateway")
-	for _, e := range g.engines {
-		name := e.Name()
-		m.Gauge(MetricBreakerState, "engine", name).Set(StateValue("closed"))
-		m.Counter(MetricQueries, "engine", name, "outcome", "ok")
-		m.Histogram(MetricQuerySeconds, "engine", name)
-		for _, stage := range []string{"interpret", "parse", "plan", "execute"} {
-			m.Histogram(MetricStageSeconds, "stage", stage, "engine", name)
-		}
-		m.Counter(MetricRowsScanned, "engine", name)
-		m.Counter(MetricJoinRows, "engine", name)
-		m.Counter(MetricSubqueries, "engine", name)
+// engineMetrics are one engine label's series, resolved once at New. Its
+// query counter is the "ok" outcome's.
+type engineMetrics struct {
+	ok                      *obs.Counter
+	seconds                 *obs.Histogram
+	interpret               *obs.Histogram // nil for SQLEngine, which interprets nothing
+	parse, plan, execute    *obs.Histogram
+	rows, joinRows, subqrys *obs.Counter
+}
+
+func newEngineMetrics(m *obs.Registry, name string) *engineMetrics {
+	return &engineMetrics{
+		ok:       m.Counter(MetricQueries, "engine", name, "outcome", "ok"),
+		seconds:  m.Histogram(MetricQuerySeconds, "engine", name),
+		parse:    m.Histogram(MetricStageSeconds, "stage", "parse", "engine", name),
+		plan:     m.Histogram(MetricStageSeconds, "stage", "plan", "engine", name),
+		execute:  m.Histogram(MetricStageSeconds, "stage", "execute", "engine", name),
+		rows:     m.Counter(MetricRowsScanned, "engine", name),
+		joinRows: m.Counter(MetricJoinRows, "engine", name),
+		subqrys:  m.Counter(MetricSubqueries, "engine", name),
 	}
 }
 
@@ -536,7 +550,7 @@ func (g *Gateway) ask(ctx context.Context, question string, trace *obs.QueryTrac
 	toks := nlp.Tokenize(question)
 	tokSpan.Add("tokens", int64(len(toks)))
 	tokSpan.End()
-	g.observeStage("tokenize", "gateway", time.Since(t0))
+	g.tokenizeSec.Observe(time.Since(t0).Seconds())
 
 	simplified := ""
 	if !g.cfg.NoRetry {
@@ -630,7 +644,7 @@ func (g *Gateway) attempt(ctx context.Context, eng nlq.Interpreter, q string) (*
 	})
 	iSpan.Add("candidates", int64(len(ins)))
 	iSpan.End()
-	g.observeStage("interpret", name, time.Since(t0))
+	g.metrics[name].interpret.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		return nil, fmt.Errorf("interpret: %w", err)
 	}
@@ -666,6 +680,7 @@ func (g *Gateway) execute(ctx context.Context, name, sql string) (*Answer, error
 // direct AskSQL calls. Each stage is guarded, spanned, and timed under
 // the given engine label.
 func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*Answer, error) {
+	em := g.metrics[name]
 	// Validate the candidate by round-tripping it through the printer and
 	// parser; a malformed AST fails here instead of deep inside execution.
 	var stmt *sqlparse.SelectStmt
@@ -677,7 +692,7 @@ func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*Answer, error)
 		return statementErr(err)
 	})
 	pSpan.End()
-	g.observeStage("parse", name, time.Since(t0))
+	em.parse.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
@@ -705,7 +720,7 @@ func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*Answer, error)
 		}
 	}
 	planSpan.End()
-	g.observeStage("plan", name, time.Since(t0))
+	em.plan.Observe(time.Since(t0).Seconds())
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}
@@ -720,12 +735,10 @@ func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*Answer, error)
 		return statementErr(err)
 	})
 	eSpan.End()
-	g.observeStage("execute", name, time.Since(t0))
-	if m := g.cfg.Metrics; m != nil {
-		m.Counter(MetricRowsScanned, "engine", name).Add(int64(usage.Rows))
-		m.Counter(MetricJoinRows, "engine", name).Add(int64(usage.JoinRows))
-		m.Counter(MetricSubqueries, "engine", name).Add(int64(usage.Subqueries))
-	}
+	em.execute.Observe(time.Since(t0).Seconds())
+	em.rows.Add(int64(usage.Rows))
+	em.joinRows.Add(int64(usage.JoinRows))
+	em.subqrys.Add(int64(usage.Subqueries))
 	if err != nil {
 		return nil, fmt.Errorf("execute: %w", err)
 	}
@@ -749,14 +762,6 @@ func (g *Gateway) AskSQL(ctx context.Context, sql string) (*Answer, error) {
 	ans, err := g.execute(ctx, SQLEngine, sql)
 	g.finish(req, sql, ans, err)
 	return ans, err
-}
-
-// observeStage records one stage latency into the metrics registry.
-func (g *Gateway) observeStage(stage, engine string, d time.Duration) {
-	if g.cfg.Metrics == nil {
-		return
-	}
-	g.cfg.Metrics.Histogram(MetricStageSeconds, "stage", stage, "engine", engine).Observe(d.Seconds())
 }
 
 // outcomeOf maps an Ask error to its metric label.
@@ -833,15 +838,23 @@ func (g *Gateway) finish(req request, question string, ans *Answer, err error) {
 		entry.Trace, entry.TraceID = trace, trace.ID
 		entry.DroppedSpans = trace.DroppedTotal()
 	}
-	if m := g.cfg.Metrics; m != nil {
-		m.Counter(MetricQueries, "engine", engine, "outcome", outcome).Inc()
-		m.Histogram(MetricQuerySeconds, "engine", engine).Observe(elapsed.Seconds())
-	}
+	g.countQuery(engine, outcome, elapsed)
 	if !req.nested && g.cfg.SlowLog.Observe(entry) {
-		if m := g.cfg.Metrics; m != nil {
-			m.Counter(MetricSlowQueries).Inc()
-		}
+		g.slowQueries.Inc()
 	}
+}
+
+// countQuery records one finished query: an answer through its engine's
+// handles, a failure (engine "none", a non-ok outcome) through a registry
+// lookup as it happens.
+func (g *Gateway) countQuery(engine, outcome string, elapsed time.Duration) {
+	if em := g.metrics[engine]; em != nil && outcome == "ok" {
+		em.ok.Inc()
+		em.seconds.Observe(elapsed.Seconds())
+		return
+	}
+	g.cfg.Metrics.Counter(MetricQueries, "engine", engine, "outcome", outcome).Inc()
+	g.cfg.Metrics.Histogram(MetricQuerySeconds, "engine", engine).Observe(elapsed.Seconds())
 }
 
 // guard runs one stage under panic isolation, first applying any injected

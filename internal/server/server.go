@@ -57,7 +57,7 @@ func Mux(api *Server, reg *obs.Registry, slow *obs.SlowLog, opts ...obs.HandlerO
 	return mux
 }
 
-// Metric family names the server publishes when Config.Metrics is set.
+// Metric family names the server publishes.
 const (
 	// MetricHTTPRequests counts finished requests by route and status code.
 	MetricHTTPRequests = "nlidb_http_requests_total"
@@ -81,8 +81,8 @@ type Config struct {
 	// resilient.Executor (a gateway and a shard cluster both are)
 	// additionally serves /internal/query and the deep /healthz probe.
 	Backend Backend
-	// Admission gates every request (nil = a default Controller wired to
-	// Metrics).
+	// Admission gates every request (nil = a default Controller counting
+	// into Metrics).
 	Admission *admission.Controller
 	// RateLimit, when non-nil, is consulted per client before admission.
 	RateLimit *admission.RateLimiter
@@ -92,8 +92,10 @@ type Config struct {
 	// rate, layered on the per-client RateLimit. Wire its Forget into the
 	// store's OnEvict so ended sessions release their buckets.
 	SessionRateLimit *admission.RateLimiter
-	// Metrics, when non-nil, receives the server's request counters,
-	// latency histograms, and in-flight gauge.
+	// Metrics holds the server's request counters, latency histograms,
+	// in-flight gauge, and rate-limit shed counters; nil means a private
+	// registry. The series a 200 answer updates are resolved at New, so
+	// scrapes see them before the first request.
 	Metrics *obs.Registry
 	// SLO, when non-nil, receives every finished question's latency and
 	// availability verdict. This is the one place both signals meet:
@@ -157,6 +159,10 @@ type Server struct {
 	inflight int
 	idle     chan struct{} // non-nil only while a drain waits for inflight==0
 	draining bool
+
+	// Registry handles, resolved at New.
+	inflightG *obs.Gauge
+	rateShed  *obs.Counter // admission.MetricShed{reason="rate_limit"}
 }
 
 // New builds a Server. Config zero values are filled with defaults; a nil
@@ -165,6 +171,7 @@ func New(cfg Config) *Server {
 	if cfg.Backend == nil {
 		panic("server: Config.Backend is required")
 	}
+	cfg.Metrics = obs.OrNew(cfg.Metrics)
 	if cfg.Admission == nil {
 		cfg.Admission = admission.New(admission.Config{Metrics: cfg.Metrics})
 	}
@@ -175,7 +182,13 @@ func New(cfg Config) *Server {
 		cfg.Now = time.Now
 	}
 	base, cancel := context.WithCancel(context.Background())
-	s := &Server{cfg: cfg, baseCtx: base, cancelStragglers: cancel}
+	m := cfg.Metrics
+	s := &Server{
+		cfg: cfg, baseCtx: base, cancelStragglers: cancel,
+		inflightG: m.Gauge(MetricHTTPInFlight),
+		rateShed:  m.Counter(admission.MetricShed, "reason", "rate_limit"),
+	}
+	s.inflightG.Set(0)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/query", s.instrument("/query", s.handleQuery))
 	s.mux.HandleFunc("/batch", s.instrument("/batch", s.handleBatch))
@@ -187,17 +200,6 @@ func New(cfg Config) *Server {
 	// honest "draining" status) so supervisors and LBs see the state
 	// change instead of a connection that vanished.
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	if m := cfg.Metrics; m != nil {
-		m.Gauge(MetricHTTPInFlight).Set(0)
-		routes := []string{"/query", "/batch", "/internal/query"}
-		if cfg.Sessions != nil {
-			routes = append(routes, "/session", "/session/ask")
-		}
-		for _, route := range routes {
-			m.Counter(MetricHTTPRequests, "route", route, "code", "200")
-			m.Histogram(MetricHTTPSeconds, "route", route)
-		}
-	}
 	return s
 }
 
@@ -220,9 +222,13 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps a handler with in-flight tracking (the drain barrier)
-// and, when metrics are on, the request counter and latency histogram.
+// instrument wraps a handler with in-flight tracking (the drain barrier),
+// the request counter, and the latency histogram. The route's series are
+// resolved here, once; a status code other than 200 is looked up as it
+// happens.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	ok := s.cfg.Metrics.Counter(MetricHTTPRequests, "route", route, "code", "200")
+	seconds := s.cfg.Metrics.Histogram(MetricHTTPSeconds, "route", route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.enter() {
 			// Draining: refuse before any work, with honest retry advice.
@@ -235,10 +241,12 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		h(rec, r)
-		if m := s.cfg.Metrics; m != nil {
-			m.Counter(MetricHTTPRequests, "route", route, "code", strconv.Itoa(rec.code)).Inc()
-			m.Histogram(MetricHTTPSeconds, "route", route).Observe(time.Since(start).Seconds())
+		if rec.code == http.StatusOK {
+			ok.Inc()
+		} else {
+			s.cfg.Metrics.Counter(MetricHTTPRequests, "route", route, "code", strconv.Itoa(rec.code)).Inc()
 		}
+		seconds.Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -250,9 +258,7 @@ func (s *Server) enter() bool {
 		return false
 	}
 	s.inflight++
-	if m := s.cfg.Metrics; m != nil {
-		m.Gauge(MetricHTTPInFlight).Set(int64(s.inflight))
-	}
+	s.inflightG.Set(int64(s.inflight))
 	return true
 }
 
@@ -260,9 +266,7 @@ func (s *Server) enter() bool {
 func (s *Server) exit() {
 	s.mu.Lock()
 	s.inflight--
-	if m := s.cfg.Metrics; m != nil {
-		m.Gauge(MetricHTTPInFlight).Set(int64(s.inflight))
-	}
+	s.inflightG.Set(int64(s.inflight))
 	if s.inflight == 0 && s.idle != nil {
 		close(s.idle)
 		s.idle = nil
@@ -388,9 +392,7 @@ func clientID(r *http.Request) string {
 func (s *Server) gate(w http.ResponseWriter, r *http.Request, ctx context.Context, class admission.Priority) (release func(), ok bool) {
 	if rl := s.cfg.RateLimit; rl != nil {
 		if allowed, retry := rl.Allow(clientID(r)); !allowed {
-			if m := s.cfg.Metrics; m != nil {
-				m.Counter(admission.MetricShed, "reason", "rate_limit").Inc()
-			}
+			s.rateShed.Inc()
 			w.Header().Set("Retry-After", retryAfterSeconds(retry))
 			w.Header().Set("X-Shed-Reason", "rate_limit")
 			writeError(w, http.StatusTooManyRequests, "client rate limit exceeded")

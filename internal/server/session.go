@@ -132,9 +132,7 @@ func (s *Server) handleSessionAsk(w http.ResponseWriter, r *http.Request) {
 	// conversation's share of it.
 	if rl := s.cfg.SessionRateLimit; rl != nil {
 		if allowed, retry := rl.Allow(id); !allowed {
-			if m := s.cfg.Metrics; m != nil {
-				m.Counter(admission.MetricShed, "reason", "session_rate_limit").Inc()
-			}
+			s.cfg.Metrics.Counter(admission.MetricShed, "reason", "session_rate_limit").Inc()
 			w.Header().Set("Retry-After", retryAfterSeconds(retry))
 			w.Header().Set("X-Shed-Reason", "session_rate_limit")
 			writeError(w, http.StatusTooManyRequests, "session rate limit exceeded")

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nlidb/internal/dialogue"
@@ -35,7 +34,7 @@ import (
 	"nlidb/internal/sqlparse"
 )
 
-// Metric family names the store publishes when Config.Metrics is set.
+// Metric family names the store publishes.
 const (
 	// MetricLive gauges the number of live sessions.
 	MetricLive = "nlidb_session_live"
@@ -103,7 +102,9 @@ type Config struct {
 	// CacheSize is the turn cache's entry cap (default 4096; negative
 	// disables the cache).
 	CacheSize int
-	// Metrics, when non-nil, receives the nlidb_session_* families.
+	// Metrics holds the nlidb_session_* families; nil means a private
+	// registry. The series are resolved at New, so scrapes see them before
+	// the first session.
 	Metrics *obs.Registry
 	// SlowLog, when non-nil, records slow turns tagged with the session ID.
 	SlowLog *obs.SlowLog
@@ -119,7 +120,9 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Stats is a point-in-time view of the store.
+// Stats is a point-in-time view of the store. The counts read the
+// registry series /metrics exports; stores sharing one registry share
+// those series, and so their counts.
 type Stats struct {
 	Live        int
 	Created     int64
@@ -176,28 +179,19 @@ type Store struct {
 	shards []*storeShard
 	cache  *qcache.Cache
 
-	created  obsCounter
-	ended    obsCounter
-	evTTL    obsCounter
-	evMem    obsCounter
-	turns    obsCounter
-	ctxHits  obsCounter
-	ctxMiss  obsCounter
-	resolved obsCounter
-	failed   obsCounter
-}
-
-// obsCounter is a local counter optionally mirrored to a metrics family.
-type obsCounter struct {
-	local atomic.Int64
-	prom  *obs.Counter
-}
-
-func (c *obsCounter) inc() {
-	c.local.Add(1)
-	if c.prom != nil {
-		c.prom.Inc()
-	}
+	// Registry handles, resolved at New.
+	created     *obs.Counter
+	ended       *obs.Counter
+	evTTL       *obs.Counter
+	evMem       *obs.Counter
+	turns       [dialogue.IntentReset + 1]*obs.Counter // by intent
+	turnSeconds *obs.Histogram
+	ctxHits     *obs.Counter
+	ctxMiss     *obs.Counter
+	resolved    *obs.Counter
+	failed      *obs.Counter
+	live        *obs.Gauge
+	memory      *obs.Gauge
 }
 
 // New builds a session store. Config zero values are filled with defaults.
@@ -226,7 +220,27 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Store{cfg: cfg, shards: make([]*storeShard, cfg.Shards)}
+	m := obs.OrNew(cfg.Metrics)
+	s := &Store{
+		cfg:         cfg,
+		shards:      make([]*storeShard, cfg.Shards),
+		created:     m.Counter(MetricCreated),
+		ended:       m.Counter(MetricEnded),
+		evTTL:       m.Counter(MetricEvictions, "reason", "ttl"),
+		evMem:       m.Counter(MetricEvictions, "reason", "memory"),
+		turnSeconds: m.Histogram(MetricTurnSeconds),
+		ctxHits:     m.Counter(MetricContextHits),
+		ctxMiss:     m.Counter(MetricContextMisses),
+		resolved:    m.Counter(MetricFollowups, "outcome", "resolved"),
+		failed:      m.Counter(MetricFollowups, "outcome", "failed"),
+		live:        m.Gauge(MetricLive),
+		memory:      m.Gauge(MetricMemory),
+	}
+	for i := range s.turns {
+		s.turns[i] = m.Counter(MetricTurns, "intent", dialogue.Intent(i).String())
+	}
+	s.live.Set(0)
+	s.memory.Set(0)
 	for i := range s.shards {
 		s.shards[i] = &storeShard{
 			sessions: map[string]*sess{},
@@ -245,22 +259,6 @@ func New(cfg Config) (*Store, error) {
 		// the gateway cache's counters meaningful. Session-level counters
 		// below cover it.
 		s.cache = qcache.New(qcache.Config{MaxEntries: size})
-	}
-	if m := cfg.Metrics; m != nil {
-		m.Gauge(MetricLive).Set(0)
-		m.Gauge(MetricMemory).Set(0)
-		s.created.prom = m.Counter(MetricCreated)
-		s.ended.prom = m.Counter(MetricEnded)
-		s.evTTL.prom = m.Counter(MetricEvictions, "reason", "ttl")
-		s.evMem.prom = m.Counter(MetricEvictions, "reason", "memory")
-		s.ctxHits.prom = m.Counter(MetricContextHits)
-		s.ctxMiss.prom = m.Counter(MetricContextMisses)
-		s.resolved.prom = m.Counter(MetricFollowups, "outcome", "resolved")
-		s.failed.prom = m.Counter(MetricFollowups, "outcome", "failed")
-		// Pre-register the per-turn families so scrapes see them before
-		// the first turn.
-		m.Counter(MetricTurns, "intent", dialogue.IntentQuery.String())
-		m.Histogram(MetricTurnSeconds)
 	}
 	return s, nil
 }
@@ -297,7 +295,7 @@ func (s *Store) Create() string {
 	sh.mem += se.cost
 	evicted := s.reclaimLocked(sh, now, se)
 	sh.mu.Unlock()
-	s.created.inc()
+	s.created.Inc()
 	s.publishGauges()
 	s.notifyEvicted(evicted)
 	return id
@@ -370,7 +368,7 @@ func (s *Store) reclaimLocked(sh *storeShard, now time.Time, keep *sess) []evict
 		prev := se.prev
 		if se != keep && now.After(se.expires) {
 			sh.removeLocked(se)
-			s.evTTL.inc()
+			s.evTTL.Inc()
 			out = append(out, evicted{se.id, "ttl"})
 		}
 		se = prev
@@ -384,7 +382,7 @@ func (s *Store) reclaimLocked(sh *storeShard, now time.Time, keep *sess) []evict
 		prev := se.prev
 		if se != keep {
 			sh.removeLocked(se)
-			s.evMem.inc()
+			s.evMem.Inc()
 			out = append(out, evicted{se.id, "memory"})
 		}
 		se = prev
@@ -404,9 +402,6 @@ func (s *Store) notifyEvicted(evs []evicted) {
 
 // publishGauges refreshes the live-session and memory gauges.
 func (s *Store) publishGauges() {
-	if s.cfg.Metrics == nil {
-		return
-	}
 	var live int64
 	var mem int64
 	for _, sh := range s.shards {
@@ -415,8 +410,8 @@ func (s *Store) publishGauges() {
 		mem += sh.mem
 		sh.mu.Unlock()
 	}
-	s.cfg.Metrics.Gauge(MetricLive).Set(live)
-	s.cfg.Metrics.Gauge(MetricMemory).Set(mem)
+	s.live.Set(live)
+	s.memory.Set(mem)
 }
 
 // lookup finds a live session, expiring it lazily if its TTL passed, and
@@ -437,7 +432,7 @@ func (s *Store) lookup(id string) (*sess, error) {
 	if now.After(se.expires) {
 		sh.removeLocked(se)
 		sh.mu.Unlock()
-		s.evTTL.inc()
+		s.evTTL.Inc()
 		s.publishGauges()
 		s.notifyEvicted([]evicted{{id, "ttl"}})
 		return nil, ErrExpired
@@ -463,7 +458,7 @@ func (s *Store) End(id string) error {
 	}
 	sh.removeLocked(se)
 	sh.mu.Unlock()
-	s.ended.inc()
+	s.ended.Inc()
 	s.publishGauges()
 	s.notifyEvicted([]evicted{{id, "ended"}})
 	return nil
@@ -483,12 +478,14 @@ func (s *Store) Len() int {
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Created:     s.created.local.Load(),
-		Ended:       s.ended.local.Load(),
-		EvictedTTL:  s.evTTL.local.Load(),
-		EvictedMem:  s.evMem.local.Load(),
-		Turns:       s.turns.local.Load(),
-		ContextHits: s.ctxHits.local.Load(),
+		Created:     s.created.Value(),
+		Ended:       s.ended.Value(),
+		EvictedTTL:  s.evTTL.Value(),
+		EvictedMem:  s.evMem.Value(),
+		ContextHits: s.ctxHits.Value(),
+	}
+	for _, n := range s.turns {
+		st.Turns += n.Value()
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()

@@ -462,3 +462,60 @@ func TestConcurrentTurnsOneSessionSerialize(t *testing.T) {
 		seen[n2] = true
 	}
 }
+
+// TestStatsAgreeWithRegistry: after creates, an explicit end, a cap
+// eviction, TTL evictions, turns of several intents and a context-cache
+// hit, every Stats field equals the registry series it reports.
+func TestStatsAgreeWithRegistry(t *testing.T) {
+	clock := newFakeClock()
+	reg := obs.NewRegistry()
+	s := testStore(t, func(c *Config) {
+		c.Metrics = reg
+		c.Now = clock.Now
+		c.TTL = time.Minute
+		c.MaxSessions = 2
+		c.Shards = 1
+	})
+	ctx := context.Background()
+	ask := func(id, utterance string) {
+		t.Helper()
+		if _, err := s.Ask(ctx, id, utterance); err != nil {
+			t.Fatalf("%q: %v", utterance, err)
+		}
+	}
+	a := s.Create()
+	ask(a, "show customers with city Berlin") // query
+	ask(a, "how many are there")              // aggregate follow-up
+	b := s.Create()
+	ask(b, "show customers with city Berlin") // query, from the turn cache
+	if err := s.End(b); err != nil {
+		t.Fatal(err)
+	}
+	s.Create()
+	s.Create() // over the cap of 2: evicts a
+	clock.Advance(2 * time.Minute)
+	s.Create() // both others expired
+
+	st := s.Stats()
+	want := Stats{Live: 1, Created: 5, Ended: 1, EvictedTTL: 2, EvictedMem: 1, Turns: 3, ContextHits: 1, Memory: sessionBaseCost}
+	if st != want {
+		t.Fatalf("stats = %+v, want %+v", st, want)
+	}
+	var turns int64
+	for i := dialogue.IntentQuery; i <= dialogue.IntentReset; i++ {
+		turns += reg.Counter(MetricTurns, "intent", i.String()).Value()
+	}
+	got := Stats{
+		Live:        int(reg.Gauge(MetricLive).Value()),
+		Created:     reg.Counter(MetricCreated).Value(),
+		Ended:       reg.Counter(MetricEnded).Value(),
+		EvictedTTL:  reg.Counter(MetricEvictions, "reason", "ttl").Value(),
+		EvictedMem:  reg.Counter(MetricEvictions, "reason", "memory").Value(),
+		Turns:       turns,
+		ContextHits: reg.Counter(MetricContextHits).Value(),
+		Memory:      reg.Gauge(MetricMemory).Value(),
+	}
+	if got != st {
+		t.Fatalf("registry = %+v, Stats = %+v", got, st)
+	}
+}

@@ -107,9 +107,9 @@ func (s *Store) serveTurn(ctx context.Context, se *sess, key, utterance string, 
 			resp, err := s.replayCached(se, ent)
 			if err == nil {
 				turn.Cached = true
-				s.ctxHits.inc()
+				s.ctxHits.Inc()
 				if followup {
-					s.resolved.inc()
+					s.resolved.Inc()
 				}
 				if qt != nil {
 					qt.Root.SetAttr("cached", "true")
@@ -120,7 +120,7 @@ func (s *Store) serveTurn(ctx context.Context, se *sess, key, utterance string, 
 			// through to the live path.
 		}
 	}
-	s.ctxMiss.inc()
+	s.ctxMiss.Inc()
 
 	resp, err := s.cfg.Responder.RespondWith(ctx, se.conv, utterance)
 	if resp == nil {
@@ -128,9 +128,9 @@ func (s *Store) serveTurn(ctx context.Context, se *sess, key, utterance string, 
 	}
 	if followup {
 		if err != nil {
-			s.failed.inc()
+			s.failed.Inc()
 		} else {
-			s.resolved.inc()
+			s.resolved.Inc()
 		}
 	}
 	if err == nil && s.cache != nil && resp.SQL != nil && resp.Result != nil &&
@@ -171,7 +171,8 @@ func (s *Store) replayCached(se *sess, ent *cacheEntry) (*dialogue.Response, err
 // finishTurnObs closes the turn's trace, offers it for retention, feeds
 // the slow log, and bumps the turn counters.
 func (s *Store) finishTurnObs(turn *Turn, utterance string, rerr error, qt *obs.QueryTrace) {
-	s.turns.inc()
+	s.turns[turn.Intent].Inc()
+	s.turnSeconds.Observe(turn.Elapsed.Seconds())
 	outcome := "ok"
 	if rerr != nil {
 		outcome = "error"
@@ -181,10 +182,6 @@ func (s *Store) finishTurnObs(turn *Turn, utterance string, rerr error, qt *obs.
 	if a := turn.Resp.Answer; a != nil {
 		engine = a.Engine
 		partial = a.Partial
-	}
-	if m := s.cfg.Metrics; m != nil {
-		m.Counter(MetricTurns, "intent", turn.Intent.String()).Inc()
-		m.Histogram(MetricTurnSeconds).Observe(turn.Elapsed.Seconds())
 	}
 	if qt != nil {
 		turn.TraceID = qt.ID

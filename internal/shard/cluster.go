@@ -77,7 +77,10 @@ type Config struct {
 	// bind to one partition's tables and must never cross shards.
 	PlanCacheSize int
 
-	// Metrics receives the nlidb_shard_* families.
+	// Metrics holds the nlidb_shard_* families, and the coordinator's
+	// gateway and answer-cache families; nil means a private registry.
+	// FleetStatus reads the same series, so clusters sharing one registry
+	// share their fleet counts.
 	Metrics *obs.Registry
 	// NoTrace disables coordinator span collection. When tracing is on
 	// (the default) every Ask builds one QueryTrace spanning the engine
@@ -123,30 +126,31 @@ type Cluster struct {
 	// bind prepares statements against the full database, so a statement
 	// the schema refuses fails here, as one engine's failed attempt, and
 	// not on every replica of every shard.
-	bind  *sqlexec.Engine
-	reps  [][]*replica
-	hists []*obs.Histogram // per-shard latency reservoirs driving hedge delays
+	bind *sqlexec.Engine
+	reps [][]*replica
 
-	// stats are the always-on fleet rollup counters (independent of
-	// cfg.Metrics): per-shard in stats, cluster-wide below. They cost one
-	// atomic add each on the paths they count, and feed /fleet and the
-	// scrape-time WriteProm families.
-	stats        []shardStats
-	routeHome    atomic.Int64
-	routePruned  atomic.Int64
-	routeScatter atomic.Int64
-	partials     atomic.Int64
+	// The fleet's counters: registry handles resolved at construction,
+	// per shard in stats and cluster-wide below. /metrics exports them
+	// and FleetStatus reads them.
+	stats    []shardStats
+	routes   [len(routeNames)]*obs.Counter // by routeKind
+	partials *obs.Counter
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// shardStats is one shard's always-on rollup counters.
+// shardStats is one shard's counters: registry handles, plus downLegs,
+// which has no registry series.
 type shardStats struct {
-	requests  atomic.Int64
-	hedges    atomic.Int64
-	hedgeWins atomic.Int64
-	retries   atomic.Int64
+	requests map[string]*obs.Counter // by callOutcomes
+	// seconds is the replica-call latency reservoir: it drives the hedge
+	// delay and the /fleet percentiles, and is exported as is.
+	seconds   *obs.Histogram
+	hedges    *obs.Counter
+	hedgeWins *obs.Counter
+	retries   *obs.Counter
+	down      *obs.Counter // scatter legs abandoned
 	downLegs  atomic.Int64
 }
 
@@ -157,8 +161,8 @@ type shardStats struct {
 func New(db *sqldata.Database, n int, cfg Config) (*Cluster, error) {
 	return newCluster(db, n, cfg, func(s, r int, dbs []*sqldata.Database) Node {
 		gwCfg := cfg.Gateway
-		gwCfg.Cache = nil // the cluster caches fleet-wide
-		gwCfg.Metrics = nil
+		gwCfg.Cache = nil   // the cluster caches fleet-wide
+		gwCfg.Metrics = nil // a private registry: the coordinator owns the exported namespace
 		gwCfg.SlowLog = nil // the coordinator slow-logs once, with routing context
 		gwCfg.Traces = nil  // likewise: exemplars retained at the coordinator
 		gwCfg.PlanCache = nil
@@ -214,6 +218,7 @@ func newCluster(db *sqldata.Database, n int, cfg Config, nodeFor func(s, r int, 
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
+	cfg.Metrics = obs.OrNew(cfg.Metrics)
 
 	if cfg.Gateway.Budget == (sqlexec.Budget{}) {
 		cfg.Gateway.Budget = sqlexec.DefaultBudget() // as a gateway defaults it
@@ -222,15 +227,19 @@ func newCluster(db *sqldata.Database, n int, cfg Config, nodeFor func(s, r int, 
 	if err != nil {
 		return nil, err
 	}
+	m := cfg.Metrics
 	c := &Cluster{
-		cfg:   cfg,
-		n:     n,
-		part:  part,
-		bind:  sqlexec.New(db),
-		reps:  make([][]*replica, n),
-		hists: make([]*obs.Histogram, n),
-		stats: make([]shardStats, n),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		cfg:      cfg,
+		n:        n,
+		part:     part,
+		bind:     sqlexec.New(db),
+		reps:     make([][]*replica, n),
+		stats:    make([]shardStats, n),
+		partials: m.Counter(MetricPartial),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+	}
+	for kind, route := range routeNames {
+		c.routes[kind] = m.Counter(MetricRoutes, "route", route)
 	}
 	front := cfg.Gateway
 	front.Timeout = cfg.Timeout
@@ -247,7 +256,17 @@ func newCluster(db *sqldata.Database, n int, cfg Config, nodeFor func(s, r int, 
 	c.front = resilient.NewOver(db, cfg.Chain, front, router{c})
 
 	for s := 0; s < n; s++ {
-		c.hists[s] = obs.NewHistogram()
+		sl := strconv.Itoa(s)
+		st := &c.stats[s]
+		st.requests = make(map[string]*obs.Counter, len(callOutcomes))
+		for _, outcome := range callOutcomes {
+			st.requests[outcome] = m.Counter(MetricRequests, "shard", sl, "outcome", outcome)
+		}
+		st.seconds = m.Histogram(MetricReplicaSeconds, "shard", sl)
+		st.hedges = m.Counter(MetricHedges, "shard", sl)
+		st.hedgeWins = m.Counter(MetricHedgeWins, "shard", sl)
+		st.retries = m.Counter(MetricRetries, "shard", sl)
+		st.down = m.Counter(MetricShardDown, "shard", sl)
 		c.reps[s] = make([]*replica, cfg.Replicas)
 		for r := 0; r < cfg.Replicas; r++ {
 			node := nodeFor(s, r, dbs)
@@ -257,46 +276,19 @@ func newCluster(db *sqldata.Database, n int, cfg Config, nodeFor func(s, r int, 
 			br := resilient.NewBreaker(cfg.ReplicaThreshold, cfg.ReplicaCooldown, cfg.Now)
 			br.SetJitter(resilient.DefaultBreakerJitter(cfg.ReplicaCooldown), cfg.Seed+int64(s*cfg.Replicas+r))
 			rep := &replica{shard: s, idx: r, node: node, br: br}
-			var g *obs.Gauge
-			if m := cfg.Metrics; m != nil {
-				g = m.Gauge(MetricReplicaState, "shard", strconv.Itoa(s), "replica", strconv.Itoa(r))
-				g.Set(resilient.StateValue("closed"))
-			}
-			if g != nil || cfg.BreakerHook != nil {
-				shardIdx, replIdx := s, r
-				br.OnTransition(func(from, to string) {
-					if g != nil {
-						g.Set(resilient.StateValue(to))
-					}
-					if cfg.BreakerHook != nil {
-						cfg.BreakerHook(shardIdx, replIdx, from, to)
-					}
-				})
-			}
+			g := m.Gauge(MetricReplicaState, "shard", sl, "replica", strconv.Itoa(r))
+			g.Set(resilient.StateValue("closed"))
+			shardIdx, replIdx := s, r
+			br.OnTransition(func(from, to string) {
+				g.Set(resilient.StateValue(to))
+				if cfg.BreakerHook != nil {
+					cfg.BreakerHook(shardIdx, replIdx, from, to)
+				}
+			})
 			c.reps[s][r] = rep
 		}
 	}
-	c.preregisterMetrics()
 	return c, nil
-}
-
-func (c *Cluster) preregisterMetrics() {
-	m := c.cfg.Metrics
-	if m == nil {
-		return
-	}
-	m.Counter(MetricPartial)
-	for _, route := range routeNames {
-		m.Counter(MetricRoutes, "route", route)
-	}
-	for s := 0; s < c.n; s++ {
-		sl := strconv.Itoa(s)
-		m.Counter(MetricRequests, "shard", sl, "outcome", "ok")
-		m.Histogram(MetricReplicaSeconds, "shard", sl)
-		m.Counter(MetricHedges, "shard", sl)
-		m.Counter(MetricRetries, "shard", sl)
-		m.Counter(MetricShardDown, "shard", sl)
-	}
 }
 
 // ShardCount returns N.
@@ -497,9 +489,7 @@ func (c *Cluster) scatter(ctx context.Context, rt *route, st *resilient.Routing)
 				firstErr = l.err
 			}
 			missing = append(missing, l.idx)
-			if m := c.cfg.Metrics; m != nil {
-				m.Counter(MetricShardDown, "shard", strconv.Itoa(l.idx)).Inc()
-			}
+			c.stats[l.idx].down.Inc()
 			continue
 		}
 		partials[l.idx] = l.ans.Result
@@ -532,10 +522,7 @@ func (c *Cluster) scatter(ctx context.Context, rt *route, st *resilient.Routing)
 	}
 	if out.Partial {
 		msp.SetAttr("missing", fmt.Sprint(missing))
-		c.partials.Add(1)
-		if m := c.cfg.Metrics; m != nil {
-			m.Counter(MetricPartial).Inc()
-		}
+		c.partials.Inc()
 	}
 	msp.End()
 	return out, nil
@@ -582,10 +569,7 @@ func (c *Cluster) askShard(ctx context.Context, s int, sql string, st *resilient
 		}
 		sp.Add("retries", 1)
 		st.Retries.Add(1)
-		c.stats[s].retries.Add(1)
-		if m := c.cfg.Metrics; m != nil {
-			m.Counter(MetricRetries, "shard", strconv.Itoa(s)).Inc()
-		}
+		c.stats[s].retries.Inc()
 		delay := c.backoff(try)
 		if len(tried) >= len(c.reps[s]) {
 			// Every replica has had a direct attempt this leg; let the
@@ -677,7 +661,7 @@ func (c *Cluster) legOnce(ctx context.Context, s int, sql string, tried map[*rep
 				if hedgeFired && r.from == alt {
 					// The hedge beat (or outlived) the primary: the fleet's
 					// tail-latency insurance paid out.
-					c.stats[s].hedgeWins.Add(1)
+					c.stats[s].hedgeWins.Inc()
 					obs.FromContext(ctx).SetAttr("hedge_win", "r"+strconv.Itoa(alt.idx))
 				}
 				return r.ans, nil
@@ -703,10 +687,7 @@ func (c *Cluster) legOnce(ctx context.Context, s int, sql string, tried map[*rep
 			hedgeFired = true
 			tried[alt] = true
 			st.Hedged.Add(1)
-			c.stats[s].hedges.Add(1)
-			if m := c.cfg.Metrics; m != nil {
-				m.Counter(MetricHedges, "shard", strconv.Itoa(s)).Inc()
-			}
+			c.stats[s].hedges.Inc()
 			launch(alt, "hedge")
 			pending++
 		case <-ctx.Done():
@@ -742,7 +723,7 @@ const hedgeQuantile = 0.95
 // the shard's hedgeQuantile latency, clamped to [HedgeMin, HedgeMax];
 // HedgeMax until the reservoir has enough samples to trust.
 func (c *Cluster) hedgeDelay(s int) time.Duration {
-	h := c.hists[s]
+	h := c.stats[s].seconds
 	if h.Count() < 16 {
 		return c.cfg.HedgeMax
 	}
@@ -767,23 +748,22 @@ func (c *Cluster) call(ctx context.Context, r *replica, sql string, kind string)
 	sp.SetAttr("kind", kind)
 	sp.SetAttr("breaker", r.br.State())
 	r.inflight.Add(1)
-	c.stats[r.shard].requests.Add(1)
 	t0 := time.Now()
 	ans, err := r.node.AskSQL(ctx, sql)
 	elapsed := time.Since(t0)
 	r.inflight.Add(-1)
 	r.observe(err, elapsed)
-	c.hists[r.shard].Observe(elapsed.Seconds())
 	outcome := callOutcome(err)
 	sp.SetAttr("outcome", outcome)
 	sp.End()
-	if m := c.cfg.Metrics; m != nil {
-		sl := strconv.Itoa(r.shard)
-		m.Counter(MetricRequests, "shard", sl, "outcome", outcome).Inc()
-		m.Histogram(MetricReplicaSeconds, "shard", sl).Observe(elapsed.Seconds())
-	}
+	st := &c.stats[r.shard]
+	st.requests[outcome].Inc()
+	st.seconds.Observe(elapsed.Seconds())
 	return ans, err
 }
+
+// callOutcomes are every label callOutcome returns.
+var callOutcomes = []string{"ok", "down", "backpressure", "stale_epoch", "timeout", "canceled", "error"}
 
 // callOutcome maps a replica-call error to its metric label.
 func callOutcome(err error) string {
@@ -807,17 +787,7 @@ func callOutcome(err error) string {
 
 func (c *Cluster) countRoute(kind routeKind, st *resilient.Routing) {
 	st.Route = routeNames[kind]
-	switch kind {
-	case routeHome:
-		c.routeHome.Add(1)
-	case routePruned:
-		c.routePruned.Add(1)
-	default:
-		c.routeScatter.Add(1)
-	}
-	if m := c.cfg.Metrics; m != nil {
-		m.Counter(MetricRoutes, "route", st.Route).Inc()
-	}
+	c.routes[kind].Inc()
 }
 
 // rendezvous orders shards by highest-random-weight for a statement any

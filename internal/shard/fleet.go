@@ -23,7 +23,8 @@ type ReplicaStatus struct {
 
 // ShardStatus is one shard's rollup: request totals, hedge economics,
 // latency percentiles from the reservoir that drives hedge delays, and
-// every replica's health.
+// every replica's health. The counts and percentiles are the registry
+// series /metrics exports.
 type ShardStatus struct {
 	Shard     int   `json:"shard"`
 	Requests  int64 `json:"requests"`
@@ -55,17 +56,18 @@ type FleetStatus struct {
 	PerShard    []ShardStatus `json:"per_shard"`
 }
 
-// FleetStatus snapshots the cluster's rollup counters and replica health.
+// FleetStatus snapshots the cluster's counters and replica health. It
+// reads the registry series /metrics exports, so clusters sharing one
+// registry report the same counts.
 func (c *Cluster) FleetStatus() FleetStatus {
 	fs := FleetStatus{
 		Shards:           c.n,
 		ReplicasPerShard: c.cfg.Replicas,
-		Routes: map[string]int64{
-			"home":    c.routeHome.Load(),
-			"pruned":  c.routePruned.Load(),
-			"scatter": c.routeScatter.Load(),
-		},
-		Partials: c.partials.Load(),
+		Routes:           make(map[string]int64, len(routeNames)),
+		Partials:         c.partials.Value(),
+	}
+	for kind, route := range routeNames {
+		fs.Routes[route] = c.routes[kind].Value()
 	}
 	if sc := fs.Routes["scatter"]; sc > 0 {
 		fs.PartialRate = float64(fs.Partials) / float64(sc)
@@ -74,13 +76,15 @@ func (c *Cluster) FleetStatus() FleetStatus {
 		st := &c.stats[s]
 		sh := ShardStatus{
 			Shard:     s,
-			Requests:  st.requests.Load(),
-			Hedges:    st.hedges.Load(),
-			HedgeWins: st.hedgeWins.Load(),
-			Retries:   st.retries.Load(),
+			Hedges:    st.hedges.Value(),
+			HedgeWins: st.hedgeWins.Value(),
+			Retries:   st.retries.Value(),
 			DownLegs:  st.downLegs.Load(),
 		}
-		if h := c.hists[s]; h.Count() > 0 {
+		for _, n := range st.requests {
+			sh.Requests += n.Value()
+		}
+		if h := st.seconds; h.Count() > 0 {
 			sh.P50MS = h.Quantile(0.50) * 1e3
 			sh.P99MS = h.Quantile(0.99) * 1e3
 		}
@@ -129,7 +133,8 @@ func (c *Cluster) FleetHandler() http.Handler {
 // format — families computed from live replica state rather than
 // accumulated in the registry, wired onto /metrics via obs.WithProm.
 // Registry-backed nlidb_shard_* families (requests, latency histograms,
-// breaker-state gauges, hedge/retry counters) are NOT repeated here.
+// breaker-state gauges, hedge, hedge-win and retry counters) are NOT
+// repeated here.
 func (c *Cluster) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE nlidb_shard_replica_ewma_micros gauge\n# TYPE nlidb_shard_replica_inflight gauge\n")
 	for s := 0; s < c.n; s++ {
@@ -140,16 +145,12 @@ func (c *Cluster) WriteProm(w io.Writer) {
 	}
 	fmt.Fprintf(w, "# TYPE nlidb_shard_latency_ms gauge\n")
 	for s := 0; s < c.n; s++ {
-		if h := c.hists[s]; h.Count() > 0 {
+		if h := c.stats[s].seconds; h.Count() > 0 {
 			fmt.Fprintf(w, "nlidb_shard_latency_ms{shard=\"%d\",quantile=\"0.5\"} %g\n", s, h.Quantile(0.50)*1e3)
 			fmt.Fprintf(w, "nlidb_shard_latency_ms{shard=\"%d\",quantile=\"0.99\"} %g\n", s, h.Quantile(0.99)*1e3)
 		}
 	}
-	fmt.Fprintf(w, "# TYPE nlidb_shard_hedge_wins_total counter\n")
-	for s := 0; s < c.n; s++ {
-		fmt.Fprintf(w, "nlidb_shard_hedge_wins_total{shard=\"%d\"} %d\n", s, c.stats[s].hedgeWins.Load())
-	}
-	partials, scatters := c.partials.Load(), c.routeScatter.Load()
+	partials, scatters := c.partials.Value(), c.routes[routeScatter].Value()
 	rate := 0.0
 	if scatters > 0 {
 		rate = float64(partials) / float64(scatters)

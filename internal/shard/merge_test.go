@@ -76,12 +76,12 @@ func TestMergeStatementShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unsharded %q: %v", sql, err)
 		}
-		scatters := cl.routeScatter.Load()
+		scatters := cl.routes[routeScatter].Value()
 		got, err := cl.Ask(ctx, sql)
 		if err != nil {
 			t.Fatalf("sharded %q: %v", sql, err)
 		}
-		if cl.routeScatter.Load() != scatters+1 {
+		if cl.routes[routeScatter].Value() != scatters+1 {
 			t.Fatalf("%q: not scattered", sql)
 		}
 		if !got.Result.EqualOrdered(want.Result) {

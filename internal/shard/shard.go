@@ -52,6 +52,8 @@ const (
 	MetricReplicaState = "nlidb_shard_replica_state"
 	// MetricHedges counts hedged (second-replica) launches by shard.
 	MetricHedges = "nlidb_shard_hedges_total"
+	// MetricHedgeWins counts hedges that answered first, by shard.
+	MetricHedgeWins = "nlidb_shard_hedge_wins_total"
 	// MetricRetries counts per-shard retry attempts after a failed call.
 	MetricRetries = "nlidb_shard_retries_total"
 	// MetricRoutes counts routed statements by route: "home" (no

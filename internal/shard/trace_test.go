@@ -254,7 +254,8 @@ func TestCoordinatorSlowLogAndTraceStore(t *testing.T) {
 // surface, and the scrape-time Prometheus families.
 func TestFleetRollups(t *testing.T) {
 	db := fleetDB(t)
-	cl := testCluster(t, db, 2, Config{Replicas: 2, CacheSize: -1, Seed: 3})
+	reg := obs.NewRegistry()
+	cl := testCluster(t, db, 2, Config{Replicas: 2, CacheSize: -1, Seed: 3, Metrics: reg})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
 		if _, err := cl.Ask(ctx, "SELECT COUNT(*) FROM customers"); err != nil {
@@ -317,12 +318,20 @@ func TestFleetRollups(t *testing.T) {
 		`nlidb_shard_replica_ewma_micros{shard="0",replica="0"}`,
 		`nlidb_shard_replica_inflight{shard="1",replica="1"} 0`,
 		`nlidb_shard_latency_ms{shard="0",quantile="0.99"}`,
-		`nlidb_shard_hedge_wins_total{shard="0"}`,
 		"nlidb_shard_partial_rate 0",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Errorf("fleet prom dump missing %q:\n%s", want, prom)
 		}
+	}
+	// Hedge wins are a registry counter: on /metrics once, not twice.
+	sb.Reset()
+	reg.WritePrometheus(&sb)
+	if want := `nlidb_shard_hedge_wins_total{shard="0"} 0`; !strings.Contains(sb.String(), want) {
+		t.Errorf("registry dump missing %q", want)
+	}
+	if strings.Contains(prom, "hedge_wins") {
+		t.Errorf("fleet prom dump repeats the registry's hedge wins:\n%s", prom)
 	}
 }
 
@@ -467,5 +476,117 @@ func TestChaosTracingVisibility(t *testing.T) {
 	tmu.Unlock()
 	if !halfOpen || !closed {
 		t.Fatalf("recovery transitions missing: open→half-open=%v half-open→closed=%v", halfOpen, closed)
+	}
+}
+
+// TestFleetStatusAgreesWithRegistry: after home, pruned and scatter
+// routes, a hedge that wins, a retried leg and a partial answer, every
+// FleetStatus count and percentile equals the registry series it reports.
+func TestFleetStatusAgreesWithRegistry(t *testing.T) {
+	db := fleetDB(t)
+	ctx := context.Background()
+	ask := func(cl *Cluster, sql string) *resilient.Answer {
+		t.Helper()
+		ans, err := cl.Ask(ctx, sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		return ans
+	}
+
+	reg := obs.NewRegistry()
+	nodes := make([][]*ChaosNode, 2)
+	cl := testCluster(t, db, 2, Config{
+		Replicas:         2,
+		CacheSize:        -1,
+		Retries:          1,
+		RetryBackoff:     time.Millisecond,
+		HedgeMin:         time.Millisecond,
+		HedgeMax:         2 * time.Millisecond,
+		ReplicaThreshold: 100,
+		Seed:             3,
+		Metrics:          reg,
+		WrapNode: func(s, r int, n Node) Node {
+			cn := &ChaosNode{Inner: n}
+			nodes[s] = append(nodes[s], cn)
+			return cn
+		},
+	})
+	// Every replica is idle, so shard 0's leg goes to replica 0 first: it
+	// stalls, the hedge launches replica 1 after HedgeMax, and wins.
+	nodes[0][0].SetDelay(100 * time.Millisecond)
+	ask(cl, "SELECT COUNT(*) FROM customers")
+	nodes[0][0].SetDelay(0)
+	// Shard 1 down: its leg fails over, is retried, and the answer comes
+	// back partial.
+	nodes[1][0].Kill()
+	nodes[1][1].Kill()
+	if !ask(cl, "SELECT COUNT(*) FROM customers").Partial {
+		t.Fatal("want a partial answer with shard 1 down")
+	}
+	nodes[1][0].Restore()
+	nodes[1][1].Restore()
+	ask(cl, "SELECT name FROM customers WHERE id = 7")
+
+	fs := cl.FleetStatus()
+	if fs.Routes["scatter"] != 2 || fs.Routes["pruned"] != 1 || fs.Partials != 1 {
+		t.Fatalf("routes %v, partials %d; want 2 scatter, 1 pruned, 1 partial", fs.Routes, fs.Partials)
+	}
+	if sh := fs.PerShard[0]; sh.Hedges < 1 || sh.HedgeWins < 1 {
+		t.Fatalf("shard 0: %d hedges, %d wins; want at least one of each", sh.Hedges, sh.HedgeWins)
+	}
+	if fs.PerShard[1].Retries < 1 {
+		t.Fatal("shard 1: no retry counted")
+	}
+	fleetAgreesWithRegistry(t, cl, reg)
+
+	// A one-shard cluster routes everything home.
+	reg1 := obs.NewRegistry()
+	one := testCluster(t, db, 1, Config{CacheSize: -1, Metrics: reg1})
+	ask(one, "SELECT COUNT(*) FROM customers")
+	if fs := one.FleetStatus(); fs.Routes["home"] != 1 {
+		t.Fatalf("one-shard routes %v, want 1 home", fs.Routes)
+	}
+	fleetAgreesWithRegistry(t, one, reg1)
+}
+
+// fleetAgreesWithRegistry compares every registry-backed FleetStatus
+// field with the series behind it.
+func fleetAgreesWithRegistry(t *testing.T, cl *Cluster, reg *obs.Registry) {
+	t.Helper()
+	fs := cl.FleetStatus()
+	for route, n := range fs.Routes {
+		if v := reg.Counter(MetricRoutes, "route", route).Value(); v != n {
+			t.Errorf("Routes[%s] = %d, registry %d", route, n, v)
+		}
+	}
+	if v := reg.Counter(MetricPartial).Value(); v != fs.Partials {
+		t.Errorf("Partials = %d, registry %d", fs.Partials, v)
+	}
+	for _, sh := range fs.PerShard {
+		sl := strconv.Itoa(sh.Shard)
+		var requests int64
+		for _, outcome := range callOutcomes {
+			requests += reg.Counter(MetricRequests, "shard", sl, "outcome", outcome).Value()
+		}
+		h := reg.Histogram(MetricReplicaSeconds, "shard", sl)
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"Requests", float64(sh.Requests), float64(requests)},
+			{"Hedges", float64(sh.Hedges), float64(reg.Counter(MetricHedges, "shard", sl).Value())},
+			{"HedgeWins", float64(sh.HedgeWins), float64(reg.Counter(MetricHedgeWins, "shard", sl).Value())},
+			{"Retries", float64(sh.Retries), float64(reg.Counter(MetricRetries, "shard", sl).Value())},
+			{"P50MS", sh.P50MS, h.Quantile(0.50) * 1e3},
+			{"P99MS", sh.P99MS, h.Quantile(0.99) * 1e3},
+		} {
+			if c.got != c.want {
+				t.Errorf("shard %d %s = %v, registry %v", sh.Shard, c.name, c.got, c.want)
+			}
+		}
+		if sh.Requests == 0 {
+			t.Errorf("shard %d served no request", sh.Shard)
+		}
 	}
 }

@@ -198,15 +198,6 @@ func (d *Database) Tables() []*Table {
 	return out
 }
 
-// Schemas returns all table schemas in registration order.
-func (d *Database) Schemas() []*Schema {
-	out := make([]*Schema, 0, len(d.order))
-	for _, k := range d.order {
-		out = append(out, d.tables[k].Schema)
-	}
-	return out
-}
-
 // Fingerprint summarizes the database's schema and data state as a hash
 // of the catalog (name, table count, table names and column counts) and
 // every table's mutation version. Any AddTable or Insert changes the

@@ -14,6 +14,9 @@
 #   - /fleet reports per-shard/per-replica rollups with closed breakers,
 #   - /slo reports multi-window burn rates that saw the request,
 #   - the nlidb_shard_* and nlidb_slo_* families ride the /metrics scrape,
+#   - /fleet and /metrics, scraped while the server is idle, report the
+#     same scatter-route count and, per shard, the same requests, hedges,
+#     hedge wins and retries (they read the same registry series),
 #   - SIGTERM drains: the process exits promptly and cleanly.
 set -eu
 
@@ -142,6 +145,43 @@ for family in \
         status=1
     fi
 done
+
+# /fleet and /metrics agree: the scatter-route count, and per shard the
+# requests (summed over outcomes), hedges, hedge wins and retries. Both
+# sides become "<counter> <shard> <value>" lines; nothing runs between
+# the two scrapes, so they must be identical.
+curl -sf "http://$ADDR/fleet" >"$TMP/fleet.json"
+curl -sf "http://$ADDR/metrics" >"$TMP/metrics.txt"
+awk '
+    /"routes": \{/ { inroutes = 1 }
+    inroutes && /"scatter":/ { v = $2; gsub(/[^0-9]/, "", v); print "routes scatter", v }
+    inroutes && /\}/ { inroutes = 0 }
+    /"shard": / { v = $2; gsub(/[^0-9]/, "", v); shard = v }
+    /"(requests|hedges|hedge_wins|retries)": / {
+        k = $1; gsub(/[":]/, "", k); v = $2; gsub(/[^0-9]/, "", v); print k, shard, v
+    }' "$TMP/fleet.json" | sort >"$TMP/fleet.counts"
+awk '
+    /^nlidb_shard_routes_total\{route="scatter"\}/ { print "routes scatter", $2 }
+    /^nlidb_shard_(requests|hedges|hedge_wins|retries)_total\{/ {
+        k = $1; sub(/^nlidb_shard_/, "", k); sub(/_total\{.*/, "", k)
+        s = $1; sub(/.*shard="/, "", s); sub(/".*/, "", s)
+        sum[k " " s] += $2
+    }
+    END { for (k in sum) print k, sum[k] }' "$TMP/metrics.txt" | sort >"$TMP/metrics.counts"
+if [ "$(wc -l <"$TMP/fleet.counts")" -ne 13 ] || ! grep -q '^routes scatter [1-9]' "$TMP/fleet.counts"; then
+    echo "trace-smoke: /fleet counts incomplete (want the scatter route and 4 counters x 3 shards):" >&2
+    cat "$TMP/fleet.counts" >&2
+    status=1
+fi
+if grep -q '^requests [0-9]* 0$' "$TMP/fleet.counts"; then
+    echo "trace-smoke: a shard the scatter question touched reports 0 requests on /fleet" >&2
+    status=1
+fi
+if ! diff "$TMP/fleet.counts" "$TMP/metrics.counts" >"$TMP/counts.diff"; then
+    echo "trace-smoke: /fleet and /metrics disagree (< /fleet, > /metrics):" >&2
+    cat "$TMP/counts.diff" >&2
+    status=1
+fi
 
 # SIGTERM must drain and exit cleanly.
 kill -TERM "$NLIDB_PID"
