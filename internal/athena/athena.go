@@ -38,7 +38,6 @@ type Interpreter struct {
 	ix       *invindex.Index
 	lex      *lexicon.Lexicon
 	compiler *ir.Compiler
-	opts     invindex.LookupOptions
 
 	// Relax enables query relaxation over the lexicon for unmatched terms.
 	Relax bool
@@ -55,7 +54,6 @@ func New(db *sqldata.Database, ix *invindex.Index, lex *lexicon.Lexicon) *Interp
 		ix:       ix,
 		lex:      lex,
 		compiler: &ir.Compiler{Ont: ont, Graph: schemagraph.Build(db)},
-		opts:     invindex.DefaultOptions(),
 		Relax:    true,
 	}
 }
@@ -75,7 +73,7 @@ func (at *Interpreter) Name() string { return "athena" }
 // Interpret annotates the question with ontology evidence, builds the
 // intermediate query, and compiles it to SQL.
 func (at *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
-	a := nlq.Analyze(question, at.ix, at.opts)
+	a := nlq.Analyze(question, at.ix, invindex.DefaultOptions())
 	relaxed := 0
 	if at.Relax {
 		relaxed = at.relax(a)
@@ -247,7 +245,7 @@ func (at *Interpreter) buildIR(a *nlq.Analysis) (*ir.Query, []string, error) {
 			if usedValuePos[w.pos] || w.prop != v.prop {
 				continue
 			}
-			if orLinked(a.Tokens, v.pos, w.pos) {
+			if nlq.OrBetween(a.Tokens, v.pos, w.pos) {
 				usedValuePos[w.pos] = true
 				inVals = append(inVals, sqldata.NewText(w.value))
 			}
@@ -608,17 +606,4 @@ func firstPropertyName(c *ontology.Concept) string {
 		return c.Properties[0].Name
 	}
 	return "id"
-}
-
-// orLinked reports whether an "or" token lies between two token positions.
-func orLinked(toks []nlp.Token, a, b int) bool {
-	if a > b {
-		a, b = b, a
-	}
-	for i := a; i < b && i < len(toks); i++ {
-		if toks[i].Lower == "or" {
-			return true
-		}
-	}
-	return false
 }

@@ -135,7 +135,7 @@ func (c *Completer) Suggest(prefix string, limit int) []Suggestion {
 		// Opening position: suggest concepts by centrality, and the
 		// aggregate openers.
 		for _, cc := range c.ont.Concepts() {
-			add(pluralize(cc.Name), "concept", c.centrality[strings.ToLower(cc.Name)])
+			add(nlp.Pluralize(cc.Name), "concept", c.centrality[strings.ToLower(cc.Name)])
 		}
 		add("how many", "aggregate", 0.6)
 		add("average", "aggregate", 0.5)
@@ -192,7 +192,7 @@ func (c *Completer) Suggest(prefix string, limit int) []Suggestion {
 				other = rel.From
 			}
 			add("of the "+other, "relationship", 0.5+0.4*c.centrality[strings.ToLower(other)])
-			add("without "+pluralize(other), "relationship", 0.3+0.3*c.centrality[strings.ToLower(other)])
+			add("without "+nlp.Pluralize(other), "relationship", 0.3+0.3*c.centrality[strings.ToLower(other)])
 		}
 		add("per", "grouping", 0.45)
 	}
@@ -228,15 +228,4 @@ func propertiesOf(c *ontology.Concept) []ontology.Property {
 		out = append(out, p)
 	}
 	return out
-}
-
-func pluralize(w string) string {
-	switch {
-	case strings.HasSuffix(w, "s"):
-		return w
-	case strings.HasSuffix(w, "y"):
-		return w[:len(w)-1] + "ies"
-	default:
-		return w + "s"
-	}
 }

@@ -135,10 +135,6 @@ func TestSpiderStyle(t *testing.T) {
 			}
 		}
 	}
-	pairs, owners := Merged(sets)
-	if len(pairs) == 0 || len(pairs) != len(owners) {
-		t.Fatal("Merged broken")
-	}
 }
 
 func TestConversations(t *testing.T) {

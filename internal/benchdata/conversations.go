@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"nlidb/internal/dataset"
+	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlparse"
 )
@@ -48,7 +49,7 @@ func (d *Domain) makeConversation(r *rand.Rand, id string) *dataset.Conversation
 			return nil
 		}
 		name := strings.ToLower(anchorTbl.Schema.Name)
-		idc := identifyingCol(anchorTbl.Schema)
+		idc := nlq.FirstTextColumn(anchorTbl.Schema)
 		fcols := filterTextCols(anchorTbl.Schema)
 		col := fcols[r.Intn(len(fcols))]
 		v := randomValue(anchorTbl, col, r)
@@ -62,22 +63,22 @@ func (d *Domain) makeConversation(r *rand.Rand, id string) *dataset.Conversation
 		for _, e := range edges(d.DB) {
 			child := d.DB.Table(e.child)
 			parent := d.DB.Table(e.parent)
-			if identifyingCol(child.Schema) == "" || identifyingCol(parent.Schema) == "" {
+			if nlq.FirstTextColumn(child.Schema) == "" || nlq.FirstTextColumn(parent.Schema) == "" {
 				continue
 			}
 			if len(numericCols(child.Schema)) < 2 {
 				continue
 			}
-			v := randomValue(parent, identifyingCol(parent.Schema), r)
+			v := randomValue(parent, nlq.FirstTextColumn(parent.Schema), r)
 			if v == "" {
 				continue
 			}
 			anchorTbl = child
 			opening = fmt.Sprintf("show %s of the %s %s", plural(e.child), e.parent, v)
 			openingSQL = fmt.Sprintf("SELECT %s.%s FROM %s JOIN %s ON %s.%s = %s.%s WHERE %s.%s = '%s'",
-				e.child, identifyingCol(child.Schema), e.child, e.parent,
+				e.child, nlq.FirstTextColumn(child.Schema), e.child, e.parent,
 				e.child, e.childCol, e.parent, e.parentCol,
-				e.parent, identifyingCol(parent.Schema), escape(v))
+				e.parent, nlq.FirstTextColumn(parent.Schema), escape(v))
 			break
 		}
 		if anchorTbl == nil {

@@ -14,19 +14,9 @@ import (
 
 // --- schema introspection helpers -----------------------------------------
 
-// identifyingCol returns the table's display column: the first TEXT column.
-func identifyingCol(s *sqldata.Schema) string {
-	for _, c := range s.Columns {
-		if c.Type == sqldata.TypeText {
-			return strings.ToLower(c.Name)
-		}
-	}
-	return ""
-}
-
 // filterTextCols lists TEXT columns other than the identifying one.
 func filterTextCols(s *sqldata.Schema) []string {
-	idc := identifyingCol(s)
+	idc := nlq.FirstTextColumn(s)
 	var out []string
 	for _, c := range s.Columns {
 		if c.Type == sqldata.TypeText && !strings.EqualFold(c.Name, idc) {
@@ -180,7 +170,7 @@ func (d *Domain) realize(class nlq.Complexity, r *rand.Rand) (q, sql, table stri
 func (d *Domain) tablesWithText() []*sqldata.Table {
 	var out []*sqldata.Table
 	for _, t := range d.DB.Tables() {
-		if identifyingCol(t.Schema) != "" {
+		if nlq.FirstTextColumn(t.Schema) != "" {
 			out = append(out, t)
 		}
 	}
@@ -194,7 +184,7 @@ func (d *Domain) realizeSimple(r *rand.Rand) (string, string, string) {
 	}
 	t := tabs[r.Intn(len(tabs))]
 	name := strings.ToLower(t.Schema.Name)
-	idc := identifyingCol(t.Schema)
+	idc := nlq.FirstTextColumn(t.Schema)
 	switch r.Intn(4) {
 	case 3: // S4: two conditions, order randomized in both NL and gold
 		fcols := filterTextCols(t.Schema)
@@ -275,7 +265,7 @@ func (d *Domain) realizeAggregation(r *rand.Rand) (string, string, string) {
 	}
 	t := tabs[r.Intn(len(tabs))]
 	name := strings.ToLower(t.Schema.Name)
-	idc := identifyingCol(t.Schema)
+	idc := nlq.FirstTextColumn(t.Schema)
 	ncols := numericCols(t.Schema)
 	switch r.Intn(5) {
 	case 0: // A1: plain count
@@ -327,8 +317,8 @@ func (d *Domain) realizeJoin(r *rand.Rand) (string, string, string) {
 	e := es[r.Intn(len(es))]
 	child := d.DB.Table(e.child)
 	parent := d.DB.Table(e.parent)
-	cid := identifyingCol(child.Schema)
-	pid := identifyingCol(parent.Schema)
+	cid := nlq.FirstTextColumn(child.Schema)
+	pid := nlq.FirstTextColumn(parent.Schema)
 	if pid == "" {
 		return "", "", ""
 	}
@@ -383,7 +373,7 @@ func (d *Domain) realizeNested(r *rand.Rand) (string, string, string) {
 		}
 		t := cands[r.Intn(len(cands))]
 		name := strings.ToLower(t.Schema.Name)
-		idc := identifyingCol(t.Schema)
+		idc := nlq.FirstTextColumn(t.Schema)
 		ncols := numericCols(t.Schema)
 		col := ncols[r.Intn(len(ncols))]
 		return fmt.Sprintf("%s with %s greater than the average %s", plural(name), colPhrase(col), colPhrase(col)),
@@ -395,7 +385,7 @@ func (d *Domain) realizeNested(r *rand.Rand) (string, string, string) {
 		}
 		e := es[r.Intn(len(es))]
 		parent := d.DB.Table(e.parent)
-		pid := identifyingCol(parent.Schema)
+		pid := nlq.FirstTextColumn(parent.Schema)
 		if pid == "" {
 			return "", "", ""
 		}
@@ -410,7 +400,7 @@ func (d *Domain) realizeNested(r *rand.Rand) (string, string, string) {
 		}
 		e := es[r.Intn(len(es))]
 		parent := d.DB.Table(e.parent)
-		pid := identifyingCol(parent.Schema)
+		pid := nlq.FirstTextColumn(parent.Schema)
 		if pid == "" {
 			return "", "", ""
 		}

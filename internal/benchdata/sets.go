@@ -60,18 +60,3 @@ func SpiderStyle(domains []*Domain, perClassPerDomain int, seed int64) []*datase
 	}
 	return sets
 }
-
-// Merged flattens several sets over distinct databases into one logical
-// evaluation list (pairs keep pointers to their own set's database via the
-// returned parallel slice).
-func Merged(sets []*dataset.Set) ([]dataset.Pair, []*dataset.Set) {
-	var pairs []dataset.Pair
-	var owner []*dataset.Set
-	for _, s := range sets {
-		for _, p := range s.Pairs {
-			pairs = append(pairs, p)
-			owner = append(owner, s)
-		}
-	}
-	return pairs, owner
-}

@@ -40,15 +40,6 @@ type Set struct {
 	Pairs []Pair
 }
 
-// ByComplexity buckets the pairs by gold complexity class.
-func (s *Set) ByComplexity() map[nlq.Complexity][]Pair {
-	out := map[nlq.Complexity][]Pair{}
-	for _, p := range s.Pairs {
-		out[p.Complexity] = append(out[p.Complexity], p)
-	}
-	return out
-}
-
 // Stats summarizes a corpus for the benchmark-landscape table.
 type Stats struct {
 	Pairs      int

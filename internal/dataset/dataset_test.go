@@ -8,7 +8,7 @@ import (
 	"nlidb/internal/sqlparse"
 )
 
-func TestByComplexityAndStats(t *testing.T) {
+func TestComputeStats(t *testing.T) {
 	db := sqldata.NewDatabase("d")
 	if _, err := db.CreateTable(&sqldata.Schema{Name: "t", Columns: []sqldata.Column{{Name: "a", Type: sqldata.TypeInt}}}); err != nil {
 		t.Fatal(err)
@@ -18,12 +18,8 @@ func TestByComplexityAndStats(t *testing.T) {
 		{ID: "2", SQL: sqlparse.MustParse("SELECT COUNT(*) FROM t"), Complexity: nlq.Aggregation},
 		{ID: "3", SQL: sqlparse.MustParse("SELECT a FROM t WHERE a = 1"), Complexity: nlq.Simple},
 	}}
-	by := s.ByComplexity()
-	if len(by[nlq.Simple]) != 2 || len(by[nlq.Aggregation]) != 1 {
-		t.Fatalf("ByComplexity = %v", by)
-	}
 	st := s.ComputeStats()
-	if st.Pairs != 3 || st.Tables != 1 || st.PerClass[nlq.Simple] != 2 || st.AvgPerPair != 1 {
+	if st.Pairs != 3 || st.Tables != 1 || st.PerClass[nlq.Simple] != 2 || st.PerClass[nlq.Aggregation] != 1 || st.AvgPerPair != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -53,7 +53,7 @@ func Bootstrap(db *sqldata.Database, ont *ontology.Ontology, seed int64) *Artifa
 
 	for _, c := range ont.Concepts() {
 		cname := strings.ToLower(c.Name)
-		pl := pluralizeWord(cname)
+		pl := nlp.Pluralize(cname)
 		tbl := db.Table(c.Table)
 
 		// lookup_<concept>: selection questions.
@@ -118,8 +118,8 @@ func Bootstrap(db *sqldata.Database, ont *ontology.Ontology, seed int64) *Artifa
 		ri := IntentArtifact{
 			Name: fmt.Sprintf("relate_%s_%s", identifier(from.Name), identifier(to.Name)),
 		}
-		toPl := pluralizeWord(strings.ToLower(to.Name))
-		fromPl := pluralizeWord(strings.ToLower(from.Name))
+		toPl := nlp.Pluralize(strings.ToLower(to.Name))
+		fromPl := nlp.Pluralize(strings.ToLower(from.Name))
 		ri.Examples = append(ri.Examples,
 			fmt.Sprintf("%s of the %s", fromPl, strings.ToLower(to.Name)),
 			fmt.Sprintf("%s per %s", fromPl, strings.ToLower(to.Name)),
@@ -155,17 +155,6 @@ func Bootstrap(db *sqldata.Database, ont *ontology.Ontology, seed int64) *Artifa
 
 func identifier(s string) string {
 	return strings.ReplaceAll(strings.ToLower(strings.TrimSpace(s)), " ", "_")
-}
-
-func pluralizeWord(w string) string {
-	switch {
-	case strings.HasSuffix(w, "s"):
-		return w
-	case strings.HasSuffix(w, "y"):
-		return w[:len(w)-1] + "ies"
-	default:
-		return w + "s"
-	}
 }
 
 // IntentClassifier is a neural classifier trained on bootstrap artifacts,

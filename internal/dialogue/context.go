@@ -91,7 +91,7 @@ func (r *resolver) refine(ctx *Context, utterance string) (*sqlparse.SelectStmt,
 
 	var added []sqlparse.Expr
 	for _, cmp := range a.Comparisons {
-		t, c := r.resolveColumn(cmp.ColumnHint, ctx.Anchor)
+		t, c := nlq.ResolveColumn(r.ix, cmp.ColumnHint, ctx.Anchor, nil)
 		if c == "" {
 			continue
 		}
@@ -156,7 +156,7 @@ func (r *resolver) shift(ctx *Context, utterance string) (*sqlparse.SelectStmt, 
 		if t.Kind != nlp.KindWord || t.IsStop() || t.Lower == "their" || t.Lower == "instead" {
 			continue
 		}
-		if tt, c := r.resolveColumn(t.Lower, ctx.Anchor); c != "" {
+		if tt, c := nlq.ResolveColumn(r.ix, t.Lower, ctx.Anchor, nil); c != "" {
 			target, targetTable = c, tt
 			break
 		}
@@ -171,23 +171,4 @@ func (r *resolver) shift(ctx *Context, utterance string) (*sqlparse.SelectStmt, 
 	}
 	out.Items = []sqlparse.SelectItem{{Expr: col}}
 	return out, nil
-}
-
-// resolveColumn maps a word to a column, preferring the anchor table.
-func (r *resolver) resolveColumn(word, anchor string) (string, string) {
-	if word == "" {
-		return "", ""
-	}
-	opts := invindex.DefaultOptions()
-	opts.KindFilter = []invindex.Kind{invindex.KindColumn}
-	ms := r.ix.Lookup(word, opts)
-	for _, m := range ms {
-		if strings.EqualFold(m.Table, anchor) {
-			return strings.ToLower(m.Table), strings.ToLower(m.Column)
-		}
-	}
-	if len(ms) > 0 {
-		return strings.ToLower(ms[0].Table), strings.ToLower(ms[0].Column)
-	}
-	return "", ""
 }

@@ -29,8 +29,6 @@ type Response struct {
 	Result *sqldata.Result
 	// Message is the conversational reply.
 	Message string
-	// Clarification, when non-nil, asks the user to choose a reading.
-	Clarification *nlq.Clarification
 	// Answer is the serving-stack answer behind Result (nil when SQL is
 	// nil): engine provenance, usage meters, and the turn's trace.
 	Answer *resilient.Answer

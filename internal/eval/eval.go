@@ -9,10 +9,8 @@ package eval
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"nlidb/internal/dataset"
 	"nlidb/internal/dialogue"
@@ -66,15 +64,13 @@ func (c *Counts) add(o Counts) {
 }
 
 // QueryRecord is the per-query outcome row: which engine served the
-// question, how long the attempt took wall-clock (interpret + execute),
-// and how it was scored. Records let downstream analysis slice latency
-// and accuracy together instead of seeing only aggregate counts.
+// question and how it was scored. Records let downstream analysis slice
+// accuracy by question instead of seeing only aggregate counts.
 type QueryRecord struct {
 	ID       string
 	Question string
 	Class    nlq.Complexity
 	Engine   string
-	Wall     time.Duration
 	Answered bool
 	Correct  bool
 	Exact    bool
@@ -88,27 +84,6 @@ type Report struct {
 	ByClass     map[nlq.Complexity]*Counts
 	// Records holds one row per evaluated pair, in corpus order.
 	Records []QueryRecord
-}
-
-// LatencyQuantile returns the q-th nearest-rank quantile of per-query
-// wall time across all records, or 0 when the report is empty.
-func (r *Report) LatencyQuantile(q float64) time.Duration {
-	if len(r.Records) == 0 {
-		return 0
-	}
-	walls := make([]time.Duration, len(r.Records))
-	for i, rec := range r.Records {
-		walls[i] = rec.Wall
-	}
-	sort.Slice(walls, func(i, j int) bool { return walls[i] < walls[j] })
-	idx := int(math.Ceil(q*float64(len(walls)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(walls) {
-		idx = len(walls) - 1
-	}
-	return walls[idx]
 }
 
 // Evaluate runs the interpreter over every pair of the set. Gold queries
@@ -134,9 +109,7 @@ func Evaluate(interp nlq.Interpreter, set *dataset.Set) (*Report, error) {
 		}
 
 		rec := QueryRecord{ID: p.ID, Question: p.Question, Class: p.Complexity, Engine: interp.Name()}
-		t0 := time.Now()
 		rec.Answered, rec.Correct, rec.Exact = scorePair(eng, interp, p, gold)
-		rec.Wall = time.Since(t0)
 		rep.Records = append(rep.Records, rec)
 
 		if rec.Answered {

@@ -190,9 +190,6 @@ func TestEvaluateRecords(t *testing.T) {
 		if rec.Engine != "perfect" {
 			t.Errorf("record %d engine = %q, want perfect", i, rec.Engine)
 		}
-		if rec.Wall <= 0 {
-			t.Errorf("record %d wall time = %v, want > 0", i, rec.Wall)
-		}
 		if rec.Answered {
 			answered++
 		}
@@ -204,13 +201,10 @@ func TestEvaluateRecords(t *testing.T) {
 		t.Errorf("record flags (answered %d, correct %d) disagree with counts (%d, %d)",
 			answered, correct, rep.Overall.Answered, rep.Overall.Correct)
 	}
-	if p50, p99 := rep.LatencyQuantile(0.50), rep.LatencyQuantile(0.99); p50 <= 0 || p99 < p50 {
-		t.Errorf("latency quantiles p50=%v p99=%v should be positive and ordered", p50, p99)
-	}
 }
 
 // TestEvaluateRecordsUnanswered: a broken interpreter still yields one
-// record per pair, all unanswered, and a zero quantile on no records.
+// record per pair, all unanswered.
 func TestEvaluateRecordsUnanswered(t *testing.T) {
 	set := corpus(t)
 	rep, err := Evaluate(&broken{}, set)
@@ -224,9 +218,5 @@ func TestEvaluateRecordsUnanswered(t *testing.T) {
 		if rec.Answered || rec.Correct || rec.Exact {
 			t.Errorf("record %d should be fully unanswered: %+v", i, rec)
 		}
-	}
-	empty := &Report{}
-	if got := empty.LatencyQuantile(0.95); got != 0 {
-		t.Errorf("empty report quantile = %v, want 0", got)
 	}
 }

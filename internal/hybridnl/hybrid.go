@@ -60,7 +60,6 @@ type Quest struct {
 	ix    *invindex.Index
 	graph *schemagraph.Graph
 	model *hmm.Model
-	opts  invindex.LookupOptions
 }
 
 // NewQuest trains the role HMM on a corpus of previous searches (pairs
@@ -71,7 +70,6 @@ func NewQuest(db *sqldata.Database, ix *invindex.Index, history []dataset.Pair) 
 		db:    db,
 		ix:    ix,
 		graph: schemagraph.Build(db),
-		opts:  invindex.DefaultOptions(),
 	}
 	var obs, states [][]int
 	for _, p := range history {
@@ -105,7 +103,7 @@ func (q *Quest) signature(t nlp.Token) int {
 		return obsPrep
 	}
 	var hasT, hasC, hasV bool
-	for _, m := range q.ix.Lookup(t.Lower, q.opts) {
+	for _, m := range q.ix.Lookup(t.Lower, invindex.DefaultOptions()) {
 		switch m.Kind {
 		case invindex.KindTable:
 			hasT = true
@@ -190,7 +188,7 @@ func (q *Quest) Name() string { return "quest" }
 // Interpret tags roles with the HMM, filters index matches by role, and
 // assembles SQL with schema-graph-validated relationships.
 func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
-	a := nlq.Analyze(question, q.ix, q.opts)
+	a := nlq.Analyze(question, q.ix, invindex.DefaultOptions())
 	toks := a.Tokens
 
 	var seqToks []nlp.Token
@@ -299,7 +297,7 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 
 	// Numeric comparisons via shared rules.
 	for _, cmp := range a.Comparisons {
-		lt, lc := q.resolveColumn(cmp.ColumnHint, anchor, required)
+		lt, lc := nlq.ResolveColumn(q.ix, cmp.ColumnHint, anchor, required)
 		if lc == "" {
 			lt, lc = anchor, nlq.FirstNumericColumn(q.db.Table(anchor).Schema)
 		}
@@ -343,7 +341,7 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 	if len(a.AggCues) > 0 {
 		var groupCols [][2]string
 		for _, g := range a.GroupCues {
-			if t, c := q.columnForToken(a, g.TokenPos, anchor, required); c != "" {
+			if t, c := a.ColumnAt(q.db, q.ix, g.TokenPos, anchor, required); c != "" {
 				groupCols = append(groupCols, [2]string{t, c})
 			}
 		}
@@ -355,7 +353,7 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 			var target [2]string
 			for i := cue.TokenPos + 1; i < len(toks) && i <= cue.TokenPos+4; i++ {
 				if roleAt[i] == roleColumn {
-					if t, c := q.columnForToken(a, i, anchor, required); c != "" {
+					if t, c := a.ColumnAt(q.db, q.ix, i, anchor, required); c != "" {
 						target = [2]string{t, c}
 						break
 					}
@@ -404,14 +402,14 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 			var ot, oc string
 			for _, g := range a.GroupCues {
 				if g.TokenPos > a.TopK.TokenPos {
-					if t, c := q.columnForToken(a, g.TokenPos, anchor, required); c != "" {
+					if t, c := a.ColumnAt(q.db, q.ix, g.TokenPos, anchor, required); c != "" {
 						ot, oc = t, c
 						break
 					}
 				}
 			}
 			if oc == "" {
-				if t, c := q.columnForToken(a, a.TopK.TokenPos+1, anchor, required); c != "" {
+				if t, c := a.ColumnAt(q.db, q.ix, a.TopK.TokenPos+1, anchor, required); c != "" {
 					ot, oc = t, c
 				}
 			}
@@ -429,50 +427,6 @@ func (q *Quest) Interpret(question string) ([]nlq.Interpretation, error) {
 		Score:       conf,
 		Explanation: fmt.Sprintf("HMM role tagging (logP=%.1f) + relationship rules over %v", lp, tables),
 	}}, nil
-}
-
-func (q *Quest) resolveColumn(word, anchor string, required map[string]bool) (string, string) {
-	if word == "" {
-		return "", ""
-	}
-	opts := q.opts
-	opts.KindFilter = []invindex.Kind{invindex.KindColumn}
-	ms := q.ix.Lookup(word, opts)
-	for _, m := range ms {
-		if strings.EqualFold(m.Table, anchor) {
-			return strings.ToLower(m.Table), strings.ToLower(m.Column)
-		}
-	}
-	for _, m := range ms {
-		if required[strings.ToLower(m.Table)] {
-			return strings.ToLower(m.Table), strings.ToLower(m.Column)
-		}
-	}
-	if len(ms) > 0 {
-		return strings.ToLower(ms[0].Table), strings.ToLower(ms[0].Column)
-	}
-	return "", ""
-}
-
-func (q *Quest) columnForToken(a *nlq.Analysis, pos int, anchor string, required map[string]bool) (string, string) {
-	if pos < 0 || pos >= len(a.Tokens) {
-		return "", ""
-	}
-	if sp := a.SpanAt(pos); sp != nil {
-		for _, m := range sp.Matches {
-			if m.Kind == invindex.KindColumn {
-				return strings.ToLower(m.Table), strings.ToLower(m.Column)
-			}
-		}
-		for _, m := range sp.Matches {
-			if m.Kind == invindex.KindTable {
-				if c := nlq.FirstTextColumn(q.db.Table(m.Table).Schema); c != "" {
-					return strings.ToLower(m.Table), c
-				}
-			}
-		}
-	}
-	return q.resolveColumn(a.Tokens[pos].Lower, anchor, required)
 }
 
 // Ensemble is the filtering hybrid: the entity-based primary answers when

@@ -21,15 +21,14 @@ import (
 
 // Interpreter is a keyword-lookup NLIDB over one database.
 type Interpreter struct {
-	db   *sqldata.Database
-	ix   *invindex.Index
-	opts invindex.LookupOptions
+	db *sqldata.Database
+	ix *invindex.Index
 }
 
 // New builds the interpreter over ix, the index the caller built for db,
 // so every interpreter over one database shares it.
 func New(db *sqldata.Database, ix *invindex.Index) *Interpreter {
-	return &Interpreter{db: db, ix: ix, opts: invindex.DefaultOptions()}
+	return &Interpreter{db: db, ix: ix}
 }
 
 // Index exposes the inverted index the interpreter resolves words through.
@@ -38,24 +37,10 @@ func (k *Interpreter) Index() *invindex.Index { return k.ix }
 // Name implements nlq.Interpreter.
 func (k *Interpreter) Name() string { return "keyword" }
 
-// orBetween reports whether an "or" token lies strictly between two token
-// positions — the Précis-style disjunction cue.
-func orBetween(toks []nlp.Token, a, b int) bool {
-	if a > b {
-		a, b = b, a
-	}
-	for i := a; i < b && i < len(toks); i++ {
-		if toks[i].Lower == "or" {
-			return true
-		}
-	}
-	return false
-}
-
 // Interpret maps the question's keywords onto one table and its values.
 func (k *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
 	toks := nlp.Tag(nlp.Tokenize(question))
-	spans := nlq.MatchSpans(toks, k.ix, k.opts)
+	spans := nlq.MatchSpans(toks, k.ix, invindex.DefaultOptions())
 	if len(spans) == 0 {
 		return nil, fmt.Errorf("%w: no keyword matched the data or metadata", nlq.ErrNoInterpretation)
 	}
@@ -228,7 +213,7 @@ func (k *Interpreter) buildSelect(table string, cols []invindex.Match, vals []va
 		case len(g.values) == 1:
 			conjoin(&sqlparse.BinaryExpr{Op: "=", L: colRef,
 				R: &sqlparse.Literal{Val: sqldata.NewText(g.values[0])}})
-		case orBetween(toks, g.pos[0], g.pos[len(g.pos)-1]):
+		case nlq.OrBetween(toks, g.pos[0], g.pos[len(g.pos)-1]):
 			in := &sqlparse.InExpr{X: colRef}
 			for _, v := range g.values {
 				in.List = append(in.List, &sqlparse.Literal{Val: sqldata.NewText(v)})

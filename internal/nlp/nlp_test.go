@@ -233,18 +233,6 @@ func TestTrigramJaccard(t *testing.T) {
 	}
 }
 
-func TestTokenSetSimilarity(t *testing.T) {
-	if s := TokenSetSimilarity("customer name", "name of the customer"); s < 0.9 {
-		t.Errorf("reordered phrase = %v", s)
-	}
-	if s := TokenSetSimilarity("salary", "salaries"); s < 0.8 {
-		t.Errorf("stemmed match = %v", s)
-	}
-	if s := TokenSetSimilarity("budget", "flavor"); s > 0.5 {
-		t.Errorf("unrelated = %v", s)
-	}
-}
-
 func TestNormalizeIdent(t *testing.T) {
 	cases := map[string]string{
 		"customer_name": "customer name",

@@ -141,34 +141,6 @@ func CommonSorted(a, b []uint64) int {
 	return n
 }
 
-// TokenSetSimilarity compares two multi-word phrases by the best pairwise
-// word similarity, averaged over the smaller phrase. It makes "customer
-// name" match "name of the customer" highly.
-func TokenSetSimilarity(a, b string) float64 {
-	wa := strings.Fields(strings.ToLower(a))
-	wb := strings.Fields(strings.ToLower(b))
-	if len(wa) == 0 || len(wb) == 0 {
-		if len(wa) == len(wb) {
-			return 1
-		}
-		return 0
-	}
-	if len(wa) > len(wb) {
-		wa, wb = wb, wa
-	}
-	var total float64
-	for _, x := range wa {
-		best := 0.0
-		for _, y := range wb {
-			if s := Similarity(Stem(x), Stem(y)); s > best {
-				best = s
-			}
-		}
-		total += best
-	}
-	return total / float64(len(wa))
-}
-
 // NormalizeIdent splits a schema identifier into natural words:
 // "customer_name" and "CustomerName" both become "customer name".
 func NormalizeIdent(ident string) string {

@@ -83,3 +83,17 @@ var irregular = map[string]string{
 	"went": "go", "made": "make", "gave": "give", "took": "take",
 	"this": "this", "his": "his",
 }
+
+// Pluralize renders a singular schema noun in the plural the way questions
+// name it ("customer" → "customers", "city" → "cities"); a word already
+// ending in "s" is returned unchanged.
+func Pluralize(w string) string {
+	switch {
+	case strings.HasSuffix(w, "s"):
+		return w
+	case strings.HasSuffix(w, "y"):
+		return w[:len(w)-1] + "ies"
+	default:
+		return w + "s"
+	}
+}

@@ -24,7 +24,6 @@ type Interpreter struct {
 	db    *sqldata.Database
 	ix    *invindex.Index
 	graph *schemagraph.Graph
-	opts  invindex.LookupOptions
 }
 
 // New builds the interpreter over ix, the index the caller built for db,
@@ -34,7 +33,6 @@ func New(db *sqldata.Database, ix *invindex.Index) *Interpreter {
 		db:    db,
 		ix:    ix,
 		graph: schemagraph.Build(db),
-		opts:  invindex.DefaultOptions(),
 	}
 }
 
@@ -59,7 +57,7 @@ type binding struct {
 // candidates; ambiguous value mappings yield alternative readings with a
 // clarification question.
 func (p *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
-	a := nlq.Analyze(question, p.ix, p.opts)
+	a := nlq.Analyze(question, p.ix, invindex.DefaultOptions())
 	if len(a.Spans) == 0 && len(a.Comparisons) == 0 {
 		return nil, fmt.Errorf("%w: nothing in the question maps to the schema", nlq.ErrNoInterpretation)
 	}
@@ -253,7 +251,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 	}
 
 	for _, cmp := range a.Comparisons {
-		t, c := p.resolveColumnAnyTable(cmp.ColumnHint, anchor, required)
+		t, c := nlq.ResolveColumn(p.ix, cmp.ColumnHint, anchor, required)
 		if c == "" {
 			t, c = anchor, nlq.FirstNumericColumn(p.db.Table(anchor).Schema)
 		}
@@ -305,7 +303,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 		if topk != nil && g.TokenPos > topk.TokenPos {
 			continue
 		}
-		if t, c := p.columnAtTokenAnyTable(a, g.TokenPos, anchor, required); c != "" {
+		if t, c := a.ColumnAt(p.db, p.ix, g.TokenPos, anchor, required); c != "" {
 			groupCols = append(groupCols, colRef{t, c})
 			required[t] = true
 		}
@@ -314,12 +312,12 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 	// Ordering column.
 	var orderRef *colRef
 	if topk != nil {
-		if t, c := p.columnAtTokenAnyTable(a, topk.TokenPos+1, anchor, required); c != "" {
+		if t, c := a.ColumnAt(p.db, p.ix, topk.TokenPos+1, anchor, required); c != "" {
 			orderRef = &colRef{t, c}
 		} else {
 			for _, g := range a.GroupCues {
 				if g.TokenPos > topk.TokenPos {
-					if t, c := p.columnAtTokenAnyTable(a, g.TokenPos, anchor, required); c != "" {
+					if t, c := a.ColumnAt(p.db, p.ix, g.TokenPos, anchor, required); c != "" {
 						orderRef = &colRef{t, c}
 						break
 					}
@@ -327,7 +325,7 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 			}
 		}
 		if orderRef == nil {
-			if t, c := p.resolveColumnAnyTable(a.Tokens[topk.TokenPos].Lower, anchor, required); c != "" {
+			if t, c := nlq.ResolveColumn(p.ix, a.Tokens[topk.TokenPos].Lower, anchor, required); c != "" {
 				orderRef = &colRef{t, c}
 			}
 		}
@@ -444,63 +442,13 @@ func (p *Interpreter) build(a *nlq.Analysis, anchor string, anchorPos int, b bin
 	return &nlq.Interpretation{SQL: stmt, Score: score, Explanation: strings.Join(expl, "; ")}, nil
 }
 
-// resolveColumnAnyTable resolves a word to a column, preferring the anchor
-// table, then already-required tables, then any table.
-func (p *Interpreter) resolveColumnAnyTable(word, anchor string, required map[string]bool) (string, string) {
-	if word == "" {
-		return "", ""
-	}
-	opts := p.opts
-	opts.KindFilter = []invindex.Kind{invindex.KindColumn}
-	ms := p.ix.Lookup(word, opts)
-	if len(ms) == 0 {
-		return "", ""
-	}
-	for _, m := range ms {
-		if strings.EqualFold(m.Table, anchor) {
-			return strings.ToLower(m.Table), strings.ToLower(m.Column)
-		}
-	}
-	for _, m := range ms {
-		if required[strings.ToLower(m.Table)] {
-			return strings.ToLower(m.Table), strings.ToLower(m.Column)
-		}
-	}
-	m := ms[0]
-	return strings.ToLower(m.Table), strings.ToLower(m.Column)
-}
-
-// columnAtTokenAnyTable resolves the token at pos to a column.
-func (p *Interpreter) columnAtTokenAnyTable(a *nlq.Analysis, pos int, anchor string, required map[string]bool) (string, string) {
-	if pos < 0 || pos >= len(a.Tokens) {
-		return "", ""
-	}
-	if sp := a.SpanAt(pos); sp != nil {
-		for _, m := range sp.Matches {
-			if m.Kind == invindex.KindColumn {
-				return strings.ToLower(m.Table), strings.ToLower(m.Column)
-			}
-		}
-		// A table mention in a group phrase ("per department") groups by
-		// that table's identifying text column.
-		for _, m := range sp.Matches {
-			if m.Kind == invindex.KindTable {
-				if c := nlq.FirstTextColumn(p.db.Table(m.Table).Schema); c != "" {
-					return strings.ToLower(m.Table), c
-				}
-			}
-		}
-	}
-	return p.resolveColumnAnyTable(a.Tokens[pos].Lower, anchor, required)
-}
-
 // colRef is a fully qualified column reference.
 type colRef struct{ table, column string }
 
 // aggTargetAnyTable finds the aggregate's target column near the cue.
 func (p *Interpreter) aggTargetAnyTable(a *nlq.Analysis, cue nlq.AggCue, anchor string, required map[string]bool, filters map[string]bool) *colRef {
 	try := func(pos int) *colRef {
-		t, c := p.columnAtTokenAnyTable(a, pos, anchor, required)
+		t, c := a.ColumnAt(p.db, p.ix, pos, anchor, required)
 		if c != "" && !filters[t+"."+c] {
 			return &colRef{t, c}
 		}

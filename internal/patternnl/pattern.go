@@ -19,15 +19,14 @@ import (
 
 // Interpreter is a pattern-based NLIDB over one database.
 type Interpreter struct {
-	db   *sqldata.Database
-	ix   *invindex.Index
-	opts invindex.LookupOptions
+	db *sqldata.Database
+	ix *invindex.Index
 }
 
 // New builds the interpreter over ix, the index the caller built for db,
 // so every interpreter over one database shares it.
 func New(db *sqldata.Database, ix *invindex.Index) *Interpreter {
-	return &Interpreter{db: db, ix: ix, opts: invindex.DefaultOptions()}
+	return &Interpreter{db: db, ix: ix}
 }
 
 // Index exposes the inverted index the interpreter resolves words through.
@@ -38,7 +37,7 @@ func (p *Interpreter) Name() string { return "pattern" }
 
 // Interpret builds a single-table query with aggregation patterns.
 func (p *Interpreter) Interpret(question string) ([]nlq.Interpretation, error) {
-	a := nlq.Analyze(question, p.ix, p.opts)
+	a := nlq.Analyze(question, p.ix, invindex.DefaultOptions())
 	if len(a.Spans) == 0 && len(a.Comparisons) == 0 {
 		return nil, fmt.Errorf("%w: no pattern or keyword evidence", nlq.ErrNoInterpretation)
 	}

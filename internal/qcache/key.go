@@ -72,55 +72,6 @@ func WithContext(ctxFP uint64, key string) string {
 	return fmt.Sprintf("c%016x|%s", ctxFP, key)
 }
 
-// Canonical rebuilds a question from its normalized tokens. It is the
-// key's inverse in the sense that Key(Canonical(q)) == Key(q) for every
-// q — the property the fuzz target leans on to generate key-equal
-// variants of arbitrary inputs.
-//
-// For pathological quote interplay — a lone quote character followed by
-// a quoted phrase rendered with that same character can merge into one
-// token on re-tokenization — Canonical returns the question unchanged
-// rather than a rendering with a different key.
-func Canonical(question string) string {
-	toks := nlp.Tokenize(question)
-	parts := make([]string, 0, len(toks))
-	for _, t := range toks {
-		switch t.Kind {
-		case nlp.KindWord:
-			parts = append(parts, canonicalWord(t))
-		case nlp.KindNumber:
-			parts = append(parts, numPayload(t))
-		case nlp.KindQuoted:
-			// The tokenizer guarantees the text never contains its own
-			// delimiter, so one of the two quote styles always works.
-			if strings.ContainsRune(t.Text, '"') {
-				parts = append(parts, "'"+t.Text+"'")
-			} else {
-				parts = append(parts, `"`+t.Text+`"`)
-			}
-		default:
-			parts = append(parts, t.Text)
-		}
-	}
-	c := strings.Join(parts, " ")
-	if Key(c) != Key(question) {
-		return question
-	}
-	return c
-}
-
-// canonicalWord renders a word token in its case-folded form — unless
-// lowercasing is not tokenization-stable (e.g. "İ" lowers to "i" plus a
-// combining mark, which splits the word), in which case the original
-// surface is kept so the rendering re-tokenizes to the same token.
-func canonicalWord(t nlp.Token) string {
-	rt := nlp.Tokenize(t.Lower)
-	if len(rt) == 1 && rt[0].Kind == nlp.KindWord && rt[0].Lower == t.Lower {
-		return t.Lower
-	}
-	return t.Text
-}
-
 // numPayload is the canonical form of a numeric token. Small integral
 // values use the value itself, so "five", "5", and "005" unify; both the
 // tokenizer's digit accumulation and decimal formatting are exact below

@@ -46,42 +46,6 @@ func TestWithFingerprint(t *testing.T) {
 	}
 }
 
-func TestCanonicalForms(t *testing.T) {
-	cases := [][2]string{
-		{"Show  me TOP Five customers", "show me top 5 customers"},
-		{`Named "Ann" please`, `named "Ann" please`},
-		{"sales over 1,000", "sales over 1000"},
-		{"a,b", "a , b"},
-	}
-	for _, c := range cases {
-		if got := Canonical(c[0]); got != c[1] {
-			t.Errorf("Canonical(%q) = %q, want %q", c[0], got, c[1])
-		}
-	}
-}
-
-func TestCanonicalIsKeyStable(t *testing.T) {
-	qs := []string{
-		"Show customers in Berlin",
-		"top five MOVIES by rating",
-		`director is "Nolan"`,
-		"price above 2.675 euros",
-		"sales over 1,000,000",
-		"o'brien's year-to-date",
-		"' lone quote then words",
-		`mixed 'single "double' quotes`,
-		"İstanbul customers", // lowercasing splits the word; Canonical must cope
-		"",
-		"007",
-	}
-	for _, q := range qs {
-		c := Canonical(q)
-		if Key(c) != Key(q) {
-			t.Errorf("Key(Canonical(%q)) diverged:\n canon %q\n  key %q\n want %q", q, c, Key(c), Key(q))
-		}
-	}
-}
-
 func TestWithContext(t *testing.T) {
 	k := WithFingerprint(7, Key("how many are there"))
 	if WithContext(0, k) != k {

@@ -3,9 +3,9 @@
 // user expects an answer in seconds — and on a production gateway the
 // same questions arrive again and again; re-running the full
 // interpret→parse→plan→execute pipeline for each repeat wastes the
-// latency budget the paper cares about. The cache is a sharded LRU with
-// TTL, keyed by the normalized question (see Key) combined with a
-// database fingerprint, so schema or data mutations invalidate entries
+// latency budget the paper cares about. The cache is a sharded LRU,
+// keyed by the normalized question (see Key) combined with a database
+// fingerprint, so schema or data mutations invalidate entries
 // implicitly — no flush call, stale keys simply stop being looked up.
 //
 // All methods are safe for concurrent use; each shard has its own lock,
@@ -17,7 +17,6 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nlidb/internal/obs"
 )
@@ -26,7 +25,7 @@ import (
 const (
 	// MetricHits counts cache hits.
 	MetricHits = "nlidb_cache_hits_total"
-	// MetricMisses counts cache misses (including TTL-expired lookups).
+	// MetricMisses counts cache misses.
 	MetricMisses = "nlidb_cache_misses_total"
 	// MetricEvictions counts entries evicted by capacity pressure.
 	MetricEvictions = "nlidb_cache_evictions_total"
@@ -35,19 +34,14 @@ const (
 )
 
 // Config tunes a Cache. The zero value is serviceable: 4096 entries,
-// 16 shards, no TTL, a private metrics registry.
+// 16 shards, a private metrics registry.
 type Config struct {
 	// MaxEntries bounds the total entry count across all shards
 	// (default 4096). Each shard holds MaxEntries/Shards entries, so the
 	// effective capacity is rounded down to a multiple of Shards.
 	MaxEntries int
-	// TTL is how long an entry stays servable (0 = forever). Expired
-	// entries count as misses and are dropped on lookup.
-	TTL time.Duration
 	// Shards is the lock-striping factor (default 16, minimum 1).
 	Shards int
-	// Now is the clock, injectable for TTL tests (default time.Now).
-	Now func() time.Time
 	// Metrics holds the hit/miss/eviction counters and the live-entry
 	// gauge; nil means a private registry. The series are resolved at New,
 	// so scrapes see them before the first lookup.
@@ -64,11 +58,10 @@ type Stats struct {
 	Entries   int
 }
 
-// entry is one cached answer with its expiry.
+// entry is one cached answer.
 type entry struct {
-	key     string
-	val     any
-	expires time.Time // zero = never
+	key string
+	val any
 }
 
 // shard is one lock-striped slice of the cache: a map for lookup and an
@@ -79,7 +72,7 @@ type shard struct {
 	lru *list.List
 }
 
-// Cache is a sharded LRU answer cache with TTL. Build one per database
+// Cache is a sharded LRU answer cache. Build one per database
 // (the key fingerprint ties entries to one database's state anyway).
 type Cache struct {
 	cfg      Config
@@ -104,9 +97,6 @@ func New(cfg Config) *Cache {
 	}
 	if cfg.Shards > cfg.MaxEntries {
 		cfg.Shards = cfg.MaxEntries
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	m := obs.OrNew(cfg.Metrics)
 	c := &Cache{
@@ -135,9 +125,8 @@ func (c *Cache) shardFor(key string) *shard {
 	return c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
-// Get returns the cached value for key, or (nil, false) on a miss. An
-// entry past its TTL is removed and reported as a miss. A hit moves the
-// entry to the front of its shard's LRU order.
+// Get returns the cached value for key, or (nil, false) on a miss. A hit
+// moves the entry to the front of its shard's LRU order.
 func (c *Cache) Get(key string) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -147,17 +136,8 @@ func (c *Cache) Get(key string) (any, bool) {
 		c.misses.Inc()
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	if !e.expires.IsZero() && !c.cfg.Now().Before(e.expires) {
-		s.lru.Remove(el)
-		delete(s.ent, key)
-		s.mu.Unlock()
-		c.entriesG.Set(c.entries.Add(-1))
-		c.misses.Inc()
-		return nil, false
-	}
 	s.lru.MoveToFront(el)
-	val := e.val // copy under the lock: Put may replace e.val in place
+	val := el.Value.(*entry).val // copy under the lock: Put may replace e.val in place
 	s.mu.Unlock()
 	c.hits.Inc()
 	return val, true
@@ -166,16 +146,10 @@ func (c *Cache) Get(key string) (any, bool) {
 // Put stores val under key, replacing any existing entry and evicting the
 // shard's least-recently-used entry when the shard is full.
 func (c *Cache) Put(key string, val any) {
-	var expires time.Time
-	if c.cfg.TTL > 0 {
-		expires = c.cfg.Now().Add(c.cfg.TTL)
-	}
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if el, ok := s.ent[key]; ok {
-		e := el.Value.(*entry)
-		e.val = val
-		e.expires = expires
+		el.Value.(*entry).val = val
 		s.lru.MoveToFront(el)
 		s.mu.Unlock()
 		return
@@ -187,7 +161,7 @@ func (c *Cache) Put(key string, val any) {
 		delete(s.ent, back.Value.(*entry).key)
 		evicted++
 	}
-	s.ent[key] = s.lru.PushFront(&entry{key: key, val: val, expires: expires})
+	s.ent[key] = s.lru.PushFront(&entry{key: key, val: val})
 	s.mu.Unlock()
 	c.entriesG.Set(c.entries.Add(int64(1 - evicted)))
 	c.evictions.Add(int64(evicted))

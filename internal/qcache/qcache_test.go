@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"nlidb/internal/obs"
 )
@@ -69,33 +68,6 @@ func TestEvictionUnderPressure(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	c := New(Config{MaxEntries: 8, TTL: time.Minute, Now: clock})
-	c.Put("k", "v")
-	advance(59 * time.Second)
-	if _, ok := c.Get("k"); !ok {
-		t.Fatal("entry expired before TTL")
-	}
-	advance(time.Second)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry survived past TTL")
-	}
-	if c.Len() != 0 {
-		t.Fatalf("expired entry still counted: Len = %d", c.Len())
-	}
-	// Re-Put restarts the clock.
-	c.Put("k", "v2")
-	advance(30 * time.Second)
-	if v, ok := c.Get("k"); !ok || v.(string) != "v2" {
-		t.Fatal("re-put entry should be fresh")
-	}
-}
-
 func TestMetricsWiring(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{MaxEntries: 2, Shards: 1, Metrics: reg})
@@ -127,7 +99,7 @@ func TestMetricsWiring(t *testing.T) {
 }
 
 func TestConcurrentMixedLoad(t *testing.T) {
-	c := New(Config{MaxEntries: 64, TTL: time.Hour})
+	c := New(Config{MaxEntries: 64})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -183,13 +155,11 @@ func TestRegistryAddsNoAllocations(t *testing.T) {
 	}
 }
 
-// TestStatsAgreeWithRegistry: after hits, misses, a TTL expiry and
-// capacity evictions, every Stats field equals the registry series it
+// TestStatsAgreeWithRegistry: after hits, misses and capacity evictions, every Stats field equals the registry series it
 // reports.
 func TestStatsAgreeWithRegistry(t *testing.T) {
-	now := time.Unix(0, 0)
 	reg := obs.NewRegistry()
-	c := New(Config{MaxEntries: 2, Shards: 1, TTL: time.Minute, Now: func() time.Time { return now }, Metrics: reg})
+	c := New(Config{MaxEntries: 2, Shards: 1, Metrics: reg})
 	c.Get("a") // miss
 	c.Put("a", 1)
 	c.Get("a") // hit
@@ -197,13 +167,12 @@ func TestStatsAgreeWithRegistry(t *testing.T) {
 	c.Put("c", 3) // evicts a
 	c.Get("a")    // miss
 	c.Get("b")    // hit
-	now = now.Add(time.Minute)
-	c.Get("c") // expired: a miss, and one entry fewer
-	c.Put("d", 4)
-	c.Put("e", 5) // evicts b
+	c.Get("c")    // hit
+	c.Put("d", 4) // evicts b
+	c.Put("e", 5) // evicts c
 
 	st := c.Stats()
-	want := Stats{Hits: 2, Misses: 3, Evictions: 2, Entries: 2}
+	want := Stats{Hits: 3, Misses: 2, Evictions: 3, Entries: 2}
 	if st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}

@@ -2,15 +2,13 @@ package resilient
 
 // Gateway-level answer-cache behavior: hits skip the pipeline, carry the
 // cached=true trace attribute, and invalidate on data mutation (via the
-// database fingerprint), TTL expiry, and LRU eviction.
+// database fingerprint) and LRU eviction.
 
 import (
 	"context"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"nlidb/internal/nlq"
 	"nlidb/internal/obs"
@@ -124,30 +122,6 @@ func TestCacheInvalidatesOnInsert(t *testing.T) {
 	}
 	if warm, _ := gw.Ask(ctx, "all customers"); !warm.Cached || len(warm.Result.Rows) != 4 {
 		t.Fatal("new fingerprint should cache the fresh 4-row answer")
-	}
-}
-
-func TestCacheTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-
-	db := testDB(t)
-	gw := New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")},
-		Config{Cache: qcache.New(qcache.Config{TTL: time.Minute, Now: clock})})
-	ctx := context.Background()
-
-	if _, err := gw.Ask(ctx, "all customers"); err != nil {
-		t.Fatal(err)
-	}
-	if warm, _ := gw.Ask(ctx, "all customers"); !warm.Cached {
-		t.Fatal("within TTL should hit")
-	}
-	mu.Lock()
-	now = now.Add(2 * time.Minute)
-	mu.Unlock()
-	if ans, _ := gw.Ask(ctx, "all customers"); ans.Cached {
-		t.Fatal("expired entry must not be served")
 	}
 }
 

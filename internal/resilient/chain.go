@@ -72,13 +72,3 @@ func ChainOverIndex(db *sqldata.Database, ix *invindex.Index, lex *lexicon.Lexic
 	}
 	return chain, nil
 }
-
-// DefaultChain builds the default athena → parse → pattern → keyword
-// fallback chain over db.
-func DefaultChain(db *sqldata.Database, lex *lexicon.Lexicon) []nlq.Interpreter {
-	chain, err := ChainByNames(db, lex, DefaultChainNames)
-	if err != nil {
-		panic(err) // unreachable: the default names are all known
-	}
-	return chain
-}

@@ -12,6 +12,7 @@ import (
 	"nlidb/internal/parsenl"
 	"nlidb/internal/patternnl"
 	"nlidb/internal/resilient"
+	"nlidb/internal/sqldata"
 )
 
 // indexed is what every chain engine offers: the index it resolves through.
@@ -64,7 +65,7 @@ func TestSharedIndexChainInterpretsLikeStandaloneEngines(t *testing.T) {
 		per = 15
 	}
 	for _, d := range benchdata.Domains(3) {
-		chain := resilient.DefaultChain(d.DB, lexicon.New())
+		chain := defaultChain(t, d.DB, lexicon.New())
 		lex := lexicon.New()
 		standalone := []nlq.Interpreter{
 			athena.New(d.DB, invindex.Build(d.DB, lex), lex),
@@ -102,4 +103,15 @@ func diffInterpretations(got, want []nlq.Interpretation) string {
 		}
 	}
 	return ""
+}
+
+// defaultChain builds the default athena → parse → pattern → keyword
+// chain over db.
+func defaultChain(t testing.TB, db *sqldata.Database, lex *lexicon.Lexicon) []nlq.Interpreter {
+	t.Helper()
+	chain, err := resilient.ChainByNames(db, lex, resilient.DefaultChainNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chain
 }

@@ -138,7 +138,7 @@ func TestChaosDegradedChainBeatsKeywordBaseline(t *testing.T) {
 			}
 			return resilient.Fault{Err: fmt.Errorf("chaos: %s/%s", site, engine)}
 		}
-		gw := resilient.New(w.domain.DB, resilient.DefaultChain(w.domain.DB, lex),
+		gw := resilient.New(w.domain.DB, defaultChain(t, w.domain.DB, lex),
 			resilient.Config{Timeout: chaosTimeout, Hook: hook})
 
 		gwCorrect := 0
@@ -175,7 +175,7 @@ func TestChaosRandomFaultsNeverEscape(t *testing.T) {
 		inj := faultinject.New(chaosSeed)
 		inj.PanicRate, inj.ErrorRate, inj.SlowRate = 0.12, 0.15, 0.08
 		inj.SlowBy = 5 * time.Millisecond
-		gw := resilient.New(w.domain.DB, resilient.DefaultChain(w.domain.DB, lex),
+		gw := resilient.New(w.domain.DB, defaultChain(t, w.domain.DB, lex),
 			resilient.Config{
 				Timeout:         chaosTimeout,
 				Hook:            inj.Hook(),
@@ -225,7 +225,7 @@ func TestChaosConcurrentFaultsUnderRace(t *testing.T) {
 		inj := faultinject.New(chaosSeed + 99)
 		inj.PanicRate, inj.ErrorRate, inj.SlowRate = 0.10, 0.12, 0.05
 		inj.SlowBy = 2 * time.Millisecond
-		gw := resilient.New(w.domain.DB, resilient.DefaultChain(w.domain.DB, lex),
+		gw := resilient.New(w.domain.DB, defaultChain(t, w.domain.DB, lex),
 			resilient.Config{
 				Timeout:         chaosTimeout,
 				Hook:            inj.Hook(),
@@ -275,8 +275,8 @@ func TestChaosConcurrentFaultsUnderRace(t *testing.T) {
 		if answered.Load() == 0 {
 			t.Errorf("%s: nothing answered under concurrent chaos", w.domain.Name)
 		}
-		for engine, state := range gw.BreakerStates() {
-			switch state {
+		for _, engine := range resilient.DefaultChainNames {
+			switch state := gw.Breaker(engine).State(); state {
 			case "closed", "open", "half-open":
 			default:
 				t.Errorf("%s: breaker %s in impossible state %q", w.domain.Name, engine, state)

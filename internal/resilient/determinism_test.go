@@ -41,8 +41,8 @@ func TestDeterministicAcrossGateways(t *testing.T) {
 	for d, questions := range determinismWorkload(t) {
 		// Two fully independent stacks: separate lexicons, engine chains,
 		// and executors over the same data.
-		gw1 := resilient.New(d.DB, resilient.DefaultChain(d.DB, lexicon.New()), resilient.Config{NoTrace: true})
-		gw2 := resilient.New(d.DB, resilient.DefaultChain(d.DB, lexicon.New()), resilient.Config{NoTrace: true})
+		gw1 := resilient.New(d.DB, defaultChain(t, d.DB, lexicon.New()), resilient.Config{NoTrace: true})
+		gw2 := resilient.New(d.DB, defaultChain(t, d.DB, lexicon.New()), resilient.Config{NoTrace: true})
 		for _, q := range questions {
 			a1, err1 := gw1.Ask(ctx, q)
 			a2, err2 := gw2.Ask(ctx, q)
@@ -68,7 +68,7 @@ func TestDeterministicUnderConcurrency(t *testing.T) {
 	ctx := context.Background()
 	const goroutines = 8
 	for d, questions := range determinismWorkload(t) {
-		gw := resilient.New(d.DB, resilient.DefaultChain(d.DB, lexicon.New()), resilient.Config{NoTrace: true})
+		gw := resilient.New(d.DB, defaultChain(t, d.DB, lexicon.New()), resilient.Config{NoTrace: true})
 		for _, q := range questions {
 			ref, refErr := gw.Ask(ctx, q)
 			var wg sync.WaitGroup
@@ -106,8 +106,8 @@ func TestDeterministicWithCacheMatchesWithout(t *testing.T) {
 	// of the same question: the cache can change latency, never answers.
 	ctx := context.Background()
 	for d, questions := range determinismWorkload(t) {
-		plain := resilient.New(d.DB, resilient.DefaultChain(d.DB, lexicon.New()), resilient.Config{NoTrace: true})
-		cached := resilient.New(d.DB, resilient.DefaultChain(d.DB, lexicon.New()),
+		plain := resilient.New(d.DB, defaultChain(t, d.DB, lexicon.New()), resilient.Config{NoTrace: true})
+		cached := resilient.New(d.DB, defaultChain(t, d.DB, lexicon.New()),
 			resilient.Config{NoTrace: true, Cache: qcache.New(qcache.Config{})})
 		for _, q := range questions {
 			want, errPlain := plain.Ask(ctx, q)

@@ -400,16 +400,6 @@ func newEngineMetrics(m *obs.Registry, name string) *engineMetrics {
 	}
 }
 
-// BreakerStates reports each engine's current breaker state ("closed",
-// "open", "half-open"), keyed by engine name.
-func (g *Gateway) BreakerStates() map[string]string {
-	out := make(map[string]string, len(g.breakers))
-	for name, b := range g.breakers {
-		out[name] = b.State()
-	}
-	return out
-}
-
 // Breaker returns the named engine's circuit breaker (nil if the engine
 // is not in the chain), for state inspection and transition hooks.
 func (g *Gateway) Breaker(engine string) *Breaker { return g.breakers[engine] }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nlidb/internal/nlp"
 	"nlidb/internal/nlq"
 	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlexec"
@@ -145,7 +146,7 @@ func TestGatewayBreakerOpensSkipsAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := gw.BreakerStates()["flaky"]; got != "open" {
+	if got := gw.Breaker("flaky").State(); got != "open" {
 		t.Fatalf("flaky breaker %q after %d failures, want open", got, 2)
 	}
 	ans, err := gw.Ask(context.Background(), "q")
@@ -167,7 +168,7 @@ func TestGatewayBreakerOpensSkipsAndRecovers(t *testing.T) {
 	if len(ans.Attempts) != 1 || !errors.As(ans.Attempts[0].Err, &pe) {
 		t.Fatalf("half-open probe should reach the engine, trail %v", ans.Attempts)
 	}
-	if got := gw.BreakerStates()["flaky"]; got != "open" {
+	if got := gw.Breaker("flaky").State(); got != "open" {
 		t.Fatalf("failed probe should reopen the breaker, got %q", got)
 	}
 }
@@ -183,7 +184,7 @@ func TestGatewayNoInterpretationDoesNotTripBreaker(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := gw.BreakerStates()["limited"]; got != "closed" {
+	if got := gw.Breaker("limited").State(); got != "closed" {
 		t.Fatalf("semantic misses must not trip the breaker; state %q", got)
 	}
 }
@@ -291,11 +292,11 @@ func TestSafeInterpreterConvertsPanics(t *testing.T) {
 }
 
 func TestSimplifyStripsStopwords(t *testing.T) {
-	got := Simplify("please show me all the customers in Berlin!")
+	got := SimplifyTokens(nlp.Tokenize("please show me all the customers in Berlin!"))
 	if got != "customers in Berlin" {
-		t.Fatalf("Simplify = %q", got)
+		t.Fatalf("SimplifyTokens = %q", got)
 	}
-	if Simplify("show me the") != "" {
+	if SimplifyTokens(nlp.Tokenize("show me the")) != "" {
 		t.Fatal("all-stopword question should simplify to empty")
 	}
 }

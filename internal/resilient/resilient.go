@@ -102,16 +102,10 @@ func (s *safeInterpreter) Interpret(question string) (ins []nlq.Interpretation, 
 	return s.inner.Interpret(question)
 }
 
-// Simplify strips stopwords and punctuation from a question, producing the
-// degraded retry form: "please show me all the customers in Berlin" →
-// "customers in Berlin". It returns "" when nothing content-bearing
-// survives, in which case callers should skip the retry.
-func Simplify(question string) string {
-	return SimplifyTokens(nlp.Tokenize(question))
-}
-
-// SimplifyTokens is Simplify over an already-tokenized question, letting
-// the gateway reuse the tokens its tokenize stage produced.
+// SimplifyTokens strips stopwords and punctuation from a tokenized
+// question, producing the degraded retry form: "please show me all the
+// customers in Berlin" → "customers in Berlin". It returns "" when nothing
+// content-bearing survives, in which case callers should skip the retry.
 func SimplifyTokens(toks []nlp.Token) string {
 	var parts []string
 	for _, t := range toks {

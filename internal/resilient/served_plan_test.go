@@ -61,7 +61,7 @@ func opsDB(t *testing.T) *sqldata.Database {
 // on the vectorized executor, with the join aggregating as it probes.
 func TestServedPerHostPlanRunsFused(t *testing.T) {
 	db := opsDB(t)
-	gw := resilient.New(db, resilient.DefaultChain(db, lexicon.New()), resilient.Config{})
+	gw := resilient.New(db, defaultChain(t, db, lexicon.New()), resilient.Config{})
 	ans, err := gw.Ask(context.Background(), "count of metrics per host with rss under 915516")
 	if err != nil {
 		t.Fatal(err)

@@ -300,19 +300,6 @@ func (c *Cluster) ReplicaCount() int { return c.cfg.Replicas }
 // Partitioning exposes the row-placement map for introspection.
 func (c *Cluster) Partitioning() *Partitioning { return c.part }
 
-// ReplicaStates reports every replica breaker's state, indexed
-// [shard][replica].
-func (c *Cluster) ReplicaStates() [][]string {
-	out := make([][]string, c.n)
-	for s := range c.reps {
-		out[s] = make([]string, len(c.reps[s]))
-		for r, rep := range c.reps[s] {
-			out[s][r] = rep.br.State()
-		}
-	}
-	return out
-}
-
 // Ask answers one natural-language question over the sharded fleet. The
 // coordinator's front interprets it — once, over the full database's
 // vocabulary — and hands each engine's SQL to the cluster, which prunes

@@ -159,10 +159,10 @@ func TestStatementFailureFallsThrough(t *testing.T) {
 			t.Fatalf("failure trail %v, want the first engine's statement error as on the gateway (%v)", ans.Attempts, want.Attempts)
 		}
 	}
-	for s, reps := range cl.ReplicaStates() {
-		for r, state := range reps {
-			if state != "closed" {
-				t.Fatalf("replica %d/%d is %s after statement failures, want closed", s, r, state)
+	for _, sh := range cl.FleetStatus().PerShard {
+		for _, rep := range sh.Replicas {
+			if rep.State != "closed" {
+				t.Fatalf("replica %d/%d is %s after statement failures, want closed", sh.Shard, rep.Replica, rep.State)
 			}
 		}
 	}
