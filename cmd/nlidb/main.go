@@ -60,9 +60,11 @@
 // a 64 MiB budget (least-recently-used conversations are evicted under
 // pressure and answer 410 Gone afterwards); repeated turns are answered
 // from a 4,096-entry context-keyed cache, and -session-rate adds a
-// per-session token bucket on top of the per-client -rate-limit. Turn
-// execution flows through the same serving backend as /query, so
-// conversations inherit its caching, tracing, and fault tolerance.
+// per-session token bucket on top of the per-client -rate-limit. A turn's
+// resolved statement executes through the serving backend's AskSQL, so
+// budgets, deadlines, the plan cache, tracing and replica failover apply;
+// a full question is interpreted by the -engine alone, with no fallback
+// chain, no engine breakers and no answer cache.
 //
 // Fleet observability (serve mode): every question is traced end-to-end
 // — interpretation at the coordinator, classify/route, per-replica
@@ -412,8 +414,8 @@ func main() {
 	eng := sqlexec.New(d.DB)
 	var agent *dialogue.Agent
 	if *chat {
-		// The chat agent executes through the same gateway as one-shot and
-		// serve modes: plan cache, budgets, breakers, traces.
+		// The chat agent executes its statements through the same gateway
+		// as one-shot and serve modes: plan cache, budgets, traces.
 		agent = dialogue.NewAgent(d.DB, primary, ix, gw)
 	}
 

@@ -131,3 +131,75 @@ func TestPreferMentionedColumnsReordering(t *testing.T) {
 		t.Errorf("mentioned column not preferred: best = %+v", got)
 	}
 }
+
+// ordersIndex indexes a customer ← orders schema whose orders carry a
+// column named "total", or, with noTotal, one named "amount" instead.
+func ordersIndex(t *testing.T, noTotal bool) *invindex.Index {
+	t.Helper()
+	money := "total"
+	if noTotal {
+		money = "amount"
+	}
+	db := sqldata.NewDatabase("shop")
+	cust, err := db.CreateTable(&sqldata.Schema{Name: "customer", Columns: []sqldata.Column{
+		{Name: "id", Type: sqldata.TypeInt, PrimaryKey: true},
+		{Name: "name", Type: sqldata.TypeText},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cust.MustInsert(sqldata.NewInt(1), sqldata.NewText("Ivan"))
+	ord, err := db.CreateTable(&sqldata.Schema{
+		Name: "orders",
+		Columns: []sqldata.Column{
+			{Name: "id", Type: sqldata.TypeInt, PrimaryKey: true},
+			{Name: "customer_id", Type: sqldata.TypeInt},
+			{Name: "quantity", Type: sqldata.TypeInt},
+			{Name: money, Type: sqldata.TypeFloat},
+		},
+		ForeignKeys: []sqldata.ForeignKey{{Column: "customer_id", RefTable: "customer", RefColumn: "id"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ord.MustInsert(sqldata.NewInt(1), sqldata.NewInt(1), sqldata.NewInt(2), sqldata.NewFloat(9.5))
+	return invindex.Build(db, lexicon.New())
+}
+
+// TestAnalyzeCueNamingColumnIsTarget: an aggregate cue word right after
+// another cue that names a column is the first cue's target, not a second
+// aggregate; alone, or when no column carries its name, it stays a cue.
+func TestAnalyzeCueNamingColumnIsTarget(t *testing.T) {
+	withTotal, noTotal := ordersIndex(t, false), ordersIndex(t, true)
+	cases := []struct {
+		ix   *invindex.Index
+		q    string
+		want []AggCue
+	}{
+		{withTotal, "total total of orders of the customer Ivan", []AggCue{{"SUM", 0}}},
+		{withTotal, "average total of orders of the customer Ivan", []AggCue{{"AVG", 0}}},
+		// "lowest" drives top-k, which claims its MIN cue as well.
+		{withTotal, "lowest total of orders of the customer Ivan", nil},
+		{withTotal, "total quantity of orders of the customer Ivan", []AggCue{{"SUM", 0}}},
+		{withTotal, "total of orders of the customer Ivan", []AggCue{{"SUM", 0}}},
+		{noTotal, "average total quantity of orders", []AggCue{{"AVG", 0}, {"SUM", 1}}},
+	}
+	for _, c := range cases {
+		a := Analyze(c.q, c.ix, invindex.DefaultOptions())
+		if len(a.AggCues) != len(c.want) {
+			t.Errorf("%q: cues %+v, want %+v", c.q, a.AggCues, c.want)
+			continue
+		}
+		for i := range c.want {
+			if a.AggCues[i] != c.want[i] {
+				t.Errorf("%q: cues %+v, want %+v", c.q, a.AggCues, c.want)
+				break
+			}
+		}
+	}
+	// The top-k superlative before "total" orders by that column.
+	a := Analyze("lowest total of orders of the customer Ivan", withTotal, invindex.DefaultOptions())
+	if a.TopK == nil || a.TopK.TokenPos != 0 || a.TopK.Desc {
+		t.Errorf("lowest total: TopK %+v, want ascending at 0", a.TopK)
+	}
+}

@@ -488,6 +488,21 @@ func Analyze(question string, ix *invindex.Index, opts invindex.LookupOptions) *
 	if pos, ok := HasNegation(toks); ok {
 		a.NegationPos = pos
 	}
+	// A cue word that directly follows another cue and names a column is
+	// that cue's target, not a second aggregate: "lowest total of orders"
+	// is MIN(total), "total total" one SUM(total).
+	kept, prev := a.AggCues[:0], -2
+	for _, c := range a.AggCues {
+		follows := c.TokenPos == prev+1
+		prev = c.TokenPos
+		if follows {
+			if sp := a.SpanAt(c.TokenPos); sp != nil && sp.Best().Kind == invindex.KindColumn {
+				continue
+			}
+		}
+		kept = append(kept, c)
+	}
+	a.AggCues = kept
 	// Aggregate cues that belong to a nested comparison ("... than the
 	// average salary") are not outer-query aggregates, and a superlative
 	// inside one must not drive top-k either.

@@ -181,3 +181,26 @@ func TestCacheMetricsAndCounters(t *testing.T) {
 		t.Fatalf("query counter = %d, want 2", n)
 	}
 }
+
+// TestAskSQLPlanCacheKeepsHeaders: through AskSQL with a plan cache, a
+// statement that differs from a cached one only in the case of an alias
+// or a column name still gets its own output header.
+func TestAskSQLPlanCacheKeepsHeaders(t *testing.T) {
+	gw := New(testDB(t), nil, Config{PlanCache: qcache.New(qcache.Config{MaxEntries: 16, Shards: 1})})
+	for round := 0; round < 2; round++ {
+		for _, c := range []struct{ sql, header string }{
+			{"SELECT COUNT(*) AS Total FROM customer", "Total"},
+			{"SELECT COUNT(*) AS total FROM customer", "total"},
+			{"SELECT Name FROM customer", "Name"},
+			{"SELECT name FROM customer", "name"},
+		} {
+			ans, err := gw.AskSQL(context.Background(), c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ans.Result.Columns; len(got) != 1 || got[0] != c.header {
+				t.Errorf("round %d: %s answered with header %v, want [%s]", round, c.sql, got, c.header)
+			}
+		}
+	}
+}

@@ -67,8 +67,10 @@ type Executor interface {
 // owns its rows is down or shedding, the deadline died in the fleet —
 // and not on the interpretation that produced it. The chain walk returns
 // a Refusal as it is: no other engine's reading could fare better, and
-// the failure counts against no engine's breaker. Error and Unwrap pass
-// through to Err, so errors.Is/As see the executor's own typed error.
+// the failure counts against no engine's breaker. A statement that
+// outruns its budget is refused the same way (Outcome "budget"). Error and
+// Unwrap pass through to Err, so errors.Is/As see the executor's own typed
+// error.
 type Refusal struct {
 	// Outcome is the metric, trace and slow-log label ("shard_down",
 	// "not_distributable", "timeout", …).
@@ -409,9 +411,10 @@ func (g *Gateway) Breaker(engine string) *Breaker { return g.breakers[engine] }
 // as asked and then (unless NoRetry) with its stopword-stripped form, and
 // returns the first interpretation that parses and executes within the
 // deadline and budget. It never panics: stage panics surface inside the
-// failure trail as *PanicError values. Over a fleet (NewOver) the first
-// interpretation the executor answers wins, and a *Refusal from the
-// executor ends the walk at once.
+// failure trail as *PanicError values. A statement that exceeds the
+// budget ends the walk with a *Refusal (Outcome "budget"). Over a fleet
+// (NewOver) the first interpretation the executor answers wins, and a
+// *Refusal from the executor ends the walk at once.
 //
 // Unless Config.NoTrace is set, the full pipeline is traced — tokenize,
 // then per engine attempt interpret → parse → plan → execute with rows
@@ -587,8 +590,9 @@ func (g *Gateway) ask(ctx context.Context, question string, trace *obs.QueryTrac
 			aSpan.SetAttr("error", err.Error())
 			var refused *Refusal
 			if errors.As(err, &refused) {
-				// The executor's verdict on routing or infrastructure, not on
-				// this engine's reading: terminal, and nobody's breaker moves.
+				// A verdict on routing, infrastructure or the statement's
+				// cost, not on this engine's reading: terminal, and nobody's
+				// breaker moves.
 				return nil, err
 			}
 			lastErr = err
@@ -647,8 +651,15 @@ func (g *Gateway) attempt(ctx context.Context, eng nlq.Interpreter, q string) (*
 	}
 	iSpan.SetAttr("score", fmt.Sprintf("%.2f", best.Score))
 
-	ans, err := g.execute(ctx, name, best.SQL.String())
+	sql := best.SQL.String()
+	ans, err := g.execute(ctx, name, sql)
 	if err != nil {
+		if errors.Is(err, sqlexec.ErrBudgetExceeded) {
+			// A verdict on the question's statement, not on this engine:
+			// a simplified form or a weaker engine would only answer a
+			// different question.
+			err = &Refusal{Outcome: "budget", Err: fmt.Errorf("resilient: %s's statement %s: %w", name, sql, err)}
+		}
 		return nil, err
 	}
 	ans.Engine, ans.Score = name, best.Score
@@ -729,6 +740,9 @@ func (g *Gateway) runSQL(ctx context.Context, name, sql string) (*Answer, error)
 	em.rows.Add(int64(usage.Rows))
 	em.joinRows.Add(int64(usage.JoinRows))
 	em.subqrys.Add(int64(usage.Subqueries))
+	if errors.Is(err, sqlexec.ErrBudgetExceeded) {
+		return nil, fmt.Errorf("execute: %w (used %s)", err, usage.Against(g.cfg.Budget))
+	}
 	if err != nil {
 		return nil, fmt.Errorf("execute: %w", err)
 	}

@@ -207,19 +207,22 @@ func TestGatewayDeadlineCoversInjectedSlowness(t *testing.T) {
 	}
 }
 
+// TestGatewayBudgetSurfacesInTrail: a budget overrun surfaces as the
+// walk's verdict, a budget refusal that still matches ErrBudgetExceeded;
+// the engine behind the greedy one is never tried.
 func TestGatewayBudgetSurfacesInTrail(t *testing.T) {
 	db := testDB(t)
 	// Self-join on an always-true predicate: 9 join rows, budget allows 4.
 	greedy := answering("greedy", "SELECT c.name FROM customer AS c JOIN customer AS d ON c.id >= d.id")
-	gw := New(db, []nlq.Interpreter{greedy},
+	gw := New(db, []nlq.Interpreter{greedy, answering("steady", "SELECT name FROM customer")},
 		Config{Budget: sqlexec.Budget{MaxJoinRows: 4, MaxRows: -1, MaxSubqueries: -1}, NoRetry: true})
-	_, err := gw.Ask(context.Background(), "q")
-	var ce *ChainError
-	if !errors.As(err, &ce) {
-		t.Fatalf("err = %v, want *ChainError", err)
+	ans, err := gw.Ask(context.Background(), "q")
+	var refusal *Refusal
+	if !errors.As(err, &refusal) || refusal.Outcome != "budget" {
+		t.Fatalf("answer %v, err = %v, want a budget *Refusal", ans, err)
 	}
-	if !errors.Is(ce.Attempts[0].Err, sqlexec.ErrBudgetExceeded) {
-		t.Fatalf("attempt err = %v, want ErrBudgetExceeded", ce.Attempts[0].Err)
+	if !errors.Is(err, sqlexec.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 }
 

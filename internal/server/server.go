@@ -36,6 +36,7 @@ import (
 	"nlidb/internal/resilient"
 	"nlidb/internal/session"
 	"nlidb/internal/shard"
+	"nlidb/internal/sqlexec"
 )
 
 // Mux combines the query API with the observability suite on one
@@ -624,6 +625,10 @@ func (s *Server) writeAskError(w http.ResponseWriter, ctx context.Context, err e
 	case errors.Is(err, shard.ErrShardDown):
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.Admission.RetryAfterHint()))
 		writeError(w, http.StatusServiceUnavailable, err.Error())
+	case semantic(err) && errors.Is(err, sqlexec.ErrBudgetExceeded):
+		// The flag carries the verdict across a process boundary: a
+		// coordinator reading /internal/query rebuilds it from the body.
+		writeJSON(w, http.StatusUnprocessableEntity, map[string]any{"error": err.Error(), "budget_exceeded": true})
 	case semantic(err):
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 	default:

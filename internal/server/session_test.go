@@ -217,3 +217,36 @@ func TestSessionExpiryIs410(t *testing.T) {
 		t.Fatalf("expired session: %d, want 410 (%s)", rec.Code, rec.Body)
 	}
 }
+
+// TestSessionAskPanicIs500: a panic while a turn is interpreted answers
+// 500 with the JSON error body /query would send, and the session answers
+// its next turn.
+func TestSessionAskPanicIs500(t *testing.T) {
+	db := testDB(t)
+	ix := invindex.Build(db, lexicon.New())
+	berlin := answering("a", "SELECT name FROM customer WHERE city = 'Berlin'")
+	interp := &fakeInterp{name: "a", fn: func(q string) ([]nlq.Interpretation, error) {
+		if q == "boom" {
+			panic("interpreter exploded")
+		}
+		return berlin.fn(q)
+	}}
+	exec := resilient.New(db, []nlq.Interpreter{interp}, resilient.Config{NoTrace: true})
+	st, err := session.New(session.Config{Responder: dialogue.NewAgent(db, interp, ix, exec), DB: db, NoTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Backend: exec, Sessions: st})
+	hdr := map[string]string{"X-Session-ID": st.Create()}
+
+	rec := post(s, "/session/ask", `{"utterance": "boom"}`, hdr)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("panicking turn: %d %s, want 500", rec.Code, rec.Body)
+	}
+	if body := decode[map[string]string](t, rec); !strings.Contains(body["error"], "interpreter exploded") {
+		t.Fatalf("500 body %v does not carry the panic", body)
+	}
+	if rec := post(s, "/session/ask", `{"utterance": "customers in Berlin"}`, hdr); rec.Code != http.StatusOK {
+		t.Fatalf("turn after the panic: %d %s, want 200", rec.Code, rec.Body)
+	}
+}

@@ -519,3 +519,43 @@ func TestStatsAgreeWithRegistry(t *testing.T) {
 		t.Fatalf("registry = %+v, Stats = %+v", got, st)
 	}
 }
+
+// panicky is a Responder that panics on "boom" and defers to inner
+// otherwise.
+type panicky struct{ inner Responder }
+
+func (p panicky) RespondWith(ctx context.Context, conv *dialogue.Context, utterance string) (*dialogue.Response, error) {
+	if utterance == "boom" {
+		panic("responder exploded")
+	}
+	return p.inner.RespondWith(ctx, conv, utterance)
+}
+
+// TestPanickingTurnIsTypedError: a panic in the Responder comes back from
+// Ask as a *resilient.PanicError, the turn is recorded with outcome
+// "error", and the session answers its next utterance.
+func TestPanickingTurnIsTypedError(t *testing.T) {
+	slow := obs.NewSlowLog(0, 8)
+	s := testStore(t, func(c *Config) {
+		c.Responder = panicky{c.Responder}
+		c.SlowLog = slow
+	})
+	id := s.Create()
+	turn, err := s.Ask(context.Background(), id, "boom")
+	var pe *resilient.PanicError
+	if !errors.As(err, &pe) || pe.Value != "responder exploded" {
+		t.Fatalf("Ask on a panicking responder: %v, want a *resilient.PanicError", err)
+	}
+	if turn == nil || turn.Resp == nil {
+		t.Fatal("a failed turn still returns its Turn and Response")
+	}
+	if es := slow.Entries(); len(es) != 1 || es[0].Outcome != "error" || es[0].Session != id {
+		t.Fatalf("slow log %+v, want one error entry for the session", es)
+	}
+	if st := s.Stats(); st.Turns != 1 {
+		t.Fatalf("turns = %d, want the panicking turn counted", st.Turns)
+	}
+	if _, err := s.Ask(context.Background(), id, "show customers with city Berlin"); err != nil {
+		t.Fatalf("session unusable after a panicking turn: %v", err)
+	}
+}

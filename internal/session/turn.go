@@ -3,12 +3,14 @@ package session
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"strconv"
 	"time"
 
 	"nlidb/internal/dialogue"
 	"nlidb/internal/obs"
 	"nlidb/internal/qcache"
+	"nlidb/internal/resilient"
 	"nlidb/internal/sqldata"
 )
 
@@ -122,7 +124,7 @@ func (s *Store) serveTurn(ctx context.Context, se *sess, key, utterance string, 
 	}
 	s.ctxMiss.Inc()
 
-	resp, err := s.cfg.Responder.RespondWith(ctx, se.conv, utterance)
+	resp, err := s.respond(ctx, se, utterance)
 	if resp == nil {
 		resp = &dialogue.Response{Message: "The request failed."}
 	}
@@ -149,6 +151,18 @@ func (s *Store) serveTurn(ctx context.Context, se *sess, key, utterance string, 
 		s.cache.Put(key, ent)
 	}
 	return resp, err
+}
+
+// respond runs the Responder over the session's context. A panic in it
+// comes back as a *resilient.PanicError, as on /query: the turn is
+// recorded as an error and the session stays usable.
+func (s *Store) respond(ctx context.Context, se *sess, utterance string) (resp *dialogue.Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp, err = nil, &resilient.PanicError{Site: resilient.SiteInterpret, Engine: "session", Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return s.cfg.Responder.RespondWith(ctx, se.conv, utterance)
 }
 
 // replayCached advances the conversation exactly as the live turn did —

@@ -16,6 +16,7 @@ import (
 	"nlidb/internal/obs"
 	"nlidb/internal/resilient"
 	"nlidb/internal/sqldata"
+	"nlidb/internal/sqlexec"
 )
 
 // ErrBackpressure marks a remote replica that shed the request under
@@ -85,6 +86,10 @@ func (k RemoteErrorKind) String() string {
 	}
 }
 
+// errBudgetStatement is what a node's budget refusal unwraps to: a
+// statement failure that is also a budget overrun.
+var errBudgetStatement = fmt.Errorf("%w: %w", resilient.ErrStatement, sqlexec.ErrBudgetExceeded)
+
 // RemoteError is one failed remote replica call, classified.
 type RemoteError struct {
 	// Kind drives the health model's reaction; see the constants.
@@ -102,6 +107,9 @@ type RemoteError struct {
 	// Err is the underlying transport error, when there was one.
 	Err error
 
+	// budget marks a semantic refusal the node reported as a budget
+	// overrun (for Unwrap).
+	budget bool
 	// epochWant is the node's epoch on a stale refusal (for Unwrap).
 	epochWant int64
 	// epochHave is the epoch the request carried.
@@ -118,7 +126,9 @@ func (e *RemoteError) Error() string {
 // Unwrap maps each kind onto the sentinel the routing and serving layers
 // already understand: conn → ErrNodeDown (breaker fast-path), shedding →
 // ErrBackpressure, stale → a *StaleEpochError, node-side deadline →
-// context.DeadlineExceeded, semantic → resilient.ErrStatement.
+// context.DeadlineExceeded, semantic → resilient.ErrStatement (and
+// sqlexec.ErrBudgetExceeded when the node said the statement outran its
+// budget).
 func (e *RemoteError) Unwrap() error {
 	switch e.Kind {
 	case RemoteConn:
@@ -130,6 +140,9 @@ func (e *RemoteError) Unwrap() error {
 	case RemoteTimeout:
 		return context.DeadlineExceeded
 	case RemoteSemantic:
+		if e.budget {
+			return errBudgetStatement
+		}
 		return resilient.ErrStatement
 	default:
 		return e.Err
@@ -293,12 +306,13 @@ func (n *RemoteNode) classify(addr string, resp *http.Response) *RemoteError {
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 	msg := strings.TrimSpace(string(data))
 	var body struct {
-		Error string `json:"error"`
+		Error          string `json:"error"`
+		BudgetExceeded bool   `json:"budget_exceeded"`
 	}
 	if json.Unmarshal(data, &body) == nil && body.Error != "" {
 		msg = body.Error
 	}
-	e := &RemoteError{Addr: addr, Status: resp.StatusCode, Msg: msg}
+	e := &RemoteError{Addr: addr, Status: resp.StatusCode, Msg: msg, budget: body.BudgetExceeded}
 	switch resp.StatusCode {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 		e.Kind = RemoteBackpressure

@@ -25,6 +25,7 @@ import (
 	"nlidb/internal/server"
 	"nlidb/internal/shard"
 	"nlidb/internal/sqldata"
+	"nlidb/internal/sqlexec"
 	"nlidb/internal/sqlparse"
 )
 
@@ -98,6 +99,12 @@ func remoteDB(t testing.TB) *sqldata.Database {
 // gateway over them has no interpreter chain.
 func remoteFleet(t testing.TB, db *sqldata.Database, shards, replicas int, epoch int64) (shard.RemoteFleet, [][]*atomic.Value) {
 	t.Helper()
+	return remoteFleetWith(t, db, shards, replicas, epoch, resilient.Config{})
+}
+
+// remoteFleetWith is remoteFleet with each node's gateway built from cfg.
+func remoteFleetWith(t testing.TB, db *sqldata.Database, shards, replicas int, epoch int64, cfg resilient.Config) (shard.RemoteFleet, [][]*atomic.Value) {
+	t.Helper()
 	dbs, _, err := shard.Split(db, shards)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +130,7 @@ func remoteFleet(t testing.TB, db *sqldata.Database, shards, replicas int, epoch
 		addrs[s] = make([]*atomic.Value, replicas)
 		fns[s] = make([]func() string, replicas)
 		for r := 0; r < replicas; r++ {
-			gw := resilient.New(child, nil, resilient.Config{})
+			gw := resilient.New(child, nil, cfg)
 			api := server.New(server.Config{Backend: gw, ShardEpoch: epoch, ShardIndex: s})
 			ts := httptest.NewServer(api)
 			t.Cleanup(ts.Close)
@@ -603,5 +610,33 @@ func TestTopologiesAnswerAlike(t *testing.T) {
 	// at least one answer from an engine behind the first.
 	if answered < 2*len(cust.Rows) || refused == 0 || laterEngine == 0 {
 		t.Fatalf("sample too thin: %d answers, %d refusals, %d from a later engine", answered, refused, laterEngine)
+	}
+
+	// A statement over budget is one verdict in every topology: a
+	// budget refusal, with no simplified retry and no later engine.
+	tight := resilient.Config{Budget: sqlexec.Budget{MaxRows: 5}}
+	gwTight := resilient.New(d.DB, chain, tight)
+	localTight, err := shard.New(d.DB, 3, shard.Config{Replicas: 2, Chain: chain, CacheSize: -1, Seed: 1, Gateway: tight})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetTight, _ := remoteFleetWith(t, d.DB, 3, 2, 1, tight)
+	remoteTight, err := shard.NewRemote(d.DB, shard.Config{Chain: chain, CacheSize: -1, Seed: 1, Gateway: tight}, fleetTight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := "customers in " + cust.Rows[0][2].Text()
+	for name, b := range map[string]interface {
+		Ask(context.Context, string) (*resilient.Answer, error)
+	}{"gateway": gwTight, "in-process": localTight, "remote": remoteTight} {
+		ans, err := b.Ask(ctx, q)
+		var refusal *resilient.Refusal
+		if !errors.As(err, &refusal) || refusal.Outcome != "budget" || !errors.Is(err, sqlexec.ErrBudgetExceeded) {
+			t.Errorf("%s: %q over budget: answer %v, error %v; want a budget refusal", name, q, ans, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "athena's statement SELECT") {
+			t.Errorf("%s: refusal %q does not name athena's statement", name, err)
+		}
 	}
 }

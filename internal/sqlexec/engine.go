@@ -45,13 +45,15 @@ func (e *Engine) Prepare(stmt *sqlparse.SelectStmt) (*Prepared, error) {
 }
 
 // PrepareCached is Prepare through the engine's plan cache when one is
-// configured; hit reports whether the plan came from the cache.
+// configured; hit reports whether the plan came from the cache. The key is
+// the statement exactly as printed: a plan carries its statement's output
+// header, so "AS Total" and "AS total" must not share one.
 func (e *Engine) PrepareCached(stmt *sqlparse.SelectStmt) (p *Prepared, hit bool, err error) {
 	if e.planCache == nil || stmt == nil {
 		p, err = e.Prepare(stmt)
 		return p, false, err
 	}
-	key := qcache.WithFingerprint(e.db.Fingerprint(), "plan:"+sqlparse.Canonical(stmt).String())
+	key := qcache.WithFingerprint(e.db.Fingerprint(), "plan:"+stmt.String())
 	if v, ok := e.planCache.Get(key); ok {
 		if cached, ok := v.(*Prepared); ok {
 			return cached, true, nil

@@ -2,10 +2,12 @@ package sqlexec
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"nlidb/internal/qcache"
 	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlparse"
 )
@@ -484,5 +486,38 @@ func TestPropertyGroupCountsSum(t *testing.T) {
 	}
 	if sum != 7 {
 		t.Errorf("group counts sum to %d, want 7", sum)
+	}
+}
+
+// TestPlanCacheKeysOnExactStatement: statements that differ only in the
+// case of an alias or a column name are one statement to the canonical
+// form but carry different output headers, so each gets its own plan;
+// asking one again still hits.
+func TestPlanCacheKeysOnExactStatement(t *testing.T) {
+	db := corpDB(t)
+	e := NewWithPlanCache(db, qcache.New(qcache.Config{MaxEntries: 16, Shards: 1}))
+	for _, sqls := range [][]string{
+		{"SELECT COUNT(*) AS Total FROM employee", "SELECT COUNT(*) AS total FROM employee"},
+		{"SELECT Name FROM employee", "SELECT name FROM employee"},
+	} {
+		for round := 0; round < 2; round++ {
+			for _, sql := range sqls {
+				stmt := sqlparse.MustParse(sql)
+				p, hit, err := e.PrepareCached(stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hit != (round == 1) {
+					t.Errorf("%s: round %d hit = %v", sql, round, hit)
+				}
+				fresh, err := e.Prepare(stmt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := p.Columns(), fresh.Columns(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: cached plan's header %v, a fresh plan's %v", sql, got, want)
+				}
+			}
+		}
 	}
 }
