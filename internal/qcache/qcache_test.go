@@ -155,8 +155,8 @@ func TestRegistryAddsNoAllocations(t *testing.T) {
 	}
 }
 
-// TestStatsAgreeWithRegistry: after hits, misses and capacity evictions, every Stats field equals the registry series it
-// reports.
+// TestStatsAgreeWithRegistry: after hits, misses and capacity evictions,
+// every Stats field equals the registry series it reports.
 func TestStatsAgreeWithRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{MaxEntries: 2, Shards: 1, Metrics: reg})
