@@ -18,9 +18,9 @@
 // like "only those with credit over 20000" and "how many are there" work.
 //
 // Questions are served through the resilient gateway: -timeout bounds
-// each question's wall-clock time (0 disables the deadline), and
-// -fallback lists the engines tried, in order, after the primary -engine
-// fails (empty string disables fallback). Every stage runs under panic
+// each question's wall-clock time (0 disables the deadline), and the
+// chain is -engine, then the -fallback engines in order (empty string
+// disables fallback). Every stage runs under panic
 // isolation and a resource budget, so a pathological question reports an
 // error instead of hanging or crashing the session.
 //
@@ -58,13 +58,12 @@
 // session's tracked context, DELETE /session ends it. Sessions live in
 // a sharded store with a sliding -session-ttl, a 65,536-session cap and
 // a 64 MiB budget (least-recently-used conversations are evicted under
-// pressure and answer 410 Gone afterwards); repeated turns are answered
-// from a 4,096-entry context-keyed cache, and -session-rate adds a
-// per-session token bucket on top of the per-client -rate-limit. A turn's
-// resolved statement executes through the serving backend's AskSQL, so
-// budgets, deadlines, the plan cache, tracing and replica failover apply;
-// a full question is interpreted by the -engine alone, with no fallback
-// chain, no engine breakers and no answer cache.
+// pressure and answer 410 Gone afterwards); repeated follow-ups are
+// answered from a 4,096-entry context-keyed cache, and -session-rate adds
+// a per-session token bucket on top of the per-client -rate-limit. A turn
+// is a request to the serving backend: a full question goes through its
+// Ask, exactly as on POST /query, and a follow-up's resolved statement
+// through its AskSQL.
 //
 // Fleet observability (serve mode): every question is traced end-to-end
 // — interpretation at the coordinator, classify/route, per-replica
@@ -145,8 +144,8 @@ func disabledIfZero(n int) int {
 
 func main() {
 	domain := flag.String("domain", "sales", "demo domain: sales, movies, hospital, flights, university, medical")
-	engine := flag.String("engine", "athena", "primary interpreter: keyword, pattern, parse, athena")
-	fallback := flag.String("fallback", "parse,pattern,keyword", "comma-separated engines tried after the primary fails (empty disables)")
+	engine := flag.String("engine", "athena", "first engine of the interpreter chain: keyword, pattern, parse, athena")
+	fallback := flag.String("fallback", "parse,pattern,keyword", "comma-separated engines tried, in order, after -engine fails (empty disables)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-question wall-clock deadline (0 disables)")
 	chat := flag.Bool("chat", false, "conversational mode (agent-based dialogue manager)")
 	seed := flag.Int64("seed", 1, "data generation seed")
@@ -212,9 +211,8 @@ func main() {
 	// One inverted index per process: the interpreter chain, the session
 	// and chat agents' resolver, and the REPL completer all share it.
 	var (
-		ix      *invindex.Index
-		chain   []nlq.Interpreter
-		primary nlq.Interpreter
+		ix    *invindex.Index
+		chain []nlq.Interpreter
 	)
 	if !node {
 		lex := lexicon.New()
@@ -226,7 +224,6 @@ func main() {
 		if chain, err = resilient.ChainOverIndex(d.DB, ix, lex, names); err != nil {
 			fatalf("%v", err)
 		}
-		primary = chain[0]
 	}
 
 	reg := obs.Default()
@@ -266,12 +263,12 @@ func main() {
 			obs.WithPage("/trace", traces.Handler()),
 			obs.WithProm(slo.WriteProm),
 		}
-		var backend server.Backend = gw
-		// The session responder executes through the same backend the
-		// stateless API uses — the gateway, or the shard coordinator when
-		// -shards is set — so follow-up turns share its plan cache,
-		// breakers, tracing, and partial-answer semantics.
-		var sessExec dialogue.Executor = gw
+		// The gateway, or the shard coordinator when -shards or
+		// -remote-shards is set, serves /query, /batch and session turns.
+		var backend interface {
+			server.Backend
+			dialogue.Asker
+		} = gw
 		// -shards and -remote-shards build one coordinator configuration;
 		// only where the replicas run differs.
 		clusterCfg := shard.Config{
@@ -295,7 +292,6 @@ func main() {
 				fatalf("%v", err)
 			}
 			backend = cl
-			sessExec = cl
 			obsOpts = append(obsOpts,
 				obs.WithPage("/fleet", cl.FleetHandler()),
 				obs.WithProm(cl.WriteProm))
@@ -314,7 +310,6 @@ func main() {
 				defer sup.Close()
 			}
 			backend = cl
-			sessExec = cl
 			obsOpts = append(obsOpts,
 				obs.WithPage("/fleet", cl.FleetHandler()),
 				obs.WithPage("/shardmap", mapSrc.Handler()),
@@ -335,7 +330,7 @@ func main() {
 				onEvict = func(id, _ string) { sessionRL.Forget(id) }
 			}
 			sessions, err = session.New(session.Config{
-				Responder: dialogue.NewAgent(d.DB, primary, ix, sessExec),
+				Responder: dialogue.NewAgent(ix, backend),
 				DB:        d.DB,
 				TTL:       *sessionTTL,
 				Metrics:   reg,
@@ -395,7 +390,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("nlidb — domain %q, engine %q%s\n", d.Name, primary.Name(),
+	fmt.Printf("nlidb — domain %q, engine %q%s\n", d.Name, chain[0].Name(),
 		map[bool]string{true: ", conversational", false: ""}[*chat])
 	if len(chain) > 1 {
 		var rest []string
@@ -414,9 +409,9 @@ func main() {
 	eng := sqlexec.New(d.DB)
 	var agent *dialogue.Agent
 	if *chat {
-		// The chat agent executes its statements through the same gateway
-		// as one-shot and serve modes: plan cache, budgets, traces.
-		agent = dialogue.NewAgent(d.DB, primary, ix, gw)
+		// The chat agent is served by the same gateway as one-shot and
+		// serve modes: chain, caches, budgets, traces.
+		agent = dialogue.NewAgent(ix, gw)
 	}
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -449,14 +444,13 @@ func main() {
 			continue
 		}
 		if q, ok := strings.CutPrefix(line, "explain analyze "); ok {
-			ins, err := primary.Interpret(q)
+			ans, err := gw.Ask(context.Background(), q)
 			if err != nil {
-				fmt.Printf("  could not interpret: %v\n", err)
+				fmt.Printf("  could not answer: %v\n", err)
 				continue
 			}
-			best, _ := nlq.Best(ins)
-			fmt.Printf("  SQL: %s\n", best.SQL)
-			tree, res, err := eng.ExplainAnalyze(context.Background(), best.SQL, sqlexec.DefaultBudget())
+			fmt.Printf("  SQL: %s  (engine %s)\n", ans.SQL, ans.Engine)
+			tree, res, err := eng.ExplainAnalyze(context.Background(), ans.SQL, sqlexec.DefaultBudget())
 			if err != nil {
 				fmt.Printf("  explain analyze failed: %v\n", err)
 				continue
@@ -466,14 +460,13 @@ func main() {
 			continue
 		}
 		if q, ok := strings.CutPrefix(line, "explain "); ok {
-			ins, err := primary.Interpret(q)
+			ans, err := gw.Ask(context.Background(), q)
 			if err != nil {
-				fmt.Printf("  could not interpret: %v\n", err)
+				fmt.Printf("  could not answer: %v\n", err)
 				continue
 			}
-			best, _ := nlq.Best(ins)
-			fmt.Printf("  SQL: %s\n", best.SQL)
-			plan, err := eng.Explain(best.SQL)
+			fmt.Printf("  SQL: %s  (engine %s)\n", ans.SQL, ans.Engine)
+			plan, err := eng.Explain(ans.SQL)
 			if err != nil {
 				fmt.Printf("  explain failed: %v\n", err)
 				continue

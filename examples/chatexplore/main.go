@@ -14,6 +14,7 @@ import (
 	"nlidb/internal/dialogue"
 	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
+	"nlidb/internal/nlq"
 	"nlidb/internal/ontology"
 	"nlidb/internal/resilient"
 )
@@ -22,7 +23,6 @@ func main() {
 	d := benchdata.Hospital(11)
 	lex := lexicon.New()
 	ix := invindex.Build(d.DB, lex)
-	interp := athena.New(d.DB, ix, lex)
 
 	// Bootstrap the conversation artifacts from the ontology (Quamar et
 	// al.): intents, training utterances, and entity value lists — no
@@ -53,13 +53,14 @@ func main() {
 		"reset",
 	}
 
-	// Dialogue turns execute through the same resilient gateway as the
-	// serving stack — plans, budgets, and traces included.
-	exec := resilient.New(d.DB, nil, resilient.Config{NoTrace: true})
+	// Dialogue turns are served through the same resilient gateway as
+	// the serving stack — plans, budgets, and traces included — here with
+	// athena as its one engine.
+	back := resilient.New(d.DB, []nlq.Interpreter{athena.New(d.DB, ix, lex)}, resilient.Config{NoTrace: true, NoRetry: true})
 	managers := []dialogue.Manager{
-		dialogue.NewFiniteState(interp, exec),
-		dialogue.NewFrame(d.DB, interp, ix, exec),
-		dialogue.NewAgent(d.DB, interp, ix, exec),
+		dialogue.NewFiniteState(back),
+		dialogue.NewFrame(ix, back),
+		dialogue.NewAgent(ix, back),
 	}
 
 	for _, mgr := range managers {

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
 	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
@@ -120,7 +119,7 @@ func TestAgentWithIntentModel(t *testing.T) {
 	}
 	lex := lexicon.New()
 	ix := invindex.Build(d.DB, lex)
-	agent := NewAgent(d.DB, athena.New(d.DB, ix, lex), ix, testExec(d))
+	agent := NewAgent(ix, testBackend(d, ix, lex))
 	agent.IntentModel = cls
 	if _, err := agent.Respond(context.Background(), "show customers with city Berlin"); err != nil {
 		t.Fatal(err)

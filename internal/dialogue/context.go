@@ -60,7 +60,6 @@ func (c *Context) Reset() { *c = Context{} }
 // resolver edits the previous query per the follow-up intent — the
 // EditSQL idea realized at the AST level instead of token level.
 type resolver struct {
-	db *sqldata.Database
 	ix *invindex.Index
 }
 

@@ -10,7 +10,6 @@ import (
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/resilient"
-	"nlidb/internal/sqlexec"
 	"nlidb/internal/sqlparse"
 )
 
@@ -38,10 +37,11 @@ func TestClassifyIntent(t *testing.T) {
 	}
 }
 
-// testExec builds the serving-stack executor the managers run through in
-// tests: a chain-less gateway over the domain database.
-func testExec(d *benchdata.Domain) Executor {
-	return resilient.New(d.DB, nil, resilient.Config{NoTrace: true})
+// testBackend builds the serving stack the managers run over in tests: a
+// gateway whose chain is athena alone, without the simplified retry — the
+// bare interpreter's reading, through the one request path.
+func testBackend(d *benchdata.Domain, ix *invindex.Index, lex *lexicon.Lexicon) *resilient.Gateway {
+	return resilient.New(d.DB, []nlq.Interpreter{athena.New(d.DB, ix, lex)}, resilient.Config{NoTrace: true, NoRetry: true})
 }
 
 func managers(t *testing.T) (*FiniteState, *Frame, *Agent, *benchdata.Domain) {
@@ -49,9 +49,8 @@ func managers(t *testing.T) (*FiniteState, *Frame, *Agent, *benchdata.Domain) {
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
 	ix := invindex.Build(d.DB, lex)
-	interp := athena.New(d.DB, ix, lex)
-	exec := testExec(d)
-	return NewFiniteState(interp, exec), NewFrame(d.DB, interp, ix, exec), NewAgent(d.DB, interp, ix, exec), d
+	back := testBackend(d, ix, lex)
+	return NewFiniteState(back), NewFrame(ix, back), NewAgent(ix, back), d
 }
 
 func TestFiniteStateGrammarGate(t *testing.T) {
@@ -172,28 +171,6 @@ func TestUserSimValidateAndChoose(t *testing.T) {
 	}
 	if u.Interactions != 2 {
 		t.Fatalf("interactions = %d", u.Interactions)
-	}
-}
-
-func TestAgentWithUserSimRecovers(t *testing.T) {
-	d := benchdata.Sales(60)
-	lex := lexicon.New()
-	ix := invindex.Build(d.DB, lex)
-	interp := athena.New(d.DB, ix, lex)
-	agent := NewAgent(d.DB, interp, ix, testExec(d))
-	gold := sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Berlin'")
-	u, err := NewUserSim(d.DB, gold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agent.User = u
-	r, err := agent.Respond(context.Background(), "list customers with city Berlin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	goldRes, _ := sqlexec.New(d.DB).Run(gold)
-	if !r.Result.EqualUnordered(goldRes) {
-		t.Fatalf("agent+user missed gold: %s", r.SQL)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"nlidb/internal/athena"
 	"nlidb/internal/benchdata"
 	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
@@ -53,8 +52,7 @@ func FuzzFollowUp(f *testing.F) {
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
 	ix := invindex.Build(d.DB, lex)
-	interp := athena.New(d.DB, ix, lex)
-	agent := NewAgent(d.DB, interp, ix, testExec(d))
+	agent := NewAgent(ix, testBackend(d, ix, lex))
 
 	f.Fuzz(func(t *testing.T, utterance string) {
 		// Fresh context with one prior turn, so follow-up intents engage.

@@ -6,7 +6,10 @@
 // families (finite-state, frame-based, agent-based) with the increasing
 // flexibility the tutorial describes, and a simulated user that answers
 // clarification and validation questions from gold queries (the DialSQL
-// mechanism).
+// mechanism). The managers are a layer over the one NL→SQL pipeline, not
+// a second one: a full question goes through the serving stack's Ask (see
+// Asker), so a conversation's context-free turn is read exactly as a
+// stateless question is; only follow-ups are resolved here.
 package dialogue
 
 import (

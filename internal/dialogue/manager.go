@@ -2,24 +2,27 @@ package dialogue
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 
 	"nlidb/internal/invindex"
-	"nlidb/internal/nlq"
 	"nlidb/internal/resilient"
 	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlparse"
 )
 
-// Executor runs a resolved SQL statement through the serving stack. In
-// production it is a *resilient.Gateway (or the shard coordinator when the
-// data is partitioned), so conversational turns get the same plan cache,
-// resource budgets, deadlines, fault isolation, and trace spans as every
-// stateless question — the dialogue layer owns *resolution*, never
-// execution. Implementations must be safe for concurrent use.
-type Executor = resilient.Executor
+// Asker is the serving stack a dialogue manager runs over: a
+// *resilient.Gateway, or a *shard.Cluster when the data is partitioned.
+// A full question goes through Ask, with the chain, breakers, answer cache
+// and spans that /query gets; a follow-up the manager resolved against its
+// context goes through AskSQL. Implementations must be safe for
+// concurrent use.
+type Asker interface {
+	Ask(ctx context.Context, question string) (*resilient.Answer, error)
+	resilient.Executor
+}
 
 // Response is what a dialogue manager returns for one utterance.
 type Response struct {
@@ -40,8 +43,10 @@ type Response struct {
 // manager's own conversational context is mutated under a lock, so
 // concurrent Respond calls interleave as whole turns, never mid-turn.
 // For one conversation per caller (a session store holding many live
-// conversations over one shared manager), use the ContextResponder form,
-// which keeps all per-conversation state in the caller's *Context.
+// conversations over one shared manager), use RespondWith, which keeps all
+// per-conversation state in the caller's *Context: the resolver index is
+// immutable, so one manager serves any number of conversations
+// concurrently, as long as each Context sees one turn at a time.
 type Manager interface {
 	// Name identifies the family in experiment tables.
 	Name() string
@@ -53,34 +58,35 @@ type Manager interface {
 	Reset()
 }
 
-// ContextResponder is the session-serving form of a dialogue manager: all
-// per-conversation state lives in the caller-owned *Context, so one shared
-// manager (its resolver indexes are immutable after construction) serves
-// any number of live conversations concurrently, as long as each Context
-// is touched by one turn at a time.
-type ContextResponder interface {
-	RespondWith(ctx context.Context, conv *Context, utterance string) (*Response, error)
+// reply is the response surface of one served answer.
+func reply(ans *resilient.Answer) *Response {
+	return &Response{
+		SQL: ans.SQL, Result: ans.Result, Answer: ans,
+		Message: fmt.Sprintf("%d row(s).", len(ans.Result.Rows)),
+	}
 }
 
-// finishTurn executes a resolved statement through the serving stack and
-// advances the conversational context. Shared by the frame and agent
-// families (and by any future manager): the statement executes with plans,
-// budgets, and traces exactly like a stateless question.
-func finishTurn(ctx context.Context, exec Executor, conv *Context, stmt *sqlparse.SelectStmt, wasAggregate bool) (*Response, error) {
-	ans, err := exec.AskSQL(ctx, stmt.String())
-	if err != nil {
-		return &Response{Message: "That request failed to execute."}, err
-	}
+// finishTurn advances the conversational context with a served answer.
+// Shared by the frame and agent families (and by any future manager).
+func finishTurn(conv *Context, ans *resilient.Answer, wasAggregate bool) *Response {
 	if wasAggregate {
 		conv.BeforeAggregate = rowContext(conv)
 	} else {
 		conv.BeforeAggregate = nil
 	}
 	conv.Remember(ans.SQL)
-	return &Response{
-		SQL: ans.SQL, Result: ans.Result, Answer: ans,
-		Message: fmt.Sprintf("%d row(s).", len(ans.Result.Rows)),
-	}, nil
+	return reply(ans)
+}
+
+// followUp executes a statement resolved against the context and
+// advances the context with its answer: the statement runs with plans,
+// budgets, and traces exactly like a stateless question.
+func followUp(ctx context.Context, back Asker, conv *Context, stmt *sqlparse.SelectStmt, wasAggregate bool) (*Response, error) {
+	ans, err := back.AskSQL(ctx, stmt.String())
+	if err != nil {
+		return &Response{Message: "That request failed to execute."}, err
+	}
+	return finishTurn(conv, ans, wasAggregate), nil
 }
 
 // --- finite-state manager ---------------------------------------------------
@@ -89,13 +95,12 @@ func finishTurn(ctx context.Context, exec Executor, conv *Context, stmt *sqlpars
 // conversational context. Follow-ups fail; inputs outside the patterns are
 // rejected — "restricting user input to predetermined words and phrases".
 type FiniteState struct {
-	interp nlq.Interpreter
-	exec   Executor
+	back Asker
 }
 
-// NewFiniteState builds the manager over an interpreter and an executor.
-func NewFiniteState(interp nlq.Interpreter, exec Executor) *FiniteState {
-	return &FiniteState{interp: interp, exec: exec}
+// NewFiniteState builds the manager over a serving backend.
+func NewFiniteState(back Asker) *FiniteState {
+	return &FiniteState{back: back}
 }
 
 // Name implements Manager.
@@ -128,19 +133,11 @@ func (f *FiniteState) Respond(ctx context.Context, utterance string) (*Response,
 		return &Response{Message: "Please phrase your request as a command, e.g. \"show …\" or \"how many …\"."},
 			fmt.Errorf("dialogue: utterance outside the finite-state grammar")
 	}
-	ins, err := f.interp.Interpret(utterance)
+	ans, err := f.back.Ask(ctx, utterance)
 	if err != nil {
 		return &Response{Message: "I could not understand that command."}, err
 	}
-	best, _ := nlq.Best(ins)
-	ans, err := f.exec.AskSQL(ctx, best.SQL.String())
-	if err != nil {
-		return &Response{Message: "That command failed to execute."}, err
-	}
-	return &Response{
-		SQL: ans.SQL, Result: ans.Result, Answer: ans,
-		Message: fmt.Sprintf("%d row(s).", len(ans.Result.Rows)),
-	}, nil
+	return reply(ans), nil
 }
 
 // --- frame-based manager ----------------------------------------------------
@@ -150,19 +147,19 @@ func (f *FiniteState) Respond(ctx context.Context, utterance string) (*Response,
 // follow-ups phrased with its slot patterns (the refine openers and the
 // canonical aggregate/shift forms).
 type Frame struct {
-	interp nlq.Interpreter
-	exec   Executor
-	res    *resolver
+	back Asker
+	res  *resolver
 
 	mu  sync.Mutex
 	ctx Context
 }
 
-// NewFrame builds the manager over ix, the index the caller built for db.
-// The index is immutable, so one Frame may serve concurrent conversations
-// via RespondWith.
-func NewFrame(db *sqldata.Database, interp nlq.Interpreter, ix *invindex.Index, exec Executor) *Frame {
-	return &Frame{interp: interp, exec: exec, res: &resolver{db: db, ix: ix}}
+// NewFrame builds the manager over a serving backend and ix, the index
+// follow-ups resolve words through (in a serving process, the one the
+// backend's interpreter chain uses). The index is immutable, so one Frame
+// may serve concurrent conversations via RespondWith.
+func NewFrame(ix *invindex.Index, back Asker) *Frame {
+	return &Frame{back: back, res: &resolver{ix: ix}}
 }
 
 // Name implements Manager.
@@ -182,9 +179,9 @@ func (f *Frame) Respond(ctx context.Context, utterance string) (*Response, error
 	return f.RespondWith(ctx, &f.ctx, utterance)
 }
 
-// RespondWith implements ContextResponder: the turn resolves and advances
-// the caller-owned conversation. Unrecognized follow-up phrasings are
-// asked back to the user instead of being guessed.
+// RespondWith resolves the turn against, and advances, the caller-owned
+// conversation. Unrecognized follow-up phrasings are asked back to the
+// user instead of being guessed.
 func (f *Frame) RespondWith(ctx context.Context, conv *Context, utterance string) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return &Response{Message: "The request was cancelled."}, err
@@ -204,13 +201,13 @@ func (f *Frame) RespondWith(ctx context.Context, conv *Context, utterance string
 		if err != nil {
 			return &Response{Message: "Which attribute should I filter by?"}, err
 		}
-		return finishTurn(ctx, f.exec, conv, stmt, false)
+		return followUp(ctx, f.back, conv, stmt, false)
 	case IntentAggregate:
 		stmt, err := f.res.aggregate(conv)
 		if err != nil {
 			return &Response{Message: "There is nothing to count yet."}, err
 		}
-		return finishTurn(ctx, f.exec, conv, stmt, true)
+		return followUp(ctx, f.back, conv, stmt, true)
 	case IntentShift:
 		// Frame-based systems track a projection slot only for the exact
 		// "show their X" pattern.
@@ -222,30 +219,26 @@ func (f *Frame) RespondWith(ctx context.Context, conv *Context, utterance string
 		if err != nil {
 			return &Response{Message: "Which attribute would you like to see?"}, err
 		}
-		return finishTurn(ctx, f.exec, conv, stmt, false)
+		return followUp(ctx, f.back, conv, stmt, false)
 	default:
-		ins, err := f.interp.Interpret(utterance)
+		ans, err := f.back.Ask(ctx, utterance)
 		if err != nil {
 			return &Response{Message: "I could not understand; try naming the data you need."}, err
 		}
-		best, _ := nlq.Best(ins)
-		return finishTurn(ctx, f.exec, conv, best.SQL, false)
+		return finishTurn(conv, ans, false), nil
 	}
 }
 
 // --- agent-based manager ------------------------------------------------------
 
 // Agent is the most flexible family: full context persistence, flexible
-// follow-up phrasing, ranked-hypothesis recovery, and DialSQL-style
-// validation against a user (simulated in experiments). "Agent-based
-// systems are able to manage complex dialogues, where the user can
-// initiate and lead the conversation."
+// follow-up phrasing, and recovery of an utterance no interpreter reads as
+// a refinement of the context. "Agent-based systems are able to manage
+// complex dialogues, where the user can initiate and lead the
+// conversation."
 type Agent struct {
-	interp nlq.Interpreter
-	exec   Executor
-	res    *resolver
-	// User, when non-nil, answers validation questions (DialSQL).
-	User *UserSim
+	back Asker
+	res  *resolver
 	// IntentModel, when non-nil, augments the rule-based intent
 	// classifier with the statistical one trained on ontology-generated
 	// artifacts (Quamar et al.) — "agent-based methods … are typically
@@ -256,12 +249,12 @@ type Agent struct {
 	ctx Context
 }
 
-// NewAgent builds the manager over ix, the index the caller built for db
-// (in a serving process, the one the interpreter chain resolves words
-// through). The index is immutable, so one Agent may serve concurrent
-// conversations via RespondWith.
-func NewAgent(db *sqldata.Database, interp nlq.Interpreter, ix *invindex.Index, exec Executor) *Agent {
-	return &Agent{interp: interp, exec: exec, res: &resolver{db: db, ix: ix}}
+// NewAgent builds the manager over a serving backend and ix, the index
+// follow-ups resolve words through (in a serving process, the one the
+// backend's interpreter chain uses). The index is immutable, so one Agent
+// may serve concurrent conversations via RespondWith.
+func NewAgent(ix *invindex.Index, back Asker) *Agent {
+	return &Agent{back: back, res: &resolver{ix: ix}}
 }
 
 // Name implements Manager.
@@ -281,11 +274,9 @@ func (a *Agent) Respond(ctx context.Context, utterance string) (*Response, error
 	return a.RespondWith(ctx, &a.ctx, utterance)
 }
 
-// RespondWith implements ContextResponder: the utterance resolves against
-// the caller-owned conversation — follow-up intents edit the context query
-// (with free phrasing); full queries go through the interpreter; when a
-// simulated user is attached, candidate queries are validated and
-// lower-ranked hypotheses retried (DialSQL).
+// RespondWith resolves the utterance against the caller-owned
+// conversation: follow-up intents edit the context query (with free
+// phrasing); full queries go through the backend's Ask.
 func (a *Agent) RespondWith(ctx context.Context, conv *Context, utterance string) (*Response, error) {
 	if err := ctx.Err(); err != nil {
 		return &Response{Message: "The request was cancelled."}, err
@@ -315,44 +306,35 @@ func (a *Agent) RespondWith(ctx context.Context, conv *Context, utterance string
 		if err != nil {
 			return &Response{Message: "I could not find that filter; can you name the attribute?"}, err
 		}
-		return finishTurn(ctx, a.exec, conv, stmt, false)
+		return followUp(ctx, a.back, conv, stmt, false)
 	case IntentAggregate:
 		stmt, err := a.res.aggregate(conv)
 		if err != nil {
 			return &Response{Message: "There is nothing to count yet."}, err
 		}
-		return finishTurn(ctx, a.exec, conv, stmt, true)
+		return followUp(ctx, a.back, conv, stmt, true)
 	case IntentShift:
 		stmt, err := a.res.shift(conv, utterance)
 		if err != nil {
 			return &Response{Message: "Which attribute should I show?"}, err
 		}
-		return finishTurn(ctx, a.exec, conv, stmt, false)
+		return followUp(ctx, a.back, conv, stmt, false)
 	}
 
-	ins, err := a.interp.Interpret(utterance)
-	if err != nil {
-		// Agent flexibility: an unparseable utterance with context is
-		// retried as a refinement before giving up.
+	ans, err := a.back.Ask(ctx, utterance)
+	if errors.Is(err, resilient.ErrExhausted) {
+		// Agent flexibility: an utterance no interpreter reads, said with
+		// context, is retried as a refinement before giving up. Any other
+		// failure — a refusal, a deadline — is a verdict and stands.
 		if conv.LastSQL != nil {
 			if stmt, rerr := a.res.refine(conv, utterance); rerr == nil {
-				return finishTurn(ctx, a.exec, conv, stmt, false)
+				return followUp(ctx, a.back, conv, stmt, false)
 			}
 		}
 		return &Response{Message: "I could not map that to the data."}, err
 	}
-
-	// DialSQL-style validation loop over ranked hypotheses.
-	if a.User != nil {
-		for i, cand := range ins {
-			if i >= 3 {
-				break
-			}
-			if a.User.Validate(cand.SQL) {
-				return finishTurn(ctx, a.exec, conv, cand.SQL, false)
-			}
-		}
+	if err != nil {
+		return &Response{Message: "That request failed to execute."}, err
 	}
-	best, _ := nlq.Best(ins)
-	return finishTurn(ctx, a.exec, conv, best.SQL, false)
+	return finishTurn(conv, ans, false), nil
 }

@@ -3,6 +3,7 @@ package dialogue
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,18 +11,23 @@ import (
 	"nlidb/internal/benchdata"
 	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
+	"nlidb/internal/nlq"
 	"nlidb/internal/qcache"
 	"nlidb/internal/resilient"
 )
 
-// selfCancelExec cancels the turn's context the moment execution starts,
-// simulating a caller that goes away while the statement runs.
-type selfCancelExec struct {
+// selfCancelBackend cancels the turn's context the moment the backend
+// starts on it, simulating a caller that goes away mid-turn.
+type selfCancelBackend struct {
 	cancel context.CancelFunc
 }
 
-func (e selfCancelExec) AskSQL(ctx context.Context, sql string) (*resilient.Answer, error) {
-	e.cancel()
+func (b selfCancelBackend) Ask(ctx context.Context, question string) (*resilient.Answer, error) {
+	return b.AskSQL(ctx, question)
+}
+
+func (b selfCancelBackend) AskSQL(ctx context.Context, sql string) (*resilient.Answer, error) {
+	b.cancel()
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -43,17 +49,14 @@ func TestRespondCancelledBeforeTurn(t *testing.T) {
 }
 
 // TestRespondCancelledMidTurn is the regression test for cancellation
-// arriving while the resolved statement is executing: the turn must
+// arriving while the question is being served: the turn must
 // return the cancellation error and leave the conversational context
 // exactly as it was — a half-applied turn would poison every follow-up.
 func TestRespondCancelledMidTurn(t *testing.T) {
-	d := benchdata.Sales(60)
-	lex := lexicon.New()
-	ix := invindex.Build(d.DB, lex)
-	interp := athena.New(d.DB, ix, lex)
+	ix := invindex.Build(benchdata.Sales(60).DB, lexicon.New())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	agent := NewAgent(d.DB, interp, ix, selfCancelExec{cancel: cancel})
+	agent := NewAgent(ix, selfCancelBackend{cancel: cancel})
 
 	r, err := agent.Respond(ctx, "show customers with city Berlin")
 	if !errors.Is(err, context.Canceled) {
@@ -75,11 +78,10 @@ func TestFollowUpHitsPlanCache(t *testing.T) {
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
 	ix := invindex.Build(d.DB, lex)
-	interp := athena.New(d.DB, ix, lex)
-	gw := resilient.New(d.DB, nil, resilient.Config{
+	gw := resilient.New(d.DB, []nlq.Interpreter{athena.New(d.DB, ix, lex)}, resilient.Config{
 		PlanCache: qcache.New(qcache.Config{MaxEntries: 64}),
 	})
-	agent := NewAgent(d.DB, interp, ix, gw)
+	agent := NewAgent(ix, gw)
 
 	run := func() *Response {
 		t.Helper()
@@ -114,8 +116,7 @@ func TestSharedManagerConcurrentConversations(t *testing.T) {
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
 	ix := invindex.Build(d.DB, lex)
-	interp := athena.New(d.DB, ix, lex)
-	agent := NewAgent(d.DB, interp, ix, testExec(d))
+	agent := NewAgent(ix, testBackend(d, ix, lex))
 
 	cities := []string{"Berlin", "Munich", "Hamburg"}
 	var wg sync.WaitGroup
@@ -143,4 +144,51 @@ func TestSharedManagerConcurrentConversations(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// scriptedAsk fails every full question with err and runs resolved
+// statements through the gateway it embeds.
+type scriptedAsk struct {
+	*resilient.Gateway
+	err error
+}
+
+func (b scriptedAsk) Ask(context.Context, string) (*resilient.Answer, error) { return nil, b.err }
+
+// TestAgentRecoversOnlyAnExhaustedChain: an utterance no engine reads,
+// said with context, is retried as a refinement of it; a refusal is a
+// verdict on the question, so it comes back as is and the context stays.
+func TestAgentRecoversOnlyAnExhaustedChain(t *testing.T) {
+	d := benchdata.Sales(60)
+	lex := lexicon.New()
+	ix := invindex.Build(d.DB, lex)
+	gw := testBackend(d, ix, lex)
+	const utterance = "credit over 20000"
+	open := func() *Context {
+		t.Helper()
+		conv := &Context{}
+		if _, err := NewAgent(ix, gw).RespondWith(context.Background(), conv, "show customers with city Berlin"); err != nil {
+			t.Fatal(err)
+		}
+		return conv
+	}
+
+	conv := open()
+	exhausted := NewAgent(ix, scriptedAsk{gw, &resilient.ChainError{Question: utterance}})
+	r, err := exhausted.RespondWith(context.Background(), conv, utterance)
+	if err != nil || r.SQL == nil || !strings.Contains(r.SQL.String(), "credit > 20000") || !strings.Contains(r.SQL.String(), "Berlin") {
+		t.Fatalf("exhausted chain: %v, %v; want the utterance applied as a refinement", r.SQL, err)
+	}
+
+	conv = open()
+	refusal := &resilient.Refusal{Outcome: "budget", Err: errors.New("over budget")}
+	refused := NewAgent(ix, scriptedAsk{gw, refusal})
+	r, err = refused.RespondWith(context.Background(), conv, utterance)
+	var got *resilient.Refusal
+	if !errors.As(err, &got) || got != refusal || r.SQL != nil {
+		t.Fatalf("refused question: %v, %v; want the refusal as is", r.SQL, err)
+	}
+	if conv.Turns != 1 {
+		t.Fatalf("a refused turn advanced the context to %d turns", conv.Turns)
+	}
 }

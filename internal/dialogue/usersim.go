@@ -45,14 +45,7 @@ func (u *UserSim) SetGold(gold *sqlparse.SelectStmt) error {
 // Validate answers a DialSQL-style "is this what you meant?" question.
 func (u *UserSim) Validate(candidate *sqlparse.SelectStmt) bool {
 	u.Interactions++
-	res, err := u.eng.Run(candidate)
-	if err != nil {
-		return false
-	}
-	if len(u.gold.OrderBy) > 0 {
-		return res.EqualOrdered(u.goldRes)
-	}
-	return res.EqualUnordered(u.goldRes)
+	return u.matches(candidate)
 }
 
 // Choose answers a NaLIR-style multiple-choice clarification by picking
@@ -61,19 +54,21 @@ func (u *UserSim) Validate(candidate *sqlparse.SelectStmt) bool {
 func (u *UserSim) Choose(candidates []nlq.Interpretation) int {
 	u.Interactions++
 	for i, c := range candidates {
-		res, err := u.eng.Run(c.SQL)
-		if err != nil {
-			continue
-		}
-		match := false
-		if len(u.gold.OrderBy) > 0 {
-			match = res.EqualOrdered(u.goldRes)
-		} else {
-			match = res.EqualUnordered(u.goldRes)
-		}
-		if match {
+		if u.matches(c.SQL) {
 			return i
 		}
 	}
 	return 0
+}
+
+// matches reports whether candidate returns the gold result.
+func (u *UserSim) matches(candidate *sqlparse.SelectStmt) bool {
+	res, err := u.eng.Run(candidate)
+	if err != nil {
+		return false
+	}
+	if len(u.gold.OrderBy) > 0 {
+		return res.EqualOrdered(u.goldRes)
+	}
+	return res.EqualUnordered(u.goldRes)
 }

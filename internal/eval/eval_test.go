@@ -141,10 +141,8 @@ func TestEvaluateConversations(t *testing.T) {
 	cs := benchdata.Conversations(d, 8, 3)
 	lex := lexicon.New()
 	ix := invindex.Build(d.DB, lex)
-	interp := athena.New(d.DB, ix, lex)
-
-	exec := resilient.New(d.DB, nil, resilient.Config{NoTrace: true})
-	agent := dialogue.NewAgent(d.DB, interp, ix, exec)
+	back := resilient.New(d.DB, []nlq.Interpreter{athena.New(d.DB, ix, lex)}, resilient.Config{NoTrace: true, NoRetry: true})
+	agent := dialogue.NewAgent(ix, back)
 	rep, err := EvaluateConversations(agent, cs)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +150,7 @@ func TestEvaluateConversations(t *testing.T) {
 	if rep.Overall.Total != cs.TotalTurns() {
 		t.Fatalf("turns = %d, want %d", rep.Overall.Total, cs.TotalTurns())
 	}
-	fsm := dialogue.NewFiniteState(interp, exec)
+	fsm := dialogue.NewFiniteState(back)
 	frep, err := EvaluateConversations(fsm, cs)
 	if err != nil {
 		t.Fatal(err)

@@ -60,12 +60,13 @@ func T6Dialogue(seed int64) (*Table, error) {
 			}
 		}
 		ix := invindex.Build(d.DB, lex)
-		interp := athena.New(d.DB, ix, lex)
-		exec := resilient.New(d.DB, nil, resilient.Config{NoTrace: true})
+		// Every manager reads full questions through athena alone, with no
+		// simplified retry: the table compares the managers, not the chain.
+		back := resilient.New(d.DB, []nlq.Interpreter{athena.New(d.DB, ix, lex)}, resilient.Config{NoTrace: true, NoRetry: true})
 		mgrs := []dialogue.Manager{
-			dialogue.NewFiniteState(interp, exec),
-			dialogue.NewFrame(d.DB, interp, ix, exec),
-			dialogue.NewAgent(d.DB, interp, ix, exec),
+			dialogue.NewFiniteState(back),
+			dialogue.NewFrame(ix, back),
+			dialogue.NewAgent(ix, back),
 		}
 		for _, m := range mgrs {
 			rep, err := eval.EvaluateConversations(m, cs)

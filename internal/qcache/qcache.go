@@ -33,15 +33,16 @@ const (
 	MetricEntries = "nlidb_cache_entries"
 )
 
-// Config tunes a Cache. The zero value is serviceable: 4096 entries,
-// 16 shards, a private metrics registry.
+// Config tunes a Cache. The zero value is serviceable: 4096 entries, a
+// private metrics registry.
 type Config struct {
 	// MaxEntries bounds the total entry count across all shards
-	// (default 4096). Each shard holds MaxEntries/Shards entries, so the
-	// effective capacity is rounded down to a multiple of Shards.
+	// (default 4096). The cache stripes its lock over MaxEntries/64
+	// shards, at least 1 and at most 16, so a shard holds at least 64
+	// entries (or all of them) and two keys that hash together do not
+	// evict each other while the rest of the cache stands empty. The
+	// effective capacity is rounded down to a multiple of the shard count.
 	MaxEntries int
-	// Shards is the lock-striping factor (default 16, minimum 1).
-	Shards int
 	// Metrics holds the hit/miss/eviction counters and the live-entry
 	// gauge; nil means a private registry. The series are resolved at New,
 	// so scrapes see them before the first lookup.
@@ -75,7 +76,6 @@ type shard struct {
 // Cache is a sharded LRU answer cache. Build one per database
 // (the key fingerprint ties entries to one database's state anyway).
 type Cache struct {
-	cfg      Config
 	shards   []*shard
 	perShard int
 
@@ -87,29 +87,27 @@ type Cache struct {
 	entriesG *obs.Gauge
 }
 
+// A cache stripes its lock over at most maxShards shards, each holding at
+// least minPerShard entries unless the whole cache holds fewer.
+const (
+	maxShards   = 16
+	minPerShard = 64
+)
+
 // New builds a cache. Config zero values are filled with defaults.
 func New(cfg Config) *Cache {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 4096
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 16
-	}
-	if cfg.Shards > cfg.MaxEntries {
-		cfg.Shards = cfg.MaxEntries
-	}
+	n := min(max(cfg.MaxEntries/minPerShard, 1), maxShards)
 	m := obs.OrNew(cfg.Metrics)
 	c := &Cache{
-		cfg:       cfg,
-		shards:    make([]*shard, cfg.Shards),
-		perShard:  cfg.MaxEntries / cfg.Shards,
+		shards:    make([]*shard, n),
+		perShard:  cfg.MaxEntries / n,
 		hits:      m.Counter(MetricHits),
 		misses:    m.Counter(MetricMisses),
 		evictions: m.Counter(MetricEvictions),
 		entriesG:  m.Gauge(MetricEntries),
-	}
-	if c.perShard < 1 {
-		c.perShard = 1
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{ent: map[string]*list.Element{}, lru: list.New()}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestGetPutHitMiss(t *testing.T) {
-	c := New(Config{MaxEntries: 8, Shards: 2})
+	c := New(Config{MaxEntries: 8})
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -30,8 +30,9 @@ func TestGetPutHitMiss(t *testing.T) {
 }
 
 func TestLRUEvictionOrder(t *testing.T) {
-	// One shard makes the LRU order global and the test deterministic.
-	c := New(Config{MaxEntries: 3, Shards: 1})
+	// A cache this small is one shard, so the LRU order is global and the
+	// test deterministic.
+	c := New(Config{MaxEntries: 3})
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 3)
@@ -55,7 +56,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 }
 
 func TestEvictionUnderPressure(t *testing.T) {
-	c := New(Config{MaxEntries: 16, Shards: 4})
+	c := New(Config{MaxEntries: 16})
 	for i := 0; i < 1000; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i)
 	}
@@ -70,7 +71,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 
 func TestMetricsWiring(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New(Config{MaxEntries: 2, Shards: 1, Metrics: reg})
+	c := New(Config{MaxEntries: 2, Metrics: reg})
 
 	// Families exist before any traffic.
 	var sb strings.Builder
@@ -125,14 +126,21 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-func TestShardDefaulting(t *testing.T) {
-	// Shards exceeding MaxEntries collapse so per-shard capacity stays ≥ 1.
-	c := New(Config{MaxEntries: 4, Shards: 64})
-	for i := 0; i < 10; i++ {
+// TestSmallCacheHoldsItsCapacity: a cache sizes its own shards, so one
+// of 16 entries holds 16 distinct keys without an eviction — not one key
+// per shard, with colliding keys evicting each other.
+func TestSmallCacheHoldsItsCapacity(t *testing.T) {
+	c := New(Config{MaxEntries: 16})
+	for i := 0; i < 16; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i)
 	}
-	if c.Len() > 4 {
-		t.Fatalf("Len = %d, want ≤ 4", c.Len())
+	if st := c.Stats(); st.Entries != 16 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 16 entries and 0 evictions", st)
+	}
+	for i := 0; i < 16; i++ {
+		if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
+			t.Fatalf("k%d evicted from a cache under its capacity", i)
+		}
 	}
 }
 
@@ -142,7 +150,7 @@ func TestShardDefaulting(t *testing.T) {
 // a per-call registry lookup would allocate its label key every time.
 func TestRegistryAddsNoAllocations(t *testing.T) {
 	allocs := func(reg *obs.Registry) (hit, miss float64) {
-		c := New(Config{MaxEntries: 8, Shards: 2, Metrics: reg})
+		c := New(Config{MaxEntries: 8, Metrics: reg})
 		c.Put("k", "v")
 		hit = testing.AllocsPerRun(100, func() { c.Get("k") })
 		miss = testing.AllocsPerRun(100, func() { c.Get("absent") })
@@ -159,7 +167,7 @@ func TestRegistryAddsNoAllocations(t *testing.T) {
 // every Stats field equals the registry series it reports.
 func TestStatsAgreeWithRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := New(Config{MaxEntries: 2, Shards: 1, Metrics: reg})
+	c := New(Config{MaxEntries: 2, Metrics: reg})
 	c.Get("a") // miss
 	c.Put("a", 1)
 	c.Get("a") // hit

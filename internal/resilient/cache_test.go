@@ -128,7 +128,7 @@ func TestCacheInvalidatesOnInsert(t *testing.T) {
 func TestCacheEvictionUnderPressure(t *testing.T) {
 	db := testDB(t)
 	gw := New(db, []nlq.Interpreter{answering("a", "SELECT name FROM customer")},
-		Config{Cache: qcache.New(qcache.Config{MaxEntries: 2, Shards: 1})})
+		Config{Cache: qcache.New(qcache.Config{MaxEntries: 2})})
 	ctx := context.Background()
 
 	for _, q := range []string{"customers one", "customers two", "customers three"} {
@@ -186,7 +186,7 @@ func TestCacheMetricsAndCounters(t *testing.T) {
 // statement that differs from a cached one only in the case of an alias
 // or a column name still gets its own output header.
 func TestAskSQLPlanCacheKeepsHeaders(t *testing.T) {
-	gw := New(testDB(t), nil, Config{PlanCache: qcache.New(qcache.Config{MaxEntries: 16, Shards: 1})})
+	gw := New(testDB(t), nil, Config{PlanCache: qcache.New(qcache.Config{MaxEntries: 16})})
 	for round := 0; round < 2; round++ {
 		for _, c := range []struct{ sql, header string }{
 			{"SELECT COUNT(*) AS Total FROM customer", "Total"},

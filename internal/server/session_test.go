@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -27,7 +28,7 @@ func sessionServer(t *testing.T) (*Server, *session.Store) {
 	interp := answering("a", "SELECT name FROM customer WHERE city = 'Berlin'")
 	exec := resilient.New(db, []nlq.Interpreter{interp}, resilient.Config{NoTrace: true})
 	st, err := session.New(session.Config{
-		Responder: dialogue.NewAgent(db, interp, ix, exec),
+		Responder: dialogue.NewAgent(ix, exec),
 		DB:        db,
 		NoTrace:   true,
 	})
@@ -71,7 +72,7 @@ func TestSessionCreateAskFollowUpEnd(t *testing.T) {
 		t.Fatalf("ask: %d %s", rec.Code, rec.Body)
 	}
 	turn1 := decode[sessionAskResponse](t, rec)
-	if turn1.Turn != 1 || turn1.ContextResolved || len(turn1.Rows) != 2 {
+	if turn1.Turn != 1 || turn1.ContextResolved || len(turn1.Rows) != 2 || turn1.Engine != "a" {
 		t.Fatalf("turn 1: %+v", turn1)
 	}
 	if rec.Header().Get("X-Session-ID") != created.SessionID {
@@ -154,7 +155,7 @@ func TestSessionRateLimitSheds(t *testing.T) {
 	interp := answering("a", "SELECT name FROM customer WHERE city = 'Berlin'")
 	exec := resilient.New(db, []nlq.Interpreter{interp}, resilient.Config{NoTrace: true})
 	st, err := session.New(session.Config{
-		Responder: dialogue.NewAgent(db, interp, ix, exec),
+		Responder: dialogue.NewAgent(ix, exec),
 		DB:        db,
 		NoTrace:   true,
 	})
@@ -200,7 +201,7 @@ func TestSessionExpiryIs410(t *testing.T) {
 	clock := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	now := &clock
 	st, err := session.New(session.Config{
-		Responder: dialogue.NewAgent(db, interp, ix, exec),
+		Responder: dialogue.NewAgent(ix, exec),
 		DB:        db,
 		NoTrace:   true,
 		TTL:       time.Minute,
@@ -218,21 +219,33 @@ func TestSessionExpiryIs410(t *testing.T) {
 	}
 }
 
-// TestSessionAskPanicIs500: a panic while a turn is interpreted answers
-// 500 with the JSON error body /query would send, and the session answers
-// its next turn.
+// panicky is a session responder that panics on "boom" and defers to
+// inner otherwise.
+type panicky struct{ inner session.Responder }
+
+func (p panicky) RespondWith(ctx context.Context, conv *dialogue.Context, utterance string) (*dialogue.Response, error) {
+	if utterance == "boom" {
+		panic("responder exploded")
+	}
+	return p.inner.RespondWith(ctx, conv, utterance)
+}
+
+// TestSessionAskPanicIs500: a panic in the turn's responder answers 500
+// with the JSON error body /query would send, and the session answers its
+// next turn. A panic inside the interpreter chain is isolated there, so
+// the turn answers exactly as /query does.
 func TestSessionAskPanicIs500(t *testing.T) {
 	db := testDB(t)
 	ix := invindex.Build(db, lexicon.New())
 	berlin := answering("a", "SELECT name FROM customer WHERE city = 'Berlin'")
 	interp := &fakeInterp{name: "a", fn: func(q string) ([]nlq.Interpretation, error) {
-		if q == "boom" {
+		if q == "kaboom" {
 			panic("interpreter exploded")
 		}
 		return berlin.fn(q)
 	}}
 	exec := resilient.New(db, []nlq.Interpreter{interp}, resilient.Config{NoTrace: true})
-	st, err := session.New(session.Config{Responder: dialogue.NewAgent(db, interp, ix, exec), DB: db, NoTrace: true})
+	st, err := session.New(session.Config{Responder: panicky{dialogue.NewAgent(ix, exec)}, DB: db, NoTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +256,14 @@ func TestSessionAskPanicIs500(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panicking turn: %d %s, want 500", rec.Code, rec.Body)
 	}
-	if body := decode[map[string]string](t, rec); !strings.Contains(body["error"], "interpreter exploded") {
+	if body := decode[map[string]string](t, rec); !strings.Contains(body["error"], "responder exploded") {
 		t.Fatalf("500 body %v does not carry the panic", body)
+	}
+
+	query := post(s, "/query", `{"question": "kaboom"}`, nil)
+	rec = post(s, "/session/ask", `{"utterance": "kaboom"}`, hdr)
+	if rec.Code != query.Code || !strings.Contains(rec.Body.String(), "interpreter exploded") {
+		t.Fatalf("interpreter panic in a turn: %d %s; /query answered %d %s", rec.Code, rec.Body, query.Code, query.Body)
 	}
 	if rec := post(s, "/session/ask", `{"utterance": "customers in Berlin"}`, hdr); rec.Code != http.StatusOK {
 		t.Fatalf("turn after the panic: %d %s, want 200", rec.Code, rec.Body)

@@ -8,11 +8,19 @@
 // sharded store with TTL eviction and a hard memory budget (LRU under
 // pressure), serializes turns within a conversation while letting
 // different conversations proceed in parallel over one shared dialogue
-// manager, answers repeated turns from a context-keyed cache (the same
-// utterance under different dialogue context is never conflated), and
-// reports itself through the standard observability surface
+// manager, answers repeated follow-ups from a context-keyed cache (the
+// same utterance under different dialogue context is never conflated),
+// and reports itself through the standard observability surface
 // (nlidb_session_* metrics, session/turn span attributes, slow-log
 // session tags).
+//
+// A session turn is a request like any other. The dialogue manager reads
+// a context-free turn — a conversation's first question, or the first
+// after a reset — through the serving backend's Ask, so it answers with
+// the same family, SQL and rows as POST /query, and repeats of it hit the
+// backend's answer cache. The backend's request runs inside the turn's
+// trace, so each turn is one trace with the chain's attempt spans under
+// the session root.
 //
 // All methods are safe for concurrent use.
 package session
@@ -50,8 +58,8 @@ const (
 	// MetricFollowups counts context-dependent turns (refine, aggregate,
 	// shift), labeled by resolution outcome ("resolved" or "failed").
 	MetricFollowups = "nlidb_session_followups_total"
-	// MetricContextHits counts turn answers served from the context-keyed
-	// cache.
+	// MetricContextHits counts context-bearing turns answered from the
+	// context-keyed turn cache.
 	MetricContextHits = "nlidb_session_context_hits_total"
 	// MetricContextMisses counts context-bearing turns that had to run the
 	// full resolve+execute path.
@@ -99,8 +107,8 @@ type Config struct {
 	MemoryBudget int64
 	// Shards is the lock-striping factor (default 16, minimum 1).
 	Shards int
-	// CacheSize is the turn cache's entry cap (default 4096; negative
-	// disables the cache).
+	// CacheSize is the entry cap of the turn cache, which holds
+	// context-bearing turns only (default 4096; negative disables it).
 	CacheSize int
 	// Metrics holds the nlidb_session_* families; nil means a private
 	// registry. The series are resolved at New, so scrapes see them before

@@ -14,7 +14,9 @@ import (
 	"nlidb/internal/dialogue"
 	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
+	"nlidb/internal/nlq"
 	"nlidb/internal/obs"
+	"nlidb/internal/qcache"
 	"nlidb/internal/resilient"
 )
 
@@ -41,17 +43,19 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // testStore builds a store over the sales domain with a real agent
-// responder executing through a chain-less gateway. Overrides tweak the
-// default config before construction.
+// responder serving through a gateway with an athena chain and an answer
+// cache. Overrides tweak the default config before construction.
 func testStore(t testing.TB, overrides func(*Config)) *Store {
 	t.Helper()
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
 	ix := invindex.Build(d.DB, lex)
-	interp := athena.New(d.DB, ix, lex)
-	exec := resilient.New(d.DB, nil, resilient.Config{NoTrace: true})
+	gw := resilient.New(d.DB, []nlq.Interpreter{athena.New(d.DB, ix, lex)}, resilient.Config{
+		NoTrace: true,
+		Cache:   qcache.New(qcache.Config{MaxEntries: 256}),
+	})
 	cfg := Config{
-		Responder: dialogue.NewAgent(d.DB, interp, ix, exec),
+		Responder: dialogue.NewAgent(ix, gw),
 		DB:        d.DB,
 		NoTrace:   true,
 	}
@@ -259,7 +263,9 @@ func TestTurnCacheIsContextKeyed(t *testing.T) {
 	}
 
 	// A third conversation replaying Berlin's turns is answered from the
-	// turn cache — same bytes, Cached set, context advanced identically.
+	// caches — the opening turn from the gateway's answer cache, the
+	// follow-up from the turn cache — same bytes, Cached set, context
+	// advanced identically.
 	replay := s.Create()
 	r1 := ask(replay, "show customers with city Berlin")
 	if !r1.Cached {
@@ -278,24 +284,56 @@ func TestTurnCacheIsContextKeyed(t *testing.T) {
 	if render(r2) != render(bCount) {
 		t.Fatal("cached follow-up differs byte-for-byte from the live one")
 	}
-	if st := s.Stats(); st.ContextHits < 2 {
-		t.Fatalf("stats %+v, want >=2 context hits", st)
+	if st := s.Stats(); st.ContextHits != 1 {
+		t.Fatalf("stats %+v, want the follow-up's one context hit", st)
 	}
 }
 
 func TestTurnCacheDisabled(t *testing.T) {
 	s := testStore(t, func(c *Config) { c.CacheSize = -1 })
-	id := s.Create()
-	if _, err := s.Ask(context.Background(), id, "show customers with city Berlin"); err != nil {
-		t.Fatal(err)
+	var turn *Turn
+	for i := 0; i < 2; i++ {
+		id := s.Create()
+		for _, u := range []string{"show customers with city Berlin", "how many are there"} {
+			var err error
+			if turn, err = s.Ask(context.Background(), id, u); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	id2 := s.Create()
-	turn, err := s.Ask(context.Background(), id2, "show customers with city Berlin")
+	if turn.Cached {
+		t.Fatal("cache disabled but follow-up served from cache")
+	}
+}
+
+// TestContextFreeTurnIsARequest: a context-free turn goes through the
+// backend's Ask like any stateless question. Repeated in a second session
+// it is an answer-cache hit carrying its family, and it moves neither
+// context counter: those count context-bearing turns only.
+func TestContextFreeTurnIsARequest(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := testStore(t, func(c *Config) { c.Metrics = reg })
+	const q = "show customers with city Berlin"
+	first, err := s.Ask(context.Background(), s.Create(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if turn.Cached {
-		t.Fatal("cache disabled but turn served from cache")
+	again, err := s.Ask(context.Background(), s.Create(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || !again.Cached || again.Resp.Answer == nil || !again.Resp.Answer.Cached {
+		t.Fatalf("cached: first %v, repeat %v; want the repeat served by the answer cache", first.Cached, again.Cached)
+	}
+	if got := again.Resp.Answer.Engine; got != "athena" {
+		t.Fatalf("repeat answered by engine %q, want athena", got)
+	}
+	if again.Resp.SQL.String() != first.Resp.SQL.String() {
+		t.Fatalf("repeat SQL %s, want %s", again.Resp.SQL, first.Resp.SQL)
+	}
+	hits, misses := reg.Counter(MetricContextHits).Value(), reg.Counter(MetricContextMisses).Value()
+	if hits != 0 || misses != 0 {
+		t.Fatalf("context hits %d, misses %d after two context-free turns; want 0 and 0", hits, misses)
 	}
 }
 
@@ -337,16 +375,17 @@ func TestSessionMetricsPublished(t *testing.T) {
 // TestTurnRecordedOnce serves one turn through a gateway that shares the
 // store's slow log and trace store: the gateway's request runs inside the
 // turn's trace, so the turn alone writes the slow log (tagged with the
-// session) and offers the trace.
+// session) and offers the trace, which holds the chain's attempt spans
+// under the session root.
 func TestTurnRecordedOnce(t *testing.T) {
 	slow := obs.NewSlowLog(0, 16)
-	traces := obs.NewTraceStore(obs.TraceStoreConfig{})
+	traces := obs.NewTraceStore(obs.TraceStoreConfig{SampleRate: 1})
 	d := benchdata.Sales(60)
 	lex := lexicon.New()
 	ix := invindex.Build(d.DB, lex)
-	exec := resilient.New(d.DB, nil, resilient.Config{SlowLog: slow, Traces: traces})
+	gw := resilient.New(d.DB, []nlq.Interpreter{athena.New(d.DB, ix, lex)}, resilient.Config{SlowLog: slow, Traces: traces})
 	s, err := New(Config{
-		Responder: dialogue.NewAgent(d.DB, athena.New(d.DB, ix, lex), ix, exec),
+		Responder: dialogue.NewAgent(ix, gw),
 		DB:        d.DB,
 		SlowLog:   slow,
 		Traces:    traces,
@@ -355,11 +394,12 @@ func TestTurnRecordedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := s.Create()
-	if _, err := s.Ask(context.Background(), id, "show customers with city Berlin"); err != nil {
+	turn, err := s.Ask(context.Background(), id, "show customers with city Berlin")
+	if err != nil {
 		t.Fatal(err)
 	}
 	entries := slow.Entries()
-	if len(entries) != 1 || entries[0].Session != id {
+	if len(entries) != 1 || entries[0].Session != id || entries[0].Engine != "athena" {
 		var got []string
 		for _, e := range entries {
 			got = append(got, fmt.Sprintf("%s engine=%s session=%q", e.Question, e.Engine, e.Session))
@@ -368,6 +408,13 @@ func TestTurnRecordedOnce(t *testing.T) {
 	}
 	if got := traces.Stats().Offered; got != 1 {
 		t.Fatalf("traces offered %d, want 1", got)
+	}
+	st, ok := traces.Get(turn.TraceID)
+	if !ok {
+		t.Fatalf("turn trace %s not retained", turn.TraceID)
+	}
+	if st.Trace.Root.Attr("session") != id || st.Trace.Find("attempt athena") == nil {
+		t.Fatalf("turn trace lacks the session root or the chain's attempt span:\n%s", st.Trace)
 	}
 }
 
@@ -487,7 +534,8 @@ func TestStatsAgreeWithRegistry(t *testing.T) {
 	ask(a, "show customers with city Berlin") // query
 	ask(a, "how many are there")              // aggregate follow-up
 	b := s.Create()
-	ask(b, "show customers with city Berlin") // query, from the turn cache
+	ask(b, "show customers with city Berlin") // query, from the answer cache
+	ask(b, "how many are there")              // follow-up, from the turn cache
 	if err := s.End(b); err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +545,7 @@ func TestStatsAgreeWithRegistry(t *testing.T) {
 	s.Create() // both others expired
 
 	st := s.Stats()
-	want := Stats{Live: 1, Created: 5, Ended: 1, EvictedTTL: 2, EvictedMem: 1, Turns: 3, ContextHits: 1, Memory: sessionBaseCost}
+	want := Stats{Live: 1, Created: 5, Ended: 1, EvictedTTL: 2, EvictedMem: 1, Turns: 4, ContextHits: 1, Memory: sessionBaseCost}
 	if st != want {
 		t.Fatalf("stats = %+v, want %+v", st, want)
 	}

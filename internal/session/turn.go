@@ -25,7 +25,9 @@ type Turn struct {
 	// ContextFP fingerprints the dialogue context the utterance resolved
 	// against (0 = empty context, i.e. a context-free turn).
 	ContextFP uint64
-	// Cached marks a turn answered from the context-keyed turn cache.
+	// Cached marks a turn answered from a cache: a context-bearing turn
+	// from the store's context-keyed turn cache, a context-free one from
+	// the backend's answer cache.
 	Cached bool
 	// Resp is the dialogue response (always non-nil, even on error).
 	Resp *dialogue.Response
@@ -37,10 +39,10 @@ type Turn struct {
 	TraceID obs.TraceID
 }
 
-// cacheEntry is one cached turn: the post-turn context as SQL text (so a
-// hit replays the context advance exactly) plus the response surface. The
-// Result is shared read-only across goroutines — the same contract the
-// gateway's answer cache established.
+// cacheEntry is one cached context-bearing turn: the post-turn context as
+// SQL text (so a hit replays the context advance exactly) plus the
+// response surface. The Result is shared read-only across goroutines — the
+// same contract the gateway's answer cache established.
 type cacheEntry struct {
 	lastSQL   string
 	beforeAgg string
@@ -83,12 +85,13 @@ func (s *Store) Ask(ctx context.Context, id, utterance string) (*Turn, error) {
 		}
 	}
 
-	key := qcache.WithContext(turn.ContextFP,
-		qcache.WithFingerprint(s.cfg.DB.Fingerprint(), qcache.Key(utterance)))
-
-	resp, rerr := s.serveTurn(ctx, se, key, utterance, turn, qt)
+	resp, rerr := s.serveTurn(ctx, se, utterance, turn)
 	turn.Resp = resp
+	turn.Cached = resp.Answer != nil && resp.Answer.Cached
 	turn.Elapsed = s.cfg.Now().Sub(start)
+	if qt != nil && turn.Cached {
+		qt.Root.SetAttr("cached", "true")
+	}
 
 	s.finishTurnObs(turn, utterance, rerr, qt)
 
@@ -98,68 +101,63 @@ func (s *Store) Ask(ctx context.Context, id, utterance string) (*Turn, error) {
 	return turn, rerr
 }
 
-// serveTurn answers the utterance from the turn cache when possible,
-// otherwise through the Responder, caching successful executed turns.
-// Called with the session's turn lock held.
-func (s *Store) serveTurn(ctx context.Context, se *sess, key, utterance string, turn *Turn, qt *obs.QueryTrace) (*dialogue.Response, error) {
-	followup := turn.ContextFP != 0
+// serveTurn answers the utterance through the Responder. A context-bearing
+// turn is first looked up in the context-keyed turn cache, and stored
+// there once it executed. A context-free turn is a full question, which
+// the Responder reads through the backend's Ask: the answer cache there
+// already serves its repeats. Called with the session's turn lock held.
+func (s *Store) serveTurn(ctx context.Context, se *sess, utterance string, turn *Turn) (*dialogue.Response, error) {
+	if turn.ContextFP == 0 {
+		return s.respond(ctx, se, utterance)
+	}
+	key := ""
 	if s.cache != nil {
+		key = qcache.WithContext(turn.ContextFP,
+			qcache.WithFingerprint(s.cfg.DB.Fingerprint(), qcache.Key(utterance)))
 		if v, ok := s.cache.Get(key); ok {
-			ent := v.(*cacheEntry)
-			resp, err := s.replayCached(se, ent)
-			if err == nil {
-				turn.Cached = true
-				s.ctxHits.Inc()
-				if followup {
-					s.resolved.Inc()
-				}
-				if qt != nil {
-					qt.Root.SetAttr("cached", "true")
-				}
-				return resp, nil
-			}
 			// A stored turn that no longer replays (parse drift) falls
 			// through to the live path.
+			if resp, err := s.replayCached(se, v.(*cacheEntry)); err == nil {
+				s.ctxHits.Inc()
+				s.resolved.Inc()
+				return resp, nil
+			}
 		}
 	}
 	s.ctxMiss.Inc()
 
 	resp, err := s.respond(ctx, se, utterance)
-	if resp == nil {
-		resp = &dialogue.Response{Message: "The request failed."}
+	if err != nil {
+		s.failed.Inc()
+		return resp, err
 	}
-	if followup {
-		if err != nil {
-			s.failed.Inc()
-		} else {
-			s.resolved.Inc()
-		}
-	}
-	if err == nil && s.cache != nil && resp.SQL != nil && resp.Result != nil &&
-		(resp.Answer == nil || !resp.Answer.Partial) {
+	s.resolved.Inc()
+	if key != "" && resp.Answer != nil && !resp.Answer.Partial {
 		ent := &cacheEntry{
 			lastSQL: resp.SQL.String(),
 			message: resp.Message,
+			engine:  resp.Answer.Engine,
 			result:  resp.Result,
 		}
 		if se.conv.BeforeAggregate != nil {
 			ent.beforeAgg = se.conv.BeforeAggregate.String()
 		}
-		if resp.Answer != nil {
-			ent.engine = resp.Answer.Engine
-		}
 		s.cache.Put(key, ent)
 	}
-	return resp, err
+	return resp, nil
 }
 
 // respond runs the Responder over the session's context. A panic in it
 // comes back as a *resilient.PanicError, as on /query: the turn is
-// recorded as an error and the session stays usable.
+// recorded as an error and the session stays usable. The response is
+// never nil.
 func (s *Store) respond(ctx context.Context, se *sess, utterance string) (resp *dialogue.Response, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			resp, err = nil, &resilient.PanicError{Site: resilient.SiteInterpret, Engine: "session", Value: r, Stack: debug.Stack()}
+			err = &resilient.PanicError{Site: resilient.SiteInterpret, Engine: "session", Value: r, Stack: debug.Stack()}
+		}
+		if resp == nil {
+			resp = &dialogue.Response{Message: "The request failed."}
 		}
 	}()
 	return s.cfg.Responder.RespondWith(ctx, se.conv, utterance)
@@ -179,7 +177,10 @@ func (s *Store) replayCached(se *sess, ent *cacheEntry) (*dialogue.Response, err
 	}
 	se.conv.BeforeAggregate = before
 	se.conv.Remember(stmt)
-	return &dialogue.Response{SQL: stmt, Result: ent.result, Message: ent.message}, nil
+	return &dialogue.Response{
+		SQL: stmt, Result: ent.result, Message: ent.message,
+		Answer: &resilient.Answer{Engine: ent.engine, SQL: stmt, Result: ent.result, Cached: true},
+	}, nil
 }
 
 // finishTurnObs closes the turn's trace, offers it for retention, feeds

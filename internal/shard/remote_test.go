@@ -19,10 +19,13 @@ import (
 	"time"
 
 	"nlidb/internal/benchdata"
+	"nlidb/internal/dialogue"
+	"nlidb/internal/invindex"
 	"nlidb/internal/lexicon"
 	"nlidb/internal/nlq"
 	"nlidb/internal/resilient"
 	"nlidb/internal/server"
+	"nlidb/internal/session"
 	"nlidb/internal/shard"
 	"nlidb/internal/sqldata"
 	"nlidb/internal/sqlexec"
@@ -492,6 +495,28 @@ func typedRows(res *sqldata.Result, ordered, exact bool) []string {
 	return out
 }
 
+// sameFirstTurn asks q as the first turn of a new session in st and
+// reports how the turn differs from the backend's own answer want (or its
+// failure werr): the same engine, SQL and typed rows, or the same error
+// ("" when it does not differ).
+func sameFirstTurn(st *session.Store, q string, want *resilient.Answer, werr error) string {
+	turn, err := st.Ask(context.Background(), st.Create(), q)
+	switch {
+	case werr != nil:
+		if err == nil || err.Error() != werr.Error() ||
+			errors.Is(err, resilient.ErrExhausted) != errors.Is(werr, resilient.ErrExhausted) ||
+			errors.Is(err, shard.ErrNotDistributable) != errors.Is(werr, shard.ErrNotDistributable) {
+			return fmt.Sprintf("turn failed with %v, want %v", err, werr)
+		}
+		return ""
+	case err != nil:
+		return fmt.Sprintf("turn failed with %v, want [%s] %s", err, want.Engine, want.SQL)
+	case turn.Resp.Answer == nil:
+		return fmt.Sprintf("turn answered %q with no answer, want [%s] %s", turn.Resp.Message, want.Engine, want.SQL)
+	}
+	return sameAnswer(turn.Resp.Answer, want, true)
+}
+
 // sameAnswer reports how got differs from want in engine, question form,
 // SQL text, header or typed rows ("" when it does not).
 func sameAnswer(got, want *resilient.Answer, exact bool) string {
@@ -517,7 +542,9 @@ func sameAnswer(got, want *resilient.Answer, exact bool) string {
 // refused identically by both clusters. The questions carry values, among
 // them customer names, each of which lives on exactly one shard: a node
 // that interpreted over its own partition's vocabulary (as the fleet's
-// children once did) could not see two thirds of them.
+// children once did) could not see two thirds of them. Asked as the first
+// turn of a session over the gateway or the in-process cluster, a question
+// answers as that backend's Ask does, or is refused the same way.
 func TestTopologiesAnswerAlike(t *testing.T) {
 	d := benchdata.Sales(1)
 	chain, err := resilient.ChainByNames(d.DB, lexicon.New(), resilient.DefaultChainNames)
@@ -534,6 +561,15 @@ func TestTopologiesAnswerAlike(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ix := invindex.Build(d.DB, lexicon.New())
+	sessionOver := func(back dialogue.Asker) *session.Store {
+		st, err := session.New(session.Config{Responder: dialogue.NewAgent(ix, back), DB: d.DB, NoTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	gwSessions, localSessions := sessionOver(gw), sessionOver(local)
 
 	questions := []string{
 		// FK joins along the co-location edge, grouped and plain.
@@ -577,6 +613,12 @@ func TestTopologiesAnswerAlike(t *testing.T) {
 		want, werr := gw.Ask(ctx, q)
 		loc, lerr := local.Ask(ctx, q)
 		rem, rerr := remote.Ask(ctx, q)
+		if diff := sameFirstTurn(gwSessions, q, want, werr); diff != "" {
+			t.Errorf("%q: session over the gateway vs its Ask: %s", q, diff)
+		}
+		if diff := sameFirstTurn(localSessions, q, loc, lerr); diff != "" {
+			t.Errorf("%q: session over the in-process cluster vs its Ask: %s", q, diff)
+		}
 		switch {
 		case werr != nil:
 			// Nobody reads it: the same exhausted chain everywhere.

@@ -495,7 +495,7 @@ func TestPropertyGroupCountsSum(t *testing.T) {
 // asking one again still hits.
 func TestPlanCacheKeysOnExactStatement(t *testing.T) {
 	db := corpDB(t)
-	e := NewWithPlanCache(db, qcache.New(qcache.Config{MaxEntries: 16, Shards: 1}))
+	e := NewWithPlanCache(db, qcache.New(qcache.Config{MaxEntries: 16}))
 	for _, sqls := range [][]string{
 		{"SELECT COUNT(*) AS Total FROM employee", "SELECT COUNT(*) AS total FROM employee"},
 		{"SELECT Name FROM employee", "SELECT name FROM employee"},

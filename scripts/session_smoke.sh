@@ -5,7 +5,8 @@
 # session protocol over HTTP:
 #   - POST /session opens a conversation (session_id + ttl_ms, echoed in
 #     the X-Session-ID header),
-#   - a full question answers with rows,
+#   - a full question answers with rows, read by the same engine and
+#     into the same SQL as POST /query reads it,
 #   - a follow-up ("how many are there") resolves against the tracked
 #     context: context_resolved=true and the count matches turn 1's rows,
 #   - the nlidb_session_* families are visible on /metrics,
@@ -60,6 +61,19 @@ if ! grep -q '"sql"' "$TMP/t1.json"; then
     exit 1
 fi
 rows1="$(grep -o '\["[^]]*"\]' "$TMP/t1.json" | wc -l | tr -d ' ')"
+
+# Turn 1 is a request like /query: the same engine and the same SQL.
+curl -sf -X POST "http://$ADDR/query" \
+    -d '{"question": "show customers with city Berlin"}' >"$TMP/q1.json"
+field() { sed -n "s/.*\"$1\": *\"\([^\"]*\)\".*/\1/p" "$2"; }
+for f in engine sql; do
+    got="$(field "$f" "$TMP/t1.json")"
+    want="$(field "$f" "$TMP/q1.json")"
+    if [ -z "$want" ] || [ "$got" != "$want" ]; then
+        echo "session-smoke: turn 1 $f \"$got\" != /query $f \"$want\"" >&2
+        status=1
+    fi
+done
 
 # Turn 2: the follow-up resolves against tracked context.
 curl -sf -X POST "http://$ADDR/session/ask" \
@@ -143,8 +157,10 @@ done
 if [ "$status" -ne 0 ]; then
     echo "--- turn 1 ---" >&2
     cat "$TMP/t1.json" >&2
+    echo "--- /query ---" >&2
+    cat "$TMP/q1.json" >&2
     echo "--- turn 2 ---" >&2
     cat "$TMP/t2.json" >&2
     exit "$status"
 fi
-echo "session-smoke: ok (create → ask → follow-up resolved → metrics → 410 after end/expiry, 404 unknown on $ADDR)"
+echo "session-smoke: ok (create → ask as /query → follow-up resolved → metrics → 410 after end/expiry, 404 unknown on $ADDR)"
