@@ -62,8 +62,9 @@ proc-chaos: build
 
 # Short coverage-guided fuzz sessions over the SQL parser, the NL
 # tokenizer, the cache-key normalizer, the planner, follow-up resolution,
-# and the index lookup against its linear oracle (seed corpora always run
-# as part of plain `make test`).
+# the index lookup against its linear oracle, and the answer bodies
+# against encoding/json (seed corpora always run as part of plain
+# `make test`).
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/sqlparse
@@ -72,6 +73,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanExec -fuzztime=$(FUZZTIME) ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzFollowUp -fuzztime=$(FUZZTIME) ./internal/dialogue
 	$(GO) test -run='^$$' -fuzz=FuzzLookupOracle -fuzztime=$(FUZZTIME) ./internal/invindex
+	$(GO) test -run='^$$' -fuzz=FuzzAnswerJSON -fuzztime=$(FUZZTIME) ./internal/server
 
 # The benchmark is a module of its own (bench/go.mod), so `go vet ./...`
 # and `go test ./...` at the root never compile it: a changed signature

@@ -156,24 +156,6 @@ func TestAgentGreetingAndReset(t *testing.T) {
 	}
 }
 
-func TestUserSimValidateAndChoose(t *testing.T) {
-	d := benchdata.Sales(60)
-	gold := sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Berlin'")
-	u, err := NewUserSim(d.DB, gold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !u.Validate(sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Berlin'")) {
-		t.Fatal("gold-equivalent rejected")
-	}
-	if u.Validate(sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Munich'")) {
-		t.Fatal("wrong candidate accepted")
-	}
-	if u.Interactions != 2 {
-		t.Fatalf("interactions = %d", u.Interactions)
-	}
-}
-
 func TestIntentStrings(t *testing.T) {
 	want := map[Intent]string{
 		IntentQuery: "query", IntentRefine: "refine", IntentAggregate: "aggregate",
@@ -209,10 +191,32 @@ func TestManagerResets(t *testing.T) {
 	}
 }
 
+// The user's judgment is execution-based: a candidate written differently
+// from the gold but returning its result is chosen, a wrong one is not.
+func TestUserSimValidateAndChoose(t *testing.T) {
+	d := benchdata.Sales(60)
+	u, err := NewUserSim(d.DB, sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Berlin'"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := []nlq.Interpretation{
+		{SQL: sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Munich'")},
+		{SQL: sqlparse.MustParse("SELECT name FROM customer WHERE city IN ('Berlin')")},
+	}
+	if idx := u.Choose(candidates); idx != 1 {
+		t.Fatalf("gold-equivalent not chosen: Choose = %d, want 1", idx)
+	}
+	if idx := u.Choose(candidates[:1]); idx != 0 {
+		t.Fatalf("Choose of one wrong candidate = %d, want the default 0", idx)
+	}
+	if u.Interactions != 2 {
+		t.Fatalf("interactions = %d", u.Interactions)
+	}
+}
+
 func TestUserSimSetGoldAndChoose(t *testing.T) {
 	d := benchdata.Sales(60)
-	gold1 := sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Berlin'")
-	u, err := NewUserSim(d.DB, gold1)
+	u, err := NewUserSim(d.DB, sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Berlin'"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,20 +227,24 @@ func TestUserSimSetGoldAndChoose(t *testing.T) {
 	if idx := u.Choose(candidates); idx != 1 {
 		t.Errorf("Choose = %d, want 1", idx)
 	}
-	// Repointing the gold flips the choice.
-	if err := u.SetGold(sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Munich'")); err != nil {
+	// A user for another gold flips the choice.
+	u2, err := NewUserSim(d.DB, sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Munich'"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if idx := u.Choose(candidates); idx != 0 {
-		t.Errorf("Choose after SetGold = %d, want 0", idx)
+	if idx := u2.Choose([]nlq.Interpretation{candidates[1], candidates[0]}); idx != 1 {
+		t.Errorf("Choose for the Munich gold = %d, want 1", idx)
 	}
 	// No candidate matches → default 0.
 	none := []nlq.Interpretation{{SQL: sqlparse.MustParse("SELECT name FROM customer WHERE city = 'Hamburg'")}}
 	if idx := u.Choose(none); idx != 0 {
 		t.Errorf("Choose fallback = %d", idx)
 	}
-	if err := u.SetGold(sqlparse.MustParse("SELECT nosuch FROM customer")); err == nil {
-		t.Error("SetGold accepted an invalid gold")
+	if u.Interactions != 2 {
+		t.Errorf("interactions = %d, want 2", u.Interactions)
+	}
+	if _, err := NewUserSim(d.DB, sqlparse.MustParse("SELECT nosuch FROM customer")); err == nil {
+		t.Error("NewUserSim accepted an invalid gold")
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"nlidb/internal/sqlparse"
 )
 
-// UserSim is a scripted user that answers clarification and validation
-// questions from a gold query — the experimental stand-in for the human
-// in the NaLIR/DialSQL interaction loops. Its judgment is execution-based:
-// a candidate is "right" when it returns the gold result.
+// UserSim is a scripted user that answers clarification questions from a
+// gold query — the experimental stand-in for the human in the NaLIR
+// interaction loop. Its judgment is execution-based: a candidate is
+// "right" when it returns the gold result.
 type UserSim struct {
 	eng     *sqlexec.Engine
 	gold    *sqlparse.SelectStmt
@@ -29,23 +29,6 @@ func NewUserSim(db *sqldata.Database, gold *sqlparse.SelectStmt) (*UserSim, erro
 		return nil, err
 	}
 	return &UserSim{eng: eng, gold: gold, goldRes: res}, nil
-}
-
-// SetGold repoints the user at a new turn's gold query.
-func (u *UserSim) SetGold(gold *sqlparse.SelectStmt) error {
-	res, err := u.eng.Run(gold)
-	if err != nil {
-		return err
-	}
-	u.gold = gold
-	u.goldRes = res
-	return nil
-}
-
-// Validate answers a DialSQL-style "is this what you meant?" question.
-func (u *UserSim) Validate(candidate *sqlparse.SelectStmt) bool {
-	u.Interactions++
-	return u.matches(candidate)
 }
 
 // Choose answers a NaLIR-style multiple-choice clarification by picking

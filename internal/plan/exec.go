@@ -278,22 +278,32 @@ func (p *Plan) finishRows(env *execEnv, out []outRow, projected int) (*sqldata.R
 	}
 
 	result := &sqldata.Result{Columns: p.cols}
-	seen := map[string]bool{}
-	for _, o := range out {
-		if p.distinct {
+	m := len(out)
+	if p.limit >= 0 && p.limit < m {
+		m = p.limit
+	}
+	switch {
+	case m == 0:
+	case p.distinct:
+		// Grown, not sized: m bounds the distinct rows but may exceed them
+		// by far, and a cached answer would hold the slack.
+		seen := map[string]bool{}
+		for _, o := range out {
 			k := o.proj.Key()
 			if seen[k] {
 				continue
 			}
 			seen[k] = true
+			result.Rows = append(result.Rows, o.proj)
+			if len(result.Rows) == m {
+				break
+			}
 		}
-		result.Rows = append(result.Rows, o.proj)
-		if p.limit >= 0 && len(result.Rows) >= p.limit {
-			break
+	default:
+		result.Rows = make([]sqldata.Row, m)
+		for i := range result.Rows {
+			result.Rows[i] = out[i].proj
 		}
-	}
-	if p.limit == 0 {
-		result.Rows = nil
 	}
 	if env.stats != nil {
 		env.stats[p.nidProject] = int64(projected)

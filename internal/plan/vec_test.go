@@ -1055,3 +1055,34 @@ func TestVecAllocsIndependentOfInput(t *testing.T) {
 		}
 	}
 }
+
+// TestVecEmitAllocsIndependentOfRows: an unsorted, non-DISTINCT
+// vectorized SELECT writes its rows straight into a Result sized once, so
+// returning 1,000 rows costs no more allocations than returning 10.
+func TestVecEmitAllocsIndependentOfRows(t *testing.T) {
+	db := opsDB(2_000)
+	ctx := context.Background()
+	allocs := func(sql string, want int) float64 {
+		p := mustPrepare(t, db, sql)
+		if !p.Vectorized() {
+			t.Fatalf("%q: expected a vectorized plan", sql)
+		}
+		res, _, err := p.Run(ctx, DefaultBudget())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != want {
+			t.Fatalf("%q: %d rows, want %d", sql, len(res.Rows), want)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := p.Run(ctx, DefaultBudget()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := allocs("SELECT id, status, cpu FROM metric WHERE id <= 10", 10)
+	large := allocs("SELECT id, status, cpu FROM metric WHERE id <= 1000", 1000)
+	if large > small+2 {
+		t.Errorf("1,000 rows cost %.0f allocations, 10 rows %.0f: want at most 2 more", large, small)
+	}
+}

@@ -1055,8 +1055,9 @@ func (r *vrun) boxTuple(i int) sqldata.Row {
 	return row
 }
 
-// emitRows projects the non-grouped working set and runs the shared
-// sort/distinct/limit tail.
+// emitRows projects the non-grouped working set. Without ORDER BY or
+// DISTINCT it writes the rows straight into the Result; otherwise it runs
+// the shared sort/distinct/limit tail.
 func (r *vrun) emitRows() (*sqldata.Result, error) {
 	p, st := r.p, r.st
 	n := r.ws.n
@@ -1096,17 +1097,40 @@ func (r *vrun) emitRows() (*sqldata.Result, error) {
 		return nil, err
 	}
 
+	if len(p.orderBy) == 0 && !p.distinct {
+		m := n
+		if p.limit >= 0 && p.limit < n {
+			m = p.limit
+		}
+		r.env.setStat(p.nidProject, n)
+		r.env.setStat(p.nidResult, m)
+		res := &sqldata.Result{Columns: p.cols}
+		if m > 0 {
+			// Heap memory, not the arena: a cached answer shares its rows
+			// across requests. Each row is a full slice expression, so an
+			// append to one can never overwrite the next.
+			w := len(slots)
+			vals := make([]sqldata.Value, m*w)
+			res.Rows = make([]sqldata.Row, m)
+			for i := range res.Rows {
+				row := vals[i*w : (i+1)*w : (i+1)*w]
+				for s := range slots {
+					row[s] = slots[s].value(i)
+				}
+				res.Rows[i] = row
+			}
+		}
+		return res, nil
+	}
+
 	// Only the tuples the tail can return are boxed: the k a stable sort
 	// puts first when ORDER BY is bounded (selected on the typed key
-	// lanes), the first LIMIT when nothing reorders or dedups, else all.
+	// lanes), else all.
 	var pick []int32 // nil = 0..m-1
 	m := n
-	switch {
-	case p.topk >= 0 && p.topk < n:
+	if p.topk >= 0 && p.topk < n {
 		pick = topK(n, p.topk, func(i, j int32) int { return p.cmpLanes(keys, int(i), int(j)) })
 		m = len(pick)
-	case len(p.orderBy) == 0 && !p.distinct && p.limit >= 0 && p.limit < n:
-		m = p.limit
 	}
 	out := make([]outRow, m)
 	vals := make([]sqldata.Value, m*len(slots))

@@ -14,6 +14,9 @@
 //
 // The X-Deadline-Ms request header carries the client's remaining budget;
 // it becomes the request context's deadline (capped at 30s).
+// An answer's body is rendered straight from the executor's Result into
+// one buffer, the bytes encoding/json would write for the documented
+// fields, and sent in one write with Content-Length (body.go).
 // Overload answers are honest: 429 for a rate-limited client, 503 with
 // Retry-After and X-Shed-Reason when admission sheds or the server is
 // draining, 504 when the deadline expired mid-pipeline, 422 when every
@@ -425,52 +428,6 @@ type queryRequest struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// queryResponse is the POST /query success body.
-type queryResponse struct {
-	Engine     string     `json:"engine"`
-	SQL        string     `json:"sql"`
-	Columns    []string   `json:"columns"`
-	Rows       [][]string `json:"rows"`
-	Score      float64    `json:"score"`
-	Cached     bool       `json:"cached,omitempty"`
-	Simplified bool       `json:"simplified,omitempty"`
-	// Partial marks an answer assembled without every shard: correct for
-	// the reachable data, incomplete overall. MissingShards lists the
-	// shard indexes that did not contribute.
-	Partial       bool    `json:"partial,omitempty"`
-	MissingShards []int   `json:"missing_shards,omitempty"`
-	ElapsedMs     float64 `json:"elapsed_ms"`
-	// TraceID names the request's distributed trace; when the trace was
-	// retained as an exemplar, GET /trace?id=<TraceID> renders it.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
-func toQueryResponse(ans *resilient.Answer) queryResponse {
-	resp := queryResponse{
-		Engine:        ans.Engine,
-		SQL:           ans.SQL.String(),
-		Columns:       ans.Result.Columns,
-		Rows:          make([][]string, len(ans.Result.Rows)),
-		Score:         ans.Score,
-		Cached:        ans.Cached,
-		Simplified:    ans.Simplified,
-		Partial:       ans.Partial,
-		MissingShards: ans.MissingShards,
-		ElapsedMs:     float64(ans.Elapsed) / float64(time.Millisecond),
-	}
-	if ans.Trace != nil {
-		resp.TraceID = string(ans.Trace.ID)
-	}
-	for i, row := range ans.Result.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = v.String()
-		}
-		resp.Rows[i] = cells
-	}
-	return resp
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
@@ -510,7 +467,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeAskError(w, ctx, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toQueryResponse(ans))
+	writeAnswer(w, ans)
 }
 
 // observeSLO folds one finished question into the SLO engine. The
@@ -536,16 +493,6 @@ func (s *Server) observeSLO(elapsed time.Duration, ans *resilient.Answer, err er
 type batchRequest struct {
 	Questions []string `json:"questions"`
 	Priority  string   `json:"priority,omitempty"`
-}
-
-// batchItem is one element of the POST /batch response. Shed marks a
-// question the pipeline never started (safe to retry as-is).
-type batchItem struct {
-	Index    int            `json:"index"`
-	Question string         `json:"question"`
-	Answer   *queryResponse `json:"answer,omitempty"`
-	Error    string         `json:"error,omitempty"`
-	Shed     bool           `json:"shed,omitempty"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -587,24 +534,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	results := s.cfg.Backend.ServeBatch(ctx, req.Questions)
-	items := make([]batchItem, len(results))
-	for i, res := range results {
-		item := batchItem{Index: res.Index, Question: res.Question}
-		var itemElapsed time.Duration
+	for _, res := range results {
+		var elapsed time.Duration
 		if res.Answer != nil {
-			itemElapsed = res.Answer.Elapsed
+			elapsed = res.Answer.Elapsed
 		}
-		s.observeSLO(itemElapsed, res.Answer, res.Err)
-		if res.Err != nil {
-			item.Error = res.Err.Error()
-			item.Shed = errors.Is(res.Err, resilient.ErrShed)
-		} else {
-			resp := toQueryResponse(res.Answer)
-			item.Answer = &resp
-		}
-		items[i] = item
+		s.observeSLO(elapsed, res.Answer, res.Err)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": items})
+	writeBatch(w, results)
 }
 
 // writeAskError maps a backend failure to an honest status code: the
@@ -650,14 +587,4 @@ func retryAfterSeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.FormatInt(secs, 10)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSON(w, code, map[string]string{"error": msg})
 }

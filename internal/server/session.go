@@ -38,27 +38,6 @@ type sessionAskRequest struct {
 	Priority  string `json:"priority,omitempty"`
 }
 
-// sessionAskResponse is the POST /session/ask success body: the resolved
-// turn plus the standard query-answer surface (absent for conversational
-// turns like greetings that execute nothing).
-type sessionAskResponse struct {
-	SessionID string `json:"session_id"`
-	Turn      int    `json:"turn"`
-	Intent    string `json:"intent"`
-	// ContextResolved marks a turn that resolved against tracked dialogue
-	// context (a follow-up), as opposed to a self-contained question.
-	ContextResolved bool   `json:"context_resolved"`
-	Cached          bool   `json:"cached,omitempty"`
-	Message         string `json:"message,omitempty"`
-
-	Engine    string     `json:"engine,omitempty"`
-	SQL       string     `json:"sql,omitempty"`
-	Columns   []string   `json:"columns,omitempty"`
-	Rows      [][]string `json:"rows,omitempty"`
-	ElapsedMs float64    `json:"elapsed_ms"`
-	TraceID   string     `json:"trace_id,omitempty"`
-}
-
 // handleSession serves POST /session (create) and DELETE /session (end).
 func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	st := s.cfg.Sessions
@@ -168,35 +147,8 @@ func (s *Server) handleSessionAsk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := sessionAskResponse{
-		SessionID:       id,
-		Turn:            turn.N,
-		Intent:          turn.Intent.String(),
-		ContextResolved: turn.ContextFP != 0,
-		Cached:          turn.Cached,
-		Message:         turn.Resp.Message,
-		ElapsedMs:       float64(turn.Elapsed) / float64(time.Millisecond),
-		TraceID:         string(turn.TraceID),
-	}
-	if turn.Resp.SQL != nil {
-		resp.SQL = turn.Resp.SQL.String()
-	}
-	if a := turn.Resp.Answer; a != nil {
-		resp.Engine = a.Engine
-	}
-	if res := turn.Resp.Result; res != nil {
-		resp.Columns = res.Columns
-		resp.Rows = make([][]string, len(res.Rows))
-		for i, row := range res.Rows {
-			cells := make([]string, len(row))
-			for j, v := range row {
-				cells[j] = v.String()
-			}
-			resp.Rows[i] = cells
-		}
-	}
 	w.Header().Set("X-Session-ID", id)
-	writeJSON(w, http.StatusOK, resp)
+	writeTurn(w, id, turn)
 }
 
 // writeSessionError maps store lookups onto the documented statuses: 404

@@ -248,25 +248,37 @@ func (v Value) mustBe(t Type) {
 
 // String renders the value the way the engine prints result rows.
 func (v Value) String() string {
-	if v.Null {
+	switch {
+	case v.Null:
 		return "NULL"
+	case v.T == TypeText:
+		return v.s
+	case v.T == TypeBool:
+		return strconv.FormatBool(v.b())
+	}
+	var buf [24]byte
+	return string(v.AppendTo(buf[:0]))
+}
+
+// AppendTo appends String's rendering of v to b. Only a TEXT value can
+// render a byte other than an ASCII letter, digit, '+', '-', '.' or '?'.
+func (v Value) AppendTo(b []byte) []byte {
+	if v.Null {
+		return append(b, "NULL"...)
 	}
 	switch v.T {
 	case TypeInt:
-		return strconv.FormatInt(v.i(), 10)
+		return strconv.AppendInt(b, v.i(), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f(), 'g', -1, 64)
+		return strconv.AppendFloat(b, v.f(), 'g', -1, 64)
 	case TypeText:
-		return v.s
+		return append(b, v.s...)
 	case TypeBool:
-		if v.b() {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(b, v.b())
 	case TypeDate:
-		return v.Time().Format("2006-01-02")
+		return v.Time().AppendFormat(b, "2006-01-02")
 	default:
-		return "?"
+		return append(b, '?')
 	}
 }
 

@@ -163,10 +163,24 @@ func TestValueString(t *testing.T) {
 		{NewText("x y"), "x y"},
 		{NewBool(false), "false"},
 		{NewDate(1970, time.January, 2), "1970-01-02"},
+		{NewInt(math.MinInt64), "-9223372036854775808"},
+		{NewFloat(math.Copysign(0, -1)), "-0"},
+		{NewFloat(1e21), "1e+21"},
+		{NewFloat(1e-7), "1e-07"},
+		{NewFloat(5e-324), "5e-324"},
+		{NewFloat(math.MaxFloat64), "1.7976931348623157e+308"},
+		{NewFloat(math.NaN()), "NaN"},
+		{NewFloat(math.Inf(-1)), "-Inf"},
+		{NewBool(true), "true"},
+		{NewDate(2024, time.February, 29), "2024-02-29"},
+		{NewDateDays(-800_000), "-0221-09-04"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
 			t.Errorf("String(%#v) = %q, want %q", c.v, got, c.want)
+		}
+		if got := string(c.v.AppendTo([]byte("> "))); got != "> "+c.want {
+			t.Errorf("AppendTo(%#v) = %q, want %q", c.v, got, "> "+c.want)
 		}
 	}
 }
